@@ -1,54 +1,16 @@
-"""Hot numerical kernels with backend selection.
+"""Hot numerical kernels: vectorised numpy implementations (see ``_np``).
 
-Two implementations exist for each kernel: a vectorised numpy one and a
-compiled Cython one.  Benchmarks (benchmarks/bench_backends.py) show numpy's
-SIMD transcendentals win the elementwise kernels, while the compiled
-time-stepping loop wins the PDE march by removing per-step interpreter
-overhead -- so ``auto`` picks per kernel.  ``GFTREE_BACKEND=numpy`` or
-``=compiled`` forces one implementation everywhere (the latter raises if
-the extension is not built).
-
-Both backends draw the same underlying uniforms (exact integer hashing), so
-they produce identical tree topologies; floating-point results can differ in
-the last few ulps because libm and numpy's vectorised transcendentals round
-differently.
+``BACKEND`` and ``compiled_backend()`` remain for run manifests that record
+which implementation ran; numpy is the only one.
 """
 
 from __future__ import annotations
 
-import os
+from ._np import kernel_sums, pde_run, powerlaw_lifetimes
 
-from . import _np as numpy_backend
+BACKEND = "numpy"
 
 
 def compiled_backend():
-    """The compiled module, or None when it is not built."""
-    try:
-        from . import _core
-        return _core
-    except ImportError:
-        return None
-
-
-_choice = os.environ.get("GFTREE_BACKEND", "auto").lower()
-_compiled = compiled_backend()
-
-if _choice == "numpy":
-    BACKEND = "numpy"
-    powerlaw_lifetimes = numpy_backend.powerlaw_lifetimes
-    kernel_sums = numpy_backend.kernel_sums
-    pde_run = numpy_backend.pde_run
-elif _choice == "compiled":
-    if _compiled is None:
-        raise ImportError("GFTREE_BACKEND=compiled but the extension "
-                          "gftree._hot._core is not built")
-    BACKEND = "compiled"
-    powerlaw_lifetimes = _compiled.powerlaw_lifetimes
-    kernel_sums = _compiled.kernel_sums
-    pde_run = _compiled.pde_run
-else:
-    BACKEND = "auto" if _compiled is not None else "numpy"
-    powerlaw_lifetimes = numpy_backend.powerlaw_lifetimes
-    kernel_sums = numpy_backend.kernel_sums
-    pde_run = (_compiled.pde_run if _compiled is not None
-               else numpy_backend.pde_run)
+    """Always None: there is no compiled extension."""
+    return None

@@ -511,10 +511,12 @@ def make_parser() -> argparse.ArgumentParser:
                    help="grid step (default: %(default)s)")
     p.add_argument("--grid-xmax", type=float, default=5.0,
                    help="grid end (default: %(default)s)")
-    p.add_argument("--t-end", type=float, default=300.0,
-                   help="PDE time horizon (default: %(default)s)")
+    p.add_argument("--t-end", type=float, default=None,
+                   help="PDE time horizon: omit for the steady state; give a "
+                        "horizon to march the transient (default: none)")
     p.add_argument("--cfl", type=float, default=0.9,
-                   help="CFL number in (0, 1] (default: %(default)s)")
+                   help="CFL number in (0, 1] of the transient march "
+                        "(default: %(default)s)")
     p.add_argument("--check-lo", type=float, default=1.0,
                    help="closed-loop check window start (default: %(default)s)")
     p.add_argument("--check-hi", type=float, default=3.0,

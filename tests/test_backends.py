@@ -1,18 +1,11 @@
-"""The numpy and compiled kernels must agree to rounding on the same inputs."""
+"""The keyed uniform streams behind every hot kernel are exact."""
 
 import numpy as np
-import pytest
 
 from gftree import streams
-from gftree._hot import compiled_backend, numpy_backend
-
-compiled = compiled_backend()
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled extension not built")
 
 
-def _node_draws(n, seed=3):
+def _node_draws(n, seed):
     key = streams.run_key(seed)
     keys = streams.child_keys(np.broadcast_to(key, (n,)).copy(),
                               np.arange(n, dtype=np.uint64))
@@ -20,47 +13,6 @@ def _node_draws(n, seed=3):
     x = 0.3 + 2.5 * streams.draw_uniform(keys, streams.STREAM_INITIAL_SIZE, 0)
     v = 0.2 + 2.8 * streams.draw_uniform(keys, streams.STREAM_GROWTH, 0)
     return u, x, v
-
-
-@needs_compiled
-def test_lifetime_kernels_agree():
-    u, x, v = _node_draws(100_000)
-    a = numpy_backend.powerlaw_lifetimes(u, x, v, 1.0, 2.0)
-    b = compiled.powerlaw_lifetimes(u, x, v, 1.0, 2.0)
-    assert np.allclose(a, b, rtol=1e-12, atol=0)
-
-
-@needs_compiled
-def test_kernel_sum_kernels_agree():
-    _, x, _ = _node_draws(50_000)
-    sizes = np.sort(x)
-    centers = np.ascontiguousarray(np.linspace(0.05, 3.0, 500))
-    a = numpy_backend.kernel_sums(sizes, centers, 0.05, 5.0, 0.3989)
-    b = compiled.kernel_sums(sizes, centers, 0.05, 5.0, 0.3989)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
-
-
-@needs_compiled
-def test_pde_kernels_agree():
-    m = 400
-    dx = 5.0 / m
-    centers = (np.arange(m) + 0.5) * dx
-    faces = np.arange(1, m + 1) * dx
-    n0 = np.ascontiguousarray(np.where(centers < 2.5, 0.4, 0.0))
-    pos = (2.0 * centers - centers[0]) / dx
-    k = np.floor(pos).astype(np.int64)
-    valid = k < m - 1
-    args = (np.ascontiguousarray(1.0 * faces),
-            np.ascontiguousarray(np.where(valid, 2 * (2 * centers) ** 2, 0.0)),
-            np.ascontiguousarray(centers ** 2),
-            np.ascontiguousarray(np.where(valid, k, -1)),
-            np.ascontiguousarray(np.where(valid, pos - k, 0.0)),
-            dx, 3000, 0.0)
-    na, sa, ra, da = numpy_backend.pde_run(n0, 4e-4, *args)
-    nb, sb, rb, db = compiled.pde_run(n0, 4e-4, *args)
-    assert sa == sb
-    assert np.allclose(na, nb, rtol=1e-10, atol=1e-300)
-    assert da == pytest.approx(db, rel=1e-6, abs=1e-12)
 
 
 def test_uniform_streams_are_backend_independent():

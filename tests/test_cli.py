@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gftree
 from gftree.cli import main, make_parser, parse_rate, parse_size_range
+from gftree.invariant import solve_conservative_pde
 from gftree.model import PowerLawRate
 
 
@@ -255,6 +261,28 @@ def test_pde_check(tmp_path):
     for name in ("invariant_density.tsv", "pde_steady_state.tsv",
                  "reconstructed_rate.tsv"):
         assert (tmp_path / name).exists()
+
+
+def test_pde_check_no_convergence_is_runtime_error(tmp_path, monkeypatch):
+    def never_converges(*args, **kwargs):
+        return solve_conservative_pde(*args, **kwargs, stop_rate=0.0)
+
+    monkeypatch.setattr(gftree.cli, "solve_conservative_pde", never_converges)
+    assert run(["pde-check", "--grid-dx", 1e-2, "--out", tmp_path,
+                "--no-timestamp"]) == 3
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported lazily by the PDE steady-state solve; loading
+    # it with the CLI would add ~0.1 s to every command's start-up
+    src = str(Path(gftree.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gftree.cli; assert 'scipy.sparse' not in sys.modules"],
+        env=env, check=True)
 
 
 def test_ingest_cli(tmp_path):

@@ -238,6 +238,25 @@ def test_relation_error_halves_under_refinement():
     assert errs[1] <= 0.6 * errs[0]
 
 
+@pytest.mark.parametrize("rate", [SQUARE, PowerLawRate(2.0, 1.0)],
+                         ids=["x^2", "2*x"])
+def test_direct_steady_state_matches_march(rate):
+    # the direct solve against the retained explicit march, run until its
+    # L1 rate of change drops below 1e-8 (~0.3 s per rate at dx=1e-2)
+    direct = solve_conservative_pde(rate, 1.0, dx=1e-2)
+    march = solve_conservative_pde(rate, 1.0, dx=1e-2, t_end=300.0)
+    assert march.converged and march.steps > 0
+    assert np.max(np.abs(direct.values - march.values)) <= 1e-8
+    assert np.all(direct.values >= 0.0)
+    assert direct.steps == 0
+    assert direct.l1_rate < 1e-12
+
+
+def test_steady_state_no_convergence_fails_fast():
+    with pytest.raises(NoConvergence):
+        solve_conservative_pde(SQUARE, 1.0, dx=1e-2, stop_rate=0.0)
+
+
 def test_cfl_violation_raises():
     with pytest.raises(CflViolation):
         solve_conservative_pde(SQUARE, 1.0, dx=2.5e-3, dt=1.0, t_end=1.0)
