@@ -401,9 +401,16 @@ def cmd_ingest(args) -> int:
     if args.map:
         for pair in args.map.split(","):
             fld, _, col = pair.partition("=")
+            fld = fld.strip()
             if not col:
                 raise UsageError(f"bad --map entry {pair!r}; use field=column")
-            colmap[fld.strip()] = col.strip()
+            if fld not in studies.DEFAULT_COLUMN_MAP:
+                raise UsageError(
+                    f"unknown --map field {fld!r}; valid fields are "
+                    f"{', '.join(studies.DEFAULT_COLUMN_MAP)}")
+            colmap[fld] = col.strip()
+    if args.drop_first < 0 or args.drop_last < 0:
+        raise UsageError("--drop-first and --drop-last must be >= 0")
     obs, report = ingest_lineage_csv(path, colmap or None,
                                      lineage_column=args.lineage_column,
                                      drop_first=args.drop_first,

@@ -1,4 +1,6 @@
-"""Uniform-grid curves and their TSV serialisation."""
+"""Uniform-grid curves and their TSV serialisation, plus the float format
+of every text writer and the CSV column loader of the genealogy and lineage
+readers."""
 
 from __future__ import annotations
 
@@ -42,31 +44,62 @@ class CurveOnGrid:
         return float(np.trapezoid(self.values, dx=self.dx))
 
 
+# The printf-style format of every float the text writers emit: 17
+# significant digits round-trip float64 exactly.  ``FLOAT_FORMAT % x`` and
+# ``format(x, ".17g")`` both end in CPython's ``PyOS_double_to_string``.
+FLOAT_FORMAT = "%.17g"
+
+
 def float_repr(value: float) -> str:
     """Decimal form with 17 significant digits: round-trips float64 exactly."""
-    return format(value, ".17g")
+    return FLOAT_FORMAT % value
 
 
 def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns as TSV, 17-significant-digit decimals."""
+    """Write named columns as TSV, 17-significant-digit decimals.
+
+    Each column is formatted by its dtype kind: bools as ``1``/``0`` and
+    integers in full (``%d`` of the Python scalars), anything else through
+    float64 as :data:`FLOAT_FORMAT`.  The table is one ``%`` call.
+    """
+    from itertools import chain
+
     names = list(columns)
     cols = [np.asarray(columns[k]) for k in names]
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("all columns must have equal length")
+    formats, cells = [], []
+    for c in cols:
+        if c.dtype.kind in "biu":
+            formats.append("%d")
+        else:
+            formats.append(FLOAT_FORMAT)
+            c = c.astype(np.float64, copy=False)
+        cells.append(c.tolist())
+    row = "\t".join(formats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(names) + "\n")
-        for i in range(n):
-            cells = []
-            for c in cols:
-                v = c[i]
-                if isinstance(v, (np.bool_, bool)):
-                    cells.append("1" if v else "0")
-                elif np.issubdtype(type(v), np.integer):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(float_repr(float(v)))
-            fh.write("\t".join(cells) + "\n")
+        fh.write(row * n % tuple(chain.from_iterable(zip(*cells))))
+
+
+def load_csv_columns(fh, dtype, usecols) -> np.ndarray:
+    """Parse the rest of an open CSV file in one pass of numpy's C reader.
+
+    Fields follow the ``csv`` module's default dialect: comma-separated,
+    ``"``-quoted with ``""`` as an escaped quote; ``\\n``, ``\\r\\n`` and
+    ``\\r`` all end a line, and empty lines are skipped.  Floats are parsed
+    by ``PyOS_string_to_double``, the routine behind ``float()``.  Raises
+    ``ValueError`` on a cell that does not convert or a row too short for
+    ``usecols``.  Returns a 1-d array of ``dtype`` with one element per row.
+    """
+    import warnings
+
+    with warnings.catch_warnings():
+        # an empty table is for the caller to judge
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, usecols=usecols, ndmin=1)
 
 
 def read_curve_tsv(path) -> dict[str, np.ndarray]:

@@ -349,73 +349,142 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
                        ) -> tuple[ObservationSet, IngestReport]:
     """Read per-cell lineage records from CSV with validation.
 
-    ``column_map`` maps observation fields to CSV column names.  Rows with
-    non-finite or non-positive entries are rejected with line-numbered
-    diagnostics.  When a lineage column is present, the first ``drop_first``
-    and last ``drop_last`` cells of every lineage are discarded (defence
-    against non-stationary boundary generations in experimental data).
+    ``column_map`` maps observation fields (the keys of
+    ``DEFAULT_COLUMN_MAP``; any other raises ``ValueError``) to CSV column
+    names.  Rows with non-finite or non-positive entries are rejected with
+    line-numbered diagnostics naming the first failing column.  When a
+    lineage column is present, the first ``drop_first`` and last
+    ``drop_last`` cells of every lineage are discarded (defence against
+    non-stationary boundary generations in experimental data); lineages
+    keep the order of their first row, and cells their row order.
+
+    The mapped columns (and the lineage column) are parsed column-wise by
+    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``.
+    A file that parser cannot read whole (a non-numeric cell, a short row,
+    a whitespace-only line) goes through the row-by-row ``csv.DictReader``
+    loop instead, which names each unparsable cell.
 
     Growth rates are taken as given per cell; no re-fit from size time
     series happens here.  Data sets that instead derive each rate from the
     parent-child division relation cannot supply one for the last observed
     generation of a lineage, which is what ``drop_last`` is for.
     """
+    from .curves import load_csv_columns
+
+    unknown = [f for f in column_map or () if f not in DEFAULT_COLUMN_MAP]
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}; valid fields are "
+                         f"{', '.join(DEFAULT_COLUMN_MAP)}")
+    if drop_first < 0 or drop_last < 0:
+        raise ValueError("drop_first and drop_last must be >= 0")
     colmap = dict(DEFAULT_COLUMN_MAP)
     if column_map:
         colmap.update(column_map)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise SchemaError("empty file")
-        missing = [c for c in colmap.values() if c not in reader.fieldnames]
+        missing = [c for c in colmap.values() if c not in header]
         if missing:
             raise SchemaError(f"missing columns: {missing}")
         has_lineage = (lineage_column is not None
-                       and lineage_column in reader.fieldnames)
-        rows = []
-        rejected = []
-        for line_no, row in enumerate(reader, start=2):
-            vals = {}
-            reason = None
-            for fld, col in colmap.items():
-                try:
-                    v = float(row[col])
-                except (TypeError, ValueError):
-                    reason = f"{col}: not a number ({row[col]!r})"
-                    break
-                if not math.isfinite(v):
-                    reason = f"{col}: not finite"
-                    break
-                if v <= 0:
-                    reason = f"{col}: must be positive"
-                    break
-                vals[fld] = v
-            if reason is not None:
-                rejected.append((line_no, reason))
-                continue
-            key = row[lineage_column] if has_lineage else ""
-            rows.append((key, vals["size_birth"], vals["growth_rate"],
-                         vals["lifetime"]))
+                       and lineage_column in header)
+        # like csv.DictReader, a repeated column name means its last copy
+        where = {name: j for j, name in enumerate(header)}
+        usecols = [where[c] for c in colmap.values()]
+        dtype = [("values", np.float64, (len(usecols),))]
+        if has_lineage:
+            usecols.append(where[lineage_column])
+            dtype.append(("key", object))
+        try:
+            table = load_csv_columns(fh, dtype, usecols)
+        except ValueError:
+            fh.seek(0)
+            keys, values, rejected = _ingest_rows(
+                csv.DictReader(fh), colmap,
+                lineage_column if has_lineage else None)
+        else:
+            values = table["values"]
+            ok, rejected = _validate_values(values, list(colmap.values()))
+            values = values[ok]
+            keys = table["key"][ok] if has_lineage else None
 
-    by_lineage: dict[str, list] = {}
-    for key, *vals in rows:
-        by_lineage.setdefault(key, []).append(vals)
-    kept = []
-    dropped = 0
-    for key in by_lineage:
-        cells = by_lineage[key]
-        take = cells[drop_first:len(cells) - drop_last if drop_last else None]
-        dropped += len(cells) - len(take)
-        kept.extend(take)
-    if not kept:
+    kept, lineages = _drop_boundary(keys, len(values), drop_first, drop_last)
+    if not kept.size:
         raise EmptyAfterFiltering(
-            f"no usable rows ({len(rejected)} rejected, {dropped} dropped)")
-    data = np.array(kept)
+            f"no usable rows ({len(rejected)} rejected, "
+            f"{len(values) - kept.size} dropped)")
+    data = values[kept]
     obs = ObservationSet(data[:, 0], data[:, 1], data[:, 2])
-    report = IngestReport(accepted=len(kept), rejected=rejected,
-                          dropped_boundary=dropped,
-                          lineages=len(by_lineage))
+    report = IngestReport(accepted=kept.size, rejected=rejected,
+                          dropped_boundary=len(values) - kept.size,
+                          lineages=lineages)
     return obs, report
+
+
+def _validate_values(values: np.ndarray, names: list[str]):
+    """Accepted-row mask and (line, reason) per rejected row, where the
+    reason is the first column (in ``names`` order) that is not finite or
+    not positive; line 2 is the first row after the header."""
+    finite = np.isfinite(values)
+    ok = finite & (values > 0)
+    good = ok.all(axis=1)
+    bad = np.flatnonzero(~good)
+    first = np.argmin(ok[bad], axis=1)
+    reasons = [[f"{c}: not finite", f"{c}: must be positive"] for c in names]
+    rejected = [(line, reasons[j][positive]) for line, j, positive in zip(
+        (bad + 2).tolist(), first.tolist(), finite[bad, first].tolist())]
+    return good, rejected
+
+
+def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
+    """Row-by-row validation: lineage keys, an (accepted, 3) value array and
+    the (line, reason) of every rejected row."""
+    rows = []
+    rejected = []
+    for line_no, row in enumerate(reader, start=2):
+        vals = {}
+        reason = None
+        for fld, col in colmap.items():
+            try:
+                v = float(row[col])
+            except (TypeError, ValueError):
+                reason = f"{col}: not a number ({row[col]!r})"
+                break
+            if not math.isfinite(v):
+                reason = f"{col}: not finite"
+                break
+            if v <= 0:
+                reason = f"{col}: must be positive"
+                break
+            vals[fld] = v
+        if reason is not None:
+            rejected.append((line_no, reason))
+            continue
+        key = row[lineage_column] if lineage_column is not None else ""
+        rows.append((key, vals["size_birth"], vals["growth_rate"],
+                     vals["lifetime"]))
+    keys = [r[0] for r in rows] if lineage_column is not None else None
+    values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 3)
+    return keys, values, rejected
+
+
+def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):
+    """Rows kept after dropping each lineage's first ``drop_first`` and last
+    ``drop_last`` cells, lineages in order of first appearance and cells in
+    row order; and the number of lineages.  ``keys=None`` is one lineage."""
+    if keys is None:
+        group = np.zeros(n, dtype=np.int64)
+    else:
+        first_seen = {k: g for g, k in enumerate(dict.fromkeys(keys))}
+        group = np.fromiter(map(first_seen.__getitem__, keys),
+                            dtype=np.int64, count=n)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    start = np.cumsum(sizes) - sizes
+    pos = np.arange(n) - np.repeat(start, sizes)
+    end = np.repeat(sizes, sizes) - drop_last
+    return order[(pos >= drop_first) & (pos < end)], sizes.size
 
 
 # ---------------------------------------------------------------------------

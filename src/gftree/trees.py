@@ -130,6 +130,8 @@ class GenealogyTree:
                 raise ValueError("sparse scheme must be a single chain")
             if self.chain_bits is None or self.chain_bits.size != max(n - 1, 0):
                 raise ValueError("sparse scheme needs one child bit per division")
+            if not np.all((self.chain_bits == 0) | (self.chain_bits == 1)):
+                raise ValueError("chain bits must be 0 or 1")
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -488,69 +490,128 @@ def parent_child_arrays(tree: GenealogyTree):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
+_CSV_BLOCK = 1 << 16  # rows formatted per write
+_NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
+_NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
+
+
+def _path_strings(tree: GenealogyTree, rows: slice) -> list[str]:
+    """The ``path`` cells of ``rows``: prefixes of the chain's bit string
+    (sparse), or each index's ``generation`` low bits, most significant
+    first (full)."""
+    gen = tree.generation[rows]
+    if tree.scheme == "sparse":
+        chain = (tree.chain_bits + ord("0")).astype(np.uint8).tobytes().decode()
+        return list(map(chain.__getitem__, map(slice, gen.tolist())))
+    width = max(int(gen.max(initial=0)), 1)
+    pos = np.arange(width)
+    # left-align each path's bits in ``width`` bits, then read them MSB first
+    left = tree.index[rows] << (width - gen)
+    codes = (ord("0") + ((left[:, None] >> (width - 1 - pos)) & 1)
+             ).astype(np.uint32)
+    # one code point per character; the unicode dtype drops the zero
+    # padding past each path's end
+    codes[pos >= gen[:, None]] = 0
+    return codes.view(f"U{width}").ravel().tolist()
 
 
 def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     """One row per cell: path,size_birth,growth_rate,lifetime,birth_time.
 
-    Values carry 17 significant digits, so a read-back is bit-exact.
+    The bytes are those of ``csv.writer`` (``\\r\\n`` line ends) with
+    every value as :data:`~gftree.curves.FLOAT_FORMAT` (17 significant
+    digits), so a read-back is bit-exact.  Paths come from the tree's
+    columns, never from :class:`TreePath` objects, and each block of
+    ``_CSV_BLOCK`` rows is formatted by a single ``%`` call.
     """
-    from .curves import float_repr
+    from itertools import chain
 
+    from .curves import FLOAT_FORMAT
+
+    row = "%s" + ("," + FLOAT_FORMAT) * 4 + "\r\n"
+    columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
+               tree.birth_time)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for i in range(len(tree)):
-            writer.writerow([
-                str(tree.path_of(i)),
-                float_repr(float(tree.size_birth[i])),
-                float_repr(float(tree.growth_rate[i])),
-                float_repr(float(tree.lifetime[i])),
-                float_repr(float(tree.birth_time[i])),
-            ])
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for start in range(0, len(tree), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            paths = _path_strings(tree, rows)
+            cells = zip(paths, *(c[rows].tolist() for c in columns))
+            fh.write(row * len(paths) % tuple(chain.from_iterable(cells)))
+
+
+def _full_tree_indices(paths: np.ndarray, gens: np.ndarray,
+                       depth: int) -> np.ndarray:
+    """Index within its generation of every path of a full-tree candidate,
+    from an (n, depth) byte matrix; paths are at most ``depth`` long."""
+    width = max(depth, 1)
+    try:
+        codes = paths.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    except UnicodeEncodeError as exc:
+        raise ValueError(_NOT_BINARY) from exc
+    within = np.arange(width) < gens[:, None]
+    one = codes == ord("1")
+    if not np.array_equal(one | (codes == ord("0")), within):
+        raise ValueError(_NOT_BINARY)
+    index = np.zeros(gens.size, dtype=np.int64)
+    for k in range(width):
+        index = np.where(within[:, k], 2 * index + one[:, k], index)
+    return index
 
 
 def read_genealogy_csv(path) -> GenealogyTree:
     """Rebuild a tree from the CSV format; the scheme is inferred (complete
-    binary tree -> full, single chain -> sparse)."""
+    binary tree -> full, single chain -> sparse).
+
+    Rows may come in any order, with LF or CRLF line ends and ``csv``-style
+    quoting; blank lines are skipped.  Values are parsed column-wise by
+    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``.
+    Raises ``ValueError`` for a wrong header, an unparsable or short row,
+    no rows, a path character other than 0 or 1, or paths that form
+    neither a complete tree (each present once) nor a single chain.
+    """
+    from .curves import load_csv_columns
+
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader(fh), None)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected genealogy header {header!r}")
-        rows = [r for r in reader if r]
-    paths = [r[0] for r in rows]
-    data = np.array([[float(r[1]), float(r[2]), float(r[3]), float(r[4])]
-                     for r in rows])
-    gens = np.array([len(p) for p in paths], dtype=np.int64)
-    order = sorted(range(len(paths)),
-                   key=lambda i: (gens[i], paths[i]))
-    paths = [paths[i] for i in order]
-    data = data[order]
-    gens = gens[order]
-    n = len(paths)
-    depth = int(gens.max(initial=0))
-    if n == 2 ** (depth + 1) - 1 and set(paths) == _complete_paths(depth):
-        index = np.array([int(p, 2) if p else 0 for p in paths], dtype=np.int64)
-        return GenealogyTree("full", gens, index, data[:, 0], data[:, 1],
-                             data[:, 3], data[:, 2])
-    if np.array_equal(gens, np.arange(n)) and all(
-            paths[i + 1][:len(paths[i])] == paths[i] for i in range(n - 1)):
-        bits = np.array([int(paths[i + 1][-1]) for i in range(n - 1)],
-                        dtype=np.int64)
-        return GenealogyTree("sparse", gens, np.zeros(n, dtype=np.int64),
-                             data[:, 0], data[:, 1], data[:, 3], data[:, 2],
-                             chain_bits=bits)
-    raise ValueError("genealogy is neither a complete tree nor a single lineage")
-
-
-def _complete_paths(depth: int) -> set[str]:
-    out = {""}
-    level = [""]
-    for _ in range(depth):
-        level = [p + b for p in level for b in ("0", "1")]
-        out.update(level)
-    return out
+        table = load_csv_columns(
+            fh, [("path", object), ("values", np.float64, (4,))],
+            (0, 1, 2, 3, 4))
+    paths = table["path"]
+    n = paths.size
+    if n == 0:
+        raise ValueError("genealogy CSV holds no cells")
+    gens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
+    depth = int(gens.max())
+    bits = None
+    if n == 2 ** (depth + 1) - 1 and np.array_equal(
+            np.bincount(gens), 2 ** np.arange(depth + 1)):
+        scheme = "full"
+        index = _full_tree_indices(paths, gens, depth)
+        # equal-length binary strings sort like their integer values
+        order = np.lexsort((index, gens))
+        gens, index = gens[order], index[order]
+        if not np.array_equal(index, np.arange(n) - (2 ** gens - 1)):
+            raise ValueError(_NOT_A_TREE)
+    else:
+        scheme = "sparse"
+        order = np.argsort(gens, kind="stable")
+        gens = gens[order]
+        chain = paths[order[-1]]
+        # n distinct lengths 0..n-1, each a prefix of the longest path
+        if not (np.array_equal(gens, np.arange(n))
+                and all(map(chain.startswith, paths))):
+            raise ValueError(_NOT_A_TREE)
+        if chain.strip("01"):
+            raise ValueError(_NOT_BINARY)
+        bits = (np.frombuffer(chain.encode(), dtype=np.uint8)
+                - ord("0")).astype(np.int64)
+        index = np.zeros(n, dtype=np.int64)
+    data = table["values"][order]
+    return GenealogyTree(scheme, gens, index, data[:, 0], data[:, 1],
+                         data[:, 3], data[:, 2], chain_bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,22 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gftree.model import reference_model
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_processes_import_checkout():
+    """``python -m gftree.cli`` subprocesses import this checkout's sources,
+    as the test process does through ``pythonpath`` in pyproject.toml."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -306,3 +306,27 @@ def test_ingest_bad_map_is_usage_error(tmp_path):
     src.write_text("a,b,c\n1,1,1\n")
     assert run(["ingest", "--input", src, "--map", "oops",
                 "--out", tmp_path]) == 2
+
+
+def test_ingest_unknown_map_field_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "cells.csv"
+    src.write_text("size_birth,growth_rate,lifetime,birth_time\n"
+                   "1.0,1.0,0.5,0.0\n2.0,1.0,0.5,0.5\n")
+    out = tmp_path / "out"
+    assert run(["ingest", "--input", src, "--map", "sizebirth=birth_time",
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'sizebirth'" in err
+    assert "size_birth, growth_rate, lifetime" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--drop-first", "--drop-last"])
+def test_ingest_negative_drop_is_usage_error(tmp_path, capsys, flag):
+    src = tmp_path / "cells.csv"
+    src.write_text("size_birth,growth_rate,lifetime\n"
+                   + "".join(f"{1 + k},1.0,0.5\n" for k in range(4)))
+    out = tmp_path / "out"
+    assert run(["ingest", "--input", src, flag, "-1", "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

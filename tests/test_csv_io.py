@@ -1,0 +1,444 @@
+"""Differential tests of the columnar CSV readers and writers against the
+row-by-row implementations they replaced, kept here as oracles.
+
+Outputs must match byte for byte and parsed arrays bit for bit; where an
+oracle raises, the new code must raise the same exception type.
+"""
+
+import csv
+import hashlib
+import math
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gftree import studies
+from gftree.curves import float_repr, write_curve_tsv
+from gftree.estimator import ObservationSet
+from gftree.studies import (DEFAULT_COLUMN_MAP, EmptyAfterFiltering,
+                            IngestReport, SchemaError, ingest_lineage_csv)
+from gftree.trees import (GenealogyTree, read_genealogy_csv,
+                          simulate_full_tree, simulate_sparse_lineage,
+                          write_genealogy_csv)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the row-by-row implementations, as they were
+# ---------------------------------------------------------------------------
+
+_CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
+
+
+def oracle_read_genealogy_csv(path) -> GenealogyTree:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected genealogy header {header!r}")
+        rows = [r for r in reader if r]
+    paths = [r[0] for r in rows]
+    data = np.array([[float(r[1]), float(r[2]), float(r[3]), float(r[4])]
+                     for r in rows])
+    gens = np.array([len(p) for p in paths], dtype=np.int64)
+    order = sorted(range(len(paths)),
+                   key=lambda i: (gens[i], paths[i]))
+    paths = [paths[i] for i in order]
+    data = data[order]
+    gens = gens[order]
+    n = len(paths)
+    depth = int(gens.max(initial=0))
+    if n == 2 ** (depth + 1) - 1 and set(paths) == _complete_paths(depth):
+        index = np.array([int(p, 2) if p else 0 for p in paths], dtype=np.int64)
+        return GenealogyTree("full", gens, index, data[:, 0], data[:, 1],
+                             data[:, 3], data[:, 2])
+    if np.array_equal(gens, np.arange(n)) and all(
+            paths[i + 1][:len(paths[i])] == paths[i] for i in range(n - 1)):
+        bits = np.array([int(paths[i + 1][-1]) for i in range(n - 1)],
+                        dtype=np.int64)
+        return GenealogyTree("sparse", gens, np.zeros(n, dtype=np.int64),
+                             data[:, 0], data[:, 1], data[:, 3], data[:, 2],
+                             chain_bits=bits)
+    raise ValueError("genealogy is neither a complete tree nor a single lineage")
+
+
+def _complete_paths(depth: int) -> set[str]:
+    out = {""}
+    level = [""]
+    for _ in range(depth):
+        level = [p + b for p in level for b in ("0", "1")]
+        out.update(level)
+    return out
+
+
+def oracle_ingest_lineage_csv(path, column_map=None,
+                              lineage_column="lineage_id",
+                              drop_first=0, drop_last=0):
+    colmap = dict(DEFAULT_COLUMN_MAP)
+    if column_map:
+        colmap.update(column_map)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError("empty file")
+        missing = [c for c in colmap.values() if c not in reader.fieldnames]
+        if missing:
+            raise SchemaError(f"missing columns: {missing}")
+        has_lineage = (lineage_column is not None
+                       and lineage_column in reader.fieldnames)
+        rows = []
+        rejected = []
+        for line_no, row in enumerate(reader, start=2):
+            vals = {}
+            reason = None
+            for fld, col in colmap.items():
+                try:
+                    v = float(row[col])
+                except (TypeError, ValueError):
+                    reason = f"{col}: not a number ({row[col]!r})"
+                    break
+                if not math.isfinite(v):
+                    reason = f"{col}: not finite"
+                    break
+                if v <= 0:
+                    reason = f"{col}: must be positive"
+                    break
+                vals[fld] = v
+            if reason is not None:
+                rejected.append((line_no, reason))
+                continue
+            key = row[lineage_column] if has_lineage else ""
+            rows.append((key, vals["size_birth"], vals["growth_rate"],
+                         vals["lifetime"]))
+
+    by_lineage: dict[str, list] = {}
+    for key, *vals in rows:
+        by_lineage.setdefault(key, []).append(vals)
+    kept = []
+    dropped = 0
+    for key in by_lineage:
+        cells = by_lineage[key]
+        take = cells[drop_first:len(cells) - drop_last if drop_last else None]
+        dropped += len(cells) - len(take)
+        kept.extend(take)
+    if not kept:
+        raise EmptyAfterFiltering(
+            f"no usable rows ({len(rejected)} rejected, {dropped} dropped)")
+    data = np.array(kept)
+    obs = ObservationSet(data[:, 0], data[:, 1], data[:, 2])
+    report = IngestReport(accepted=len(kept), rejected=rejected,
+                          dropped_boundary=dropped,
+                          lineages=len(by_lineage))
+    return obs, report
+
+
+def oracle_write_curve_tsv(path, columns):
+    names = list(columns)
+    cols = [np.asarray(columns[k]) for k in names]
+    n = cols[0].size
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(names) + "\n")
+        for i in range(n):
+            cells = []
+            for c in cols:
+                v = c[i]
+                if isinstance(v, (np.bool_, bool)):
+                    cells.append("1" if v else "0")
+                elif np.issubdtype(type(v), np.integer):
+                    cells.append(str(int(v)))
+                else:
+                    cells.append(format(float(v), ".17g"))
+            fh.write("\t".join(cells) + "\n")
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+# ---------------------------------------------------------------------------
+# Genealogy CSV writer: digests recorded from the row-by-row writer
+# ---------------------------------------------------------------------------
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda s: simulate_full_tree(s, 6, seed=20),
+     "0abdc22b27d58da01984284f2c398fe89ae236bebcaed658007a89979ea91381"),
+    (lambda s: simulate_sparse_lineage(s, 64, seed=21),
+     "f97049b988970d9ff4114b239cfacc952f6cace8ceb808b3ffc263b3b5183579"),
+], ids=["full-g6", "sparse-n64"])
+def test_writer_matches_recorded_digest(tmp_path, variability_spec, make,
+                                        digest):
+    # The digest pins the simulation as well as the writer.
+    path = tmp_path / "tree.csv"
+    write_genealogy_csv(make(variability_spec), path)
+    assert sha256_of(path) == digest
+
+
+def test_writer_uses_csv_dialect_and_17_digits(tmp_path, variability_spec):
+    tree = simulate_full_tree(variability_spec, 3, seed=22)
+    path = tmp_path / "tree.csv"
+    write_genealogy_csv(tree, path)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_HEADER)
+        for i in range(len(tree)):
+            writer.writerow([str(tree.path_of(i))] + [
+                float_repr(float(c[i])) for c in (
+                    tree.size_birth, tree.growth_rate, tree.lifetime,
+                    tree.birth_time)])
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_writer_spans_blocks(tmp_path, variability_spec, monkeypatch):
+    import gftree.trees as trees
+
+    tree = simulate_full_tree(variability_spec, 5, seed=23)
+    one = tmp_path / "one.csv"
+    write_genealogy_csv(tree, one)
+    monkeypatch.setattr(trees, "_CSV_BLOCK", 5)
+    many = tmp_path / "many.csv"
+    write_genealogy_csv(tree, many)
+    assert one.read_bytes() == many.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Genealogy CSV reader against the oracle
+# ---------------------------------------------------------------------------
+
+def assert_same_tree(a: GenealogyTree, b: GenealogyTree):
+    assert a.scheme == b.scheme
+    for col in ("generation", "index", "size_birth", "growth_rate",
+                "birth_time", "lifetime"):
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.dtype == y.dtype and np.array_equal(x, y), col
+    if a.chain_bits is None:
+        assert b.chain_bits is None
+    else:
+        assert np.array_equal(a.chain_bits, b.chain_bits)
+
+
+def assert_readers_agree(path):
+    want = outcome(oracle_read_genealogy_csv, path)
+    got = outcome(read_genealogy_csv, path)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_same_tree(got, want)
+    return got
+
+
+def _lines(tree, tmp_path):
+    path = tmp_path / "src.csv"
+    write_genealogy_csv(tree, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[0], lines[1:]
+
+
+def _write(path, header, rows, end="\r\n", trailer=""):
+    path.write_bytes(("".join(line + end for line in [header, *rows])
+                      + trailer).encode())
+    return path
+
+
+@pytest.fixture(params=["full", "sparse"])
+def tree(request, variability_spec):
+    if request.param == "full":
+        return simulate_full_tree(variability_spec, 4, seed=24)
+    return simulate_sparse_lineage(variability_spec, 12, seed=25)
+
+
+def test_reader_shuffled_rows(tmp_path, tree):
+    header, rows = _lines(tree, tmp_path)
+    random.Random(1).shuffle(rows)
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, rows))
+    assert_same_tree(got, tree)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_reader_line_ends_and_trailing_blank_line(tmp_path, tree, end):
+    header, rows = _lines(tree, tmp_path)
+    got = assert_readers_agree(
+        _write(tmp_path / "t.csv", header, rows, end=end, trailer=end))
+    assert_same_tree(got, tree)
+
+
+def test_reader_quoted_fields(tmp_path, tree):
+    header, rows = _lines(tree, tmp_path)
+    quoted = [",".join(f'"{cell}"' for cell in row.split(","))
+              for row in rows]
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, quoted))
+    assert_same_tree(got, tree)
+
+
+BAD_FILES = {
+    "bad-header": ("path,size,growth_rate,lifetime,birth_time",
+                   [",1,1,0.5,0"]),
+    "incomplete-tree": (",".join(_CSV_HEADER), [
+        f"{p},1,1,0.5,0" for p in ("", "0", "1", "00", "01", "10")]),
+    "duplicated-path": (",".join(_CSV_HEADER),
+                        [",1,1,0.5,0", "0,1,1,0.5,0.5", "0,1,1,0.5,0.5"]),
+    "non-binary-full": (",".join(_CSV_HEADER),
+                        [",1,1,0.5,0", "0,1,1,0.5,0.5", "2,1,1,0.5,0.5"]),
+    "non-number": (",".join(_CSV_HEADER),
+                   [",1,1,0.5,oops"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_reader_rejects_like_oracle(tmp_path, case):
+    header, rows = BAD_FILES[case]
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, rows))
+    assert got is ValueError
+
+
+def test_reader_sparse_chain_2e12_without_fixed_width_paths(
+        tmp_path, variability_spec):
+    chain = simulate_sparse_lineage(variability_spec, 2 ** 12, seed=26)
+    path = tmp_path / "chain.csv"
+    write_genealogy_csv(chain, path)
+    tracemalloc.start()
+    try:
+        got = read_genealogy_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a fixed-width unicode path column would take 4096 * 4095 * 4 B = 64 MiB
+    assert peak < 32 * 2 ** 20
+    assert_same_tree(got, oracle_read_genealogy_csv(path))
+    assert_same_tree(got, chain)
+
+
+def test_reader_rejects_non_binary_sparse_path(tmp_path):
+    path = _write(tmp_path / "t.csv", ",".join(_CSV_HEADER),
+                  [",1,1,0.5,0", "7,1,1,0.5,0.5"])
+    with pytest.raises(ValueError, match="0 and 1"):
+        read_genealogy_csv(path)
+
+
+def test_tree_rejects_non_binary_chain_bits():
+    one = np.ones(2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        GenealogyTree("sparse", np.arange(2), np.zeros(2), one, one, one,
+                      one, chain_bits=np.array([7]))
+
+
+# ---------------------------------------------------------------------------
+# Lineage ingest against the oracle
+# ---------------------------------------------------------------------------
+
+HEADER = "size_birth,growth_rate,lifetime"
+INGEST_FILES = {
+    # name: (text, kwargs, parsed column-wise)
+    "well-formed": (HEADER + "\n1.0,1.1,0.4\n2.0,0.9,0.3\n1.5,1.0,0.5\n",
+                    {}, True),
+    "bad-values": (HEADER + "\n1.0,0.0,0.4\n2.0,0.9,0.3\nnan,1.0,0.5\n"
+                   "1.0,1.0,oops\n", {}, False),
+    "mapped": ("len_birth,alpha,dt\n1.0,1.1,0.4\n",
+               {"column_map": {"size_birth": "len_birth",
+                               "growth_rate": "alpha", "lifetime": "dt"}},
+               True),
+    "missing-column": ("size,rate\n1.0,1.0\n", {}, True),
+    "empty-file": ("", {}, True),
+    "header-only": (HEADER + "\n", {}, True),
+    "all-rejected": (HEADER + "\n-1.0,1.0,0.5\n", {}, True),
+    "whitespace-line": (HEADER + "\n1.0,1.0,0.5\n   \n2.0,1.0,0.5\n", {},
+                        False),
+    "short-row": (HEADER + "\n1.0,1.0,0.5\n2.0,1.0\n3.0,1.0,0.5\n", {},
+                  False),
+    "underscore": (HEADER + "\n1_5,1.0,0.5\n2.0,1.0,0.5\n", {}, False),
+    "inf-and-minus-zero": (HEADER + "\n1.0,inf,0.5\n-0,1.0,0.5\n"
+                           "2.0,1.0,-inf\n3.0,1.0,0.5\n", {}, True),
+    "hash-cell": (HEADER + "\n#1.0,1.0,0.5\n2.0,1.0,0.5\n", {}, False),
+    "blank-lines-crlf": (HEADER + "\r\n1.0,1.0,0.5\r\n\r\n2.0,0.0,0.5\r\n"
+                         "\r\n3.0,1.0,0.5\r\n", {}, True),
+    "lineages": (HEADER + ",lineage_id\n" + "".join(
+        f"{1 + k / 8},1.0,{0.5 if k != 7 else -1},{'#b' if k % 3 else 'a'}\n"
+        for k in range(12)), {"drop_first": 1, "drop_last": 1}, True),
+    "lineages-short-row": (HEADER + ",lineage_id\n1.0,1.0,0.5,a\n"
+                           "2.0,1.0,0.5\n3.0,1.0,0.5,b\n4.0,1.0,0.5,a\n",
+                           {"drop_first": 1}, False),
+    "no-lineage-column-drop": (HEADER + "\n" + "".join(
+        f"{1 + k},1.0,0.5\n" for k in range(6)),
+        {"drop_first": 2, "drop_last": 1}, True),
+    "quoted-lineage": (HEADER + ',lineage_id\n1.0,1.0,0.5,"a,b"\n'
+                       '2.0,1.0,0.5,"a""b"\n3.0,1.0,0.5,"a,b"\n', {}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_FILES))
+def test_ingest_matches_oracle(tmp_path, monkeypatch, case):
+    text, kwargs, columnwise = INGEST_FILES[case]
+    path = tmp_path / "cells.csv"
+    path.write_bytes(text.encode())
+    row_loop_calls = []
+    row_loop = studies._ingest_rows
+
+    def counted_row_loop(*args):
+        row_loop_calls.append(args)
+        return row_loop(*args)
+
+    monkeypatch.setattr(studies, "_ingest_rows", counted_row_loop)
+    want = outcome(oracle_ingest_lineage_csv, path, **kwargs)
+    got = outcome(ingest_lineage_csv, path, **kwargs)
+    assert bool(row_loop_calls) is not columnwise
+    if isinstance(want, type):
+        assert got is want
+        return
+    (obs, report), (want_obs, want_report) = got, want
+    assert report.to_json_dict() == want_report.to_json_dict()
+    for col in ("size_birth", "growth_rate", "lifetime"):
+        x, y = getattr(obs, col), getattr(want_obs, col)
+        assert x.strides == y.strides and np.array_equal(x, y), col
+
+
+def test_ingest_drop_last_beyond_lineage_length_drops_all(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text(HEADER + ",lineage_id\n"
+                    "1.0,1.0,0.5,a\n2.0,1.0,0.5,a\n3.0,1.0,0.5,a\n"
+                    + "".join(f"{4 + k},1.0,0.5,b\n" for k in range(6)))
+    obs, report = ingest_lineage_csv(path, drop_last=4)
+    assert obs.size_birth.tolist() == [4.0, 5.0]
+    assert report.dropped_boundary == 7
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"column_map": {"sizebirth": "birth_time"}},
+    {"drop_first": -1},
+    {"drop_last": -1},
+])
+def test_ingest_rejects_bad_arguments(tmp_path, kwargs):
+    path = tmp_path / "cells.csv"
+    path.write_text(HEADER + ",birth_time\n1.0,1.0,0.5,1.0\n")
+    with pytest.raises(ValueError):
+        ingest_lineage_csv(path, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Curve TSV writer against the oracle
+# ---------------------------------------------------------------------------
+
+def test_curve_tsv_matches_oracle(tmp_path):
+    rng = np.random.default_rng(27)
+    columns = {
+        "f64": np.concatenate([rng.normal(size=6) * 10.0 ** rng.integers(
+            -300, 300, size=6), [0.0, -0.0, 5e-324, 1.0, np.inf, np.nan]]),
+        "f32": rng.random(12).astype(np.float32),
+        "i64": np.array([0, -1, 2 ** 62, -2 ** 63, *range(8)]),
+        "u64": np.array([2 ** 64 - 1, *range(11)], dtype=np.uint64),
+        "bool": rng.random(12) < 0.5,
+        "ints": list(range(12)),
+        "floats": [k / 7 for k in range(12)],
+    }
+    want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+    oracle_write_curve_tsv(want, columns)
+    write_curve_tsv(got, columns)
+    assert got.read_bytes() == want.read_bytes()
