@@ -26,7 +26,7 @@ from .model import (ClassParams, ClassReport, DiracGrowth, DivisionRate,
                     check_class_membership, contraction_coefficient,
                     cumulative_hazard, eval_division_rate, invert_hazard,
                     reference_class_params, reference_model,
-                    sample_growth_rate, sample_lifetimes_inverse,
+                    sample_growth_rates_keyed, sample_lifetimes_keyed,
                     sample_lifetimes_rejection)
 from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,
                       EmptyConditioningSet, ErrorSummary, IngestReport,

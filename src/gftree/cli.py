@@ -196,8 +196,7 @@ def cmd_simulate(args) -> int:
     if args.scheme == "full":
         if args.generations is None:
             raise UsageError("--generations is required for the full scheme")
-        tree = simulate_full_tree(spec, args.generations, seed,
-                                  workers=args.workers)
+        tree = simulate_full_tree(spec, args.generations, seed)
     else:
         if args.length is None:
             raise UsageError("--length is required for the sparse scheme")

@@ -26,6 +26,8 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from . import _hot, streams
+
 HAZARD_TOL = 1e-10
 DEFAULT_T_MAX = 1e4
 REJECTION_CAP = 10 ** 6
@@ -231,16 +233,19 @@ def invert_hazard(rate: DivisionRate, x, v, e, t_max: float = DEFAULT_T_MAX):
     return rate.invert_hazard(x, v, e, t_max=t_max)
 
 
-def sample_lifetimes_inverse(rate: DivisionRate, x: float, v: float,
-                             rng: np.random.Generator, size: int,
-                             t_max: float = DEFAULT_T_MAX) -> np.ndarray:
-    """Lifetimes by inverse-hazard transform of unit exponentials.
+def sample_lifetimes_keyed(rate: DivisionRate, node_keys: np.ndarray,
+                           x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One lifetime per node: the inverse hazard of the unit exponential
+    ``-log(u)``, with ``u`` from the node's lifetime stream.
 
-    Exact and branch-free for power-law rates; the default sampler.
+    Closed form for power-law rates; bisection/Newton otherwise.
     """
-    e = rng.standard_exponential(size)
-    return np.asarray(invert_hazard(rate, np.full(size, float(x)),
-                                    np.full(size, float(v)), e, t_max=t_max))
+    u = streams.draw_uniform(node_keys, streams.STREAM_LIFETIME, 0)
+    if isinstance(rate, PowerLawRate):
+        return _hot.powerlaw_lifetimes(
+            np.ascontiguousarray(u), np.ascontiguousarray(x),
+            np.ascontiguousarray(v), rate.coefficient, rate.exponent)
+    return np.asarray(rate.invert_hazard(x, v, -np.log(u)))
 
 
 def _interval_max(rate: DivisionRate, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -263,7 +268,8 @@ def sample_lifetimes_rejection(rate: DivisionRate, x: float, v: float,
     [t, t + w] the hazard is bounded by the maximum of B over the size range
     the cell sweeps; candidate events are proposed from the homogeneous bound
     and accepted with probability lambda/bound.  Kept as an independent
-    implementation for distributional cross-checks of the inverse sampler.
+    implementation for distributional cross-checks of the keyed inverse
+    sampler, :func:`sample_lifetimes_keyed`.
     """
     x = float(x)
     v = float(v)
@@ -479,50 +485,12 @@ def _accept_mask(kernel: GrowthKernel, proposal: np.ndarray) -> np.ndarray:
     return kernel.bounds.contains(proposal) & ~np.isnan(proposal)
 
 
-def sample_growth_rate(kernel: GrowthKernel, v_parent, rng: np.random.Generator,
-                       size: Optional[int] = None,
-                       cap: int = REJECTION_CAP):
-    """Draw child growth rates from kernel(v_parent, .) conditioned to the band.
-
-    ``size=None`` returns a scalar for a scalar parent; otherwise an array of
-    ``size`` independent draws.  Rejection against [e_min, e_max] with a hard
-    attempt cap.
-    """
-    scalar = size is None and np.ndim(v_parent) == 0
-    n = size if size is not None else np.size(v_parent)
-    v = np.broadcast_to(np.asarray(v_parent, dtype=np.float64), (n,)).copy()
-    if isinstance(kernel, DiracGrowth):
-        out = kernel.propose(v, None)
-        return float(out[0]) if scalar else out
-
-    out = np.full(n, np.nan)
-    active = np.ones(n, dtype=bool)
-    for _ in range(cap):
-        k = int(active.sum())
-        if k == 0:
-            break
-        if kernel.uniforms_per_attempt == 1:
-            u = rng.random(k)
-        else:
-            u = (rng.random(k), rng.random(k))
-        prop = kernel.propose(v[active], u)
-        ok = _accept_mask(kernel, prop)
-        idx = np.flatnonzero(active)[ok]
-        out[idx] = prop[ok]
-        active[idx] = False
-    if active.any():
-        raise RejectionBudgetExceeded(
-            f"no admissible growth rate within {cap} attempts")
-    return float(out[0]) if scalar else out
-
-
 def sample_growth_rates_keyed(kernel: GrowthKernel, v_parent: np.ndarray,
                               node_keys: np.ndarray, stream: int,
                               cap: int = REJECTION_CAP) -> np.ndarray:
-    """Per-node deterministic variant: attempt j of node i draws from the
-    hash stream (node_keys[i], stream, j)."""
-    from . import streams
-
+    """Child growth rates from kernel(v_parent, .) conditioned to the band,
+    by rejection with a hard attempt cap: attempt j of node i draws from
+    the hash stream (node_keys[i], stream, j)."""
     v = np.asarray(v_parent, dtype=np.float64)
     if isinstance(kernel, DiracGrowth):
         return kernel.propose(v, None)

@@ -74,11 +74,6 @@ def draw_uniform(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
     return ((h >> _S11).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
-def draw_exponential(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
-    """One standard-exponential draw per node key."""
-    return -np.log(draw_uniform(node_keys, stream, counter))
-
-
 def draw_bit(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
     """One fair {0, 1} draw per node key (top hash bit)."""
     h = draw_hash(node_keys, stream, counter)

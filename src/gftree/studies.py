@@ -4,7 +4,9 @@ and ingestion of experimental lineage data.
 A study draws M independent genealogies per target size, estimates the
 division rate on each, and scores the conditioned relative L2 error against
 the true rate.  Replicate seeds are hash-derived from (run seed, size,
-replicate index), so results are identical for any worker count.
+replicate index), so results are identical for any worker count.  The
+replicates of a size are grown in batches of at most ``_FOREST_CELLS``
+cells, one forest per batch; a batch is the unit of work a worker runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +27,9 @@ from .estimator import (DivisionRateEstimate, EstimatorConfig,
                         estimate_division_rate_pooled, kernel_density)
 from .model import DivisionRate, ModelSpec
 from .streams import run_key
-from .trees import extract_observations, simulate_full_tree, simulate_sparse_lineage
+from .trees import GenealogyTree, extract_observations, simulate_replicates
+
+_FOREST_CELLS = 1 << 14  # cells grown per batch of study replicates
 
 
 class EmptyConditioningSet(RuntimeError):
@@ -123,22 +128,47 @@ class ConvergenceStudy:
         return [row.mean_error for row in self.rows]
 
 
-def _replicate_error(spec: ModelSpec, scheme: str, log2_size: int,
-                     config: EstimatorConfig, seed: int, replicate: int,
-                     conditioning: Optional[float]) -> float:
-    rep_seed = int(run_key(seed, log2_size, replicate)[0])
-    n_target = 2 ** log2_size
+def _replicate_trees(spec: ModelSpec, scheme: str, log2_size: int,
+                     seed: int, reps: range) -> list[GenealogyTree]:
+    """The genealogies of replicates ``reps`` at target size 2^log2_size,
+    grown as one forest: the full scheme simulates k-1 generations
+    (2^k - 1 records), the sparse scheme a lineage of exactly 2^k cells."""
+    seeds = [int(run_key(seed, log2_size, i)[0]) for i in reps]
     if scheme == "full":
-        tree = simulate_full_tree(spec, max(log2_size - 1, 0), rep_seed)
+        return simulate_replicates(spec, "full", max(log2_size - 1, 0), seeds)
+    return simulate_replicates(spec, "sparse", 2 ** log2_size, seeds)
+
+
+def _batches(sizes_log2: Sequence[int], replicates: int):
+    """(log2 size, replicate range) per batch, sizes in the given order."""
+    out = []
+    for k in sizes_log2:
+        step = max(1, _FOREST_CELLS >> k)
+        out += [(k, range(a, min(a + step, replicates)))
+                for a in range(0, replicates, step)]
+    return out
+
+
+def _map_batches(job, batches, workers: int) -> list:
+    """Concatenated ``job(log2_size, reps)`` over the batches, in a process
+    pool when workers > 1."""
+    sizes = [k for k, _ in batches]
+    reps = [r for _, r in batches]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(job, sizes, reps))
     else:
-        tree = simulate_sparse_lineage(spec, n_target, rep_seed)
-    obs = extract_observations(tree)
-    est = estimate_division_rate(obs, config)
-    return estimate_error(est, spec.division_rate, conditioning)
+        parts = list(map(job, sizes, reps))
+    return [x for part in parts for x in part]
 
 
-def _replicate_error_star(args):
-    return _replicate_error(*args)
+def _replicate_errors(log2_size: int, reps: range, spec: ModelSpec,
+                      scheme: str, config: EstimatorConfig, seed: int,
+                      conditioning: Optional[float]) -> list[float]:
+    return [estimate_error(estimate_division_rate(extract_observations(tree),
+                                                  config),
+                           spec.division_rate, conditioning)
+            for tree in _replicate_trees(spec, scheme, log2_size, seed, reps)]
 
 
 def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
@@ -159,13 +189,9 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
     sizes_log2 = sorted(sizes_log2)
     if not sizes_log2:
         raise ValueError("need at least one size")
-    jobs = [(spec, scheme, k, config, seed, i, conditioning)
-            for k in sizes_log2 for i in range(replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_replicate_error_star, jobs, chunksize=8))
-    else:
-        flat = [_replicate_error_star(j) for j in jobs]
+    job = partial(_replicate_errors, spec=spec, scheme=scheme, config=config,
+                  seed=seed, conditioning=conditioning)
+    flat = _map_batches(job, _batches(sizes_log2, replicates), workers)
     rows = []
     for j, k in enumerate(sizes_log2):
         errs = np.array(flat[j * replicates:(j + 1) * replicates])
@@ -205,16 +231,10 @@ class ConfidenceBand:
     replicates: int
 
 
-def _replicate_curve(spec: ModelSpec, log2_size: int, config: EstimatorConfig,
-                     seed: int, replicate: int) -> np.ndarray:
-    rep_seed = int(run_key(seed, log2_size, replicate)[0])
-    tree = simulate_full_tree(spec, max(log2_size - 1, 0), rep_seed)
-    est = estimate_division_rate(extract_observations(tree), config)
-    return est.values
-
-
-def _replicate_curve_star(args):
-    return _replicate_curve(*args)
+def _replicate_curves(log2_size: int, reps: range, spec: ModelSpec,
+                      config: EstimatorConfig, seed: int) -> list[np.ndarray]:
+    return [estimate_division_rate(extract_observations(tree), config).values
+            for tree in _replicate_trees(spec, "full", log2_size, seed, reps)]
 
 
 def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
@@ -227,13 +247,9 @@ def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
         raise ValueError("need at least 20 replicates for a band")
     if not (0 < level <= 100):
         raise ValueError("level must lie in (0, 100]")
-    jobs = [(spec, log2_size, config, seed, i) for i in range(replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            curves = np.array(list(pool.map(_replicate_curve_star, jobs,
-                                            chunksize=8)))
-    else:
-        curves = np.array([_replicate_curve_star(j) for j in jobs])
+    job = partial(_replicate_curves, spec=spec, config=config, seed=seed)
+    curves = np.array(_map_batches(job, _batches([log2_size], replicates),
+                                   workers))
     n_records = 2 ** log2_size - 1
     dx, m = config.grid.resolve(n_records)
     from .estimator import evaluation_grid
@@ -279,20 +295,21 @@ def variability_ablation(spec: ModelSpec, log2_size: int, replicates: int,
     from .estimator import InvSqrtThreshold
 
     config = EstimatorConfig(threshold_rule=InvSqrtThreshold())
-    jobs = [(spec, log2_size, config, seed, i) for i in range(replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_ablation_pair_star, jobs, chunksize=2))
-    else:
-        pairs = [_ablation_pair_star(j) for j in jobs]
+    job = partial(_ablation_pairs, spec=spec, config=config, seed=seed)
+    pairs = _map_batches(job, _batches([log2_size], replicates), workers)
     aware, pooled = np.array(pairs).T
     return AblationResult(aware, pooled)
 
 
-def _ablation_pair(spec: ModelSpec, log2_size: int, config: EstimatorConfig,
-                   seed: int, replicate: int) -> tuple[float, float]:
-    rep_seed = int(run_key(seed, log2_size, replicate)[0])
-    tree = simulate_full_tree(spec, max(log2_size - 1, 0), rep_seed)
+def _ablation_pairs(log2_size: int, reps: range, spec: ModelSpec,
+                    config: EstimatorConfig,
+                    seed: int) -> list[tuple[float, float]]:
+    return [_ablation_pair(tree, spec, config)
+            for tree in _replicate_trees(spec, "full", log2_size, seed, reps)]
+
+
+def _ablation_pair(tree: GenealogyTree, spec: ModelSpec,
+                   config: EstimatorConfig) -> tuple[float, float]:
     obs = extract_observations(tree)
     aware = estimate_division_rate(obs, config)
     pooled = estimate_division_rate_pooled(obs, config)
@@ -307,10 +324,6 @@ def _ablation_pair(spec: ModelSpec, log2_size: int, config: EstimatorConfig,
     ea = float(np.sqrt(np.sum((aware.values[mask] - truth) ** 2) / scale))
     ep = float(np.sqrt(np.sum((pooled.values[mask] - truth) ** 2) / scale))
     return ea, ep
-
-
-def _ablation_pair_star(args):
-    return _ablation_pair(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,29 @@ inheritance kernel.
 
 Randomness is replayable per node: each node owns a hash key rolled along its
 path (see :mod:`gftree.streams`), so a genealogy is a pure function of
-(model, seed) regardless of traversal order or worker count.
+(model, seed) regardless of traversal order, batching or worker count.
+
+Every scheme runs on one stepper, :class:`_Forest`, which holds one
+generation of cells from any number of roots: the full tree keeps both
+children of every cell, the sparse lineage and the tagged branch one child
+drawn from the cell's choice stream, and the many-to-one check grows
+tagged branches and whole trees up to a fixed time.  Study replicates are
+grown together as one forest per batch (:func:`simulate_replicates`).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import _hot, streams
+from . import streams
 from .estimator import ObservationSet
-from .model import (DivisionRate, GrowthKernel, InitialDistribution, ModelSpec,
-                    PowerLawRate, sample_growth_rates_keyed)
+from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
+                    sample_lifetimes_keyed)
 
 
 class HorizonExceeded(RuntimeError):
@@ -123,7 +129,9 @@ class GenealogyTree:
                 raise ValueError("full scheme must hold exactly 2^(N+1)-1 records")
             expected_gen = np.repeat(np.arange(depth + 1),
                                      2 ** np.arange(depth + 1))
-            if not np.array_equal(self.generation, expected_gen):
+            if not (np.array_equal(self.generation, expected_gen)
+                    and np.array_equal(self.index,
+                                       np.arange(n) - (2 ** expected_gen - 1))):
                 raise ValueError("records must be in breadth-first order")
         elif self.scheme == "sparse":
             if not np.array_equal(self.generation, np.arange(n)):
@@ -177,167 +185,167 @@ class GenealogyTree:
 
 
 # ---------------------------------------------------------------------------
-# Level-wise simulation core
+# The keyed forest stepper
 # ---------------------------------------------------------------------------
 
-def _root_state(spec: ModelSpec, key: np.ndarray):
-    """Draw the root record state from the initial distribution."""
-    rk = streams.child_keys(np.atleast_1d(key), 1)
-    init = spec.initial
-    u = streams.draw_uniform(rk, streams.STREAM_INITIAL_SIZE, 0)
-    xi = init.size_low + (init.size_high - init.size_low) * u
-    if init.growth_value is not None:
-        tau = np.full(1, float(init.growth_value))
-    else:
-        lo, hi = init.growth_range(spec.bounds)
-        tau = lo + (hi - lo) * streams.draw_uniform(
-            rk, streams.STREAM_INITIAL_GROWTH, 0)
-    return rk, xi, tau, np.zeros(1)
+class _Forest:
+    """The live cells of one or more genealogies, all of one generation.
 
+    Each run key starts one root, whose node key is ``child_keys(run_key,
+    1)`` and whose size and growth rate come from the initial distribution.
+    Per live cell the forest holds its node ``key``, size at birth
+    ``size``, growth ``rate``, ``birth`` time, ``life``time, cumulated
+    growth at birth ``cum``, the index of its ``root`` and the child
+    ``bit`` it was reached by.  ``level`` is the generation of every live
+    cell and ``root_size`` the size of each root.
 
-def _lifetimes(rate: DivisionRate, node_keys: np.ndarray, xi: np.ndarray,
-               tau: np.ndarray) -> np.ndarray:
-    u = streams.draw_uniform(node_keys, streams.STREAM_LIFETIME, 0)
-    if isinstance(rate, PowerLawRate):
-        return _hot.powerlaw_lifetimes(
-            np.ascontiguousarray(u), np.ascontiguousarray(xi),
-            np.ascontiguousarray(tau), rate.coefficient, rate.exponent)
-    return np.asarray(rate.invert_hazard(xi, tau, -np.log(u)))
-
-
-def _spawn(kernel: GrowthKernel, node_keys, xi, tau, b, zeta, idx):
-    """Both children of every cell, in breadth-first order."""
-    n = node_keys.size
-    bits = np.tile(np.array([0, 1], dtype=np.uint64), n)
-    ckeys = streams.child_keys(np.repeat(node_keys, 2), bits)
-    cxi = np.repeat(0.5 * xi * np.exp(tau * zeta), 2)
-    cb = np.repeat(b + zeta, 2)
-    cidx = 2 * np.repeat(idx, 2) + bits.astype(np.int64)
-    ctau = sample_growth_rates_keyed(kernel, np.repeat(tau, 2), ckeys,
-                                     streams.STREAM_GROWTH)
-    return ckeys, cxi, ctau, cb, cidx
-
-
-def _simulate_levels(rate: DivisionRate, kernel: GrowthKernel, state,
-                     levels: int):
-    """Simulate ``levels`` consecutive generations from the given states.
-
-    ``state`` is (node_keys, sizes, rates, birth_times, indices, generation).
-    Returns per-level tuples (generation, index, xi, tau, b, zeta).
+    A child's size at birth is half its parent's size at division, or,
+    when ``sizes_from_growth`` is set, ``x0 e^{cum} / 2^level`` from its
+    root's size ``x0``: the representation the tagged-branch identities
+    are stated in.
     """
-    keys, xi, tau, b, idx, gen = state
-    out = []
-    for j in range(levels):
-        zeta = _lifetimes(rate, keys, xi, tau)
-        out.append((gen + j, idx, xi, tau, b, zeta))
-        if j < levels - 1:
-            keys, xi, tau, b, idx = _spawn(kernel, keys, xi, tau, b, zeta, idx)
-    return out
+
+    def __init__(self, spec: ModelSpec, run_keys: np.ndarray,
+                 sizes_from_growth: bool = False):
+        self.division_rate = spec.division_rate
+        self.growth_kernel = spec.growth_kernel
+        self.sizes_from_growth = sizes_from_growth
+        key = streams.child_keys(run_keys, 1)
+        n = key.size
+        init = spec.initial
+        u = streams.draw_uniform(key, streams.STREAM_INITIAL_SIZE, 0)
+        self.root_size = init.size_low + (init.size_high - init.size_low) * u
+        if init.growth_value is not None:
+            rate = np.full(n, float(init.growth_value))
+        else:
+            lo, hi = init.growth_range(spec.bounds)
+            rate = lo + (hi - lo) * streams.draw_uniform(
+                key, streams.STREAM_INITIAL_GROWTH, 0)
+        self.level = 0
+        self.key, self.size, self.rate = key, self.root_size, rate
+        self.birth = np.zeros(n)
+        self.cum = np.zeros(n)
+        self.root = np.arange(n)
+        self.bit = np.zeros(n, dtype=np.int64)
+        self.life = sample_lifetimes_keyed(self.division_rate, key, self.size,
+                                           rate)
+
+    def divide(self, pick: bool, divides: Optional[np.ndarray] = None):
+        """Replace the live cells by the next generation: both children of
+        every dividing cell, in breadth-first order, or (``pick``) the one
+        child each draws from ``STREAM_CHILD_CHOICE``.  ``divides`` masks
+        the dividing cells (default: all); the others leave the forest.
+
+        Columns are replaced one at a time, so the parent generation is
+        released before the children's rates and lifetimes are drawn.
+        """
+        d = slice(None) if divides is None else np.flatnonzero(divides)
+
+        def expand(col):
+            return col if pick else np.repeat(col, 2)
+
+        key = self.key[d]
+        if pick:
+            bit = streams.draw_bit(key, streams.STREAM_CHILD_CHOICE, 0)
+        else:
+            bit = np.tile(np.array([0, 1], dtype=np.int64), key.size)
+        self.level += 1
+        self.key = streams.child_keys(expand(key),
+                                      bit.astype(np.uint64))
+        del key
+        self.bit = bit
+        grown = self.rate[d] * self.life[d]
+        self.birth = expand(self.birth[d] + self.life[d])
+        self.life = None
+        self.cum = expand(self.cum[d] + grown)
+        self.root = expand(self.root[d])
+        if self.sizes_from_growth:
+            self.size = (self.root_size[self.root] * np.exp(self.cum)
+                         / 2.0 ** self.level)
+        else:
+            self.size = expand(0.5 * self.size[d] * np.exp(grown))
+        del grown
+        self.rate = sample_growth_rates_keyed(
+            self.growth_kernel, expand(self.rate[d]), self.key,
+            streams.STREAM_GROWTH)
+        self.life = sample_lifetimes_keyed(self.division_rate, self.key,
+                                           self.size, self.rate)
 
 
-def simulate_full_tree(spec: ModelSpec, generations: int, seed: int,
-                       workers: int = 1) -> GenealogyTree:
-    """Every cell of generations 0..N: exactly 2^(N+1)-1 records.
+def _grow_until(forest: _Forest, t: float, pick: bool):
+    """Grow ``forest`` level by level until time ``t``.
 
-    Per-node randomness is derived from (seed, path), so the result is
-    independent of ``workers``; subtrees are simulated in parallel when
-    workers > 1.
+    At each level yields the mask of the live cells that are still alive
+    at ``t`` (they divide after it), then divides the others, so every
+    cell alive at ``t`` is yielded exactly once.
     """
+    for _ in range(_MAX_FOREST_LEVELS):
+        alive = forest.birth + forest.life > t
+        yield alive
+        if alive.all():
+            return
+        forest.divide(pick, ~alive)
+    raise RuntimeError("the forest still divides before t after "
+                       f"{_MAX_FOREST_LEVELS} generations")
+
+
+def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
+                        seeds) -> list[GenealogyTree]:
+    """One genealogy per seed, grown together as one forest.
+
+    ``scheme="full"`` gives every cell of generations 0..``size``;
+    ``"sparse"`` a lineage of ``size`` cells that follows, at each
+    division, the child drawn from the cell's choice stream.  Each tree
+    equals the one :func:`simulate_full_tree` or
+    :func:`simulate_sparse_lineage` returns for its seed.
+    """
+    if scheme not in ("full", "sparse"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    full = scheme == "full"
+    levels = size + 1 if full else size
+    n = len(seeds)
+    forest = _Forest(spec, np.concatenate([streams.run_key(s)
+                                           for s in seeds]))
+    # one row per tree: its cells in breadth-first order, per column
+    width = 2 ** levels - 1 if full else levels
+    cols = np.empty((4 if full else 5, n, width))
+    start = 0
+    for g in range(levels):
+        if g:
+            forest.divide(pick=not full)
+        end = start + forest.key.size // n
+        for out, col in zip(cols, (forest.size, forest.rate, forest.birth,
+                                   forest.life, forest.bit)):
+            out[:, start:end] = col.reshape(n, -1)
+        start = end
+    size_birth, rate, birth, life = cols[:4]
+    if full:
+        gen = np.repeat(np.arange(levels), 2 ** np.arange(levels))
+        index = np.arange(width) - (2 ** gen - 1)
+        return [GenealogyTree("full", gen, index, size_birth[r], rate[r],
+                              birth[r], life[r]) for r in range(n)]
+    gen = np.arange(levels)
+    index = np.zeros(levels, dtype=np.int64)
+    return [GenealogyTree("sparse", gen, index, size_birth[r], rate[r],
+                          birth[r], life[r], chain_bits=cols[4, r, 1:])
+            for r in range(n)]
+
+
+def simulate_full_tree(spec: ModelSpec, generations: int,
+                       seed: int) -> GenealogyTree:
+    """Every cell of generations 0..N: exactly 2^(N+1)-1 records."""
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    key = streams.run_key(seed)
-    keys, xi, tau, b = _root_state(spec, key)
-    state = (keys, xi, tau, b, np.zeros(1, dtype=np.int64), 0)
-
-    split = min(3, generations) if workers > 1 else 0
-    levels = []
-    if split > 0:
-        head = _simulate_levels(spec.division_rate, spec.growth_kernel,
-                                state, split)
-        levels.extend(head)
-        gen, idx, xi, tau, b, zeta = head[-1]
-        # re-derive the keys of the last simulated level to spawn from it
-        keys = _level_keys(key, split - 1, idx)
-        keys, xi, tau, b, idx = _spawn(spec.growth_kernel, keys, xi, tau, b,
-                                       zeta, idx)
-        chunks = max(1, min(workers * 4, keys.size))
-        pieces = [
-            (spec.division_rate, spec.growth_kernel,
-             (keys[s], xi[s], tau[s], b[s], idx[s], split),
-             generations - split + 1)
-            for s in _slices(keys.size, chunks)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_levels_star, pieces))
-        for lvl in range(generations - split + 1):
-            per_chunk = [r[lvl] for r in results]
-            levels.append(tuple(
-                per_chunk[0][0] if col == 0 else np.concatenate(
-                    [c[col] for c in per_chunk])
-                for col in range(6)))
-    else:
-        levels = _simulate_levels(spec.division_rate, spec.growth_kernel,
-                                  state, generations + 1)
-
-    gen_col = np.concatenate([np.full(lv[1].size, lv[0], dtype=np.int64)
-                              for lv in levels])
-    cols = [np.concatenate([lv[c] for lv in levels]) for c in range(1, 6)]
-    return GenealogyTree("full", gen_col, cols[0], cols[1], cols[2],
-                         cols[3], cols[4])
+    return simulate_replicates(spec, "full", generations, [seed])[0]
 
 
-def _simulate_levels_star(args):
-    return _simulate_levels(args[0], args[1], args[2], args[3])
-
-
-def _slices(n: int, parts: int):
-    bounds = np.linspace(0, n, parts + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _level_keys(run_key_arr: np.ndarray, generation: int,
-                idx: np.ndarray) -> np.ndarray:
-    """Node keys of a whole level from the indices within the level."""
-    keys = streams.child_keys(
-        np.broadcast_to(run_key_arr, np.asarray(idx).shape).copy(), 1)
-    for shift in range(generation - 1, -1, -1):
-        bits = (np.asarray(idx) >> shift) & 1
-        keys = streams.child_keys(keys, bits.astype(np.uint64))
-    return keys
-
-
-def simulate_sparse_lineage(spec: ModelSpec, length: int, seed: int,
-                            always_first_child: bool = False) -> GenealogyTree:
+def simulate_sparse_lineage(spec: ModelSpec, length: int,
+                            seed: int) -> GenealogyTree:
     """A single followed lineage of ``length`` records; at each division the
-    followed child is a fair {0,1} pick (or always child 0 for debugging)."""
+    followed child is a fair {0,1} pick from the cell's choice stream."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    key = streams.run_key(seed)
-    keys, xi, tau, b = _root_state(spec, key)
-    rate, kernel = spec.division_rate, spec.growth_kernel
-
-    sizes = np.empty(length)
-    rates = np.empty(length)
-    births = np.empty(length)
-    lifes = np.empty(length)
-    bits = np.empty(max(length - 1, 0), dtype=np.int64)
-    for k in range(length):
-        zeta = _lifetimes(rate, keys, xi, tau)
-        sizes[k], rates[k], births[k], lifes[k] = xi[0], tau[0], b[0], zeta[0]
-        if k == length - 1:
-            break
-        if always_first_child:
-            bit = np.zeros(1, dtype=np.int64)
-        else:
-            bit = streams.draw_bit(keys, streams.STREAM_CHILD_CHOICE, 0)
-        bits[k] = bit[0]
-        keys = streams.child_keys(keys, bit.astype(np.uint64))
-        xi = 0.5 * xi * np.exp(tau * zeta)
-        b = b + zeta
-        tau = sample_growth_rates_keyed(kernel, tau, keys,
-                                        streams.STREAM_GROWTH)
-    return GenealogyTree("sparse", np.arange(length), np.zeros(length),
-                         sizes, rates, births, lifes, chain_bits=bits)
+    return simulate_replicates(spec, "sparse", length, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +369,6 @@ class TaggedPath:
     rates: np.ndarray
     cum_growth_at_birth: np.ndarray
     t_max: float
-
-    @property
-    def events(self) -> list[tuple[float, float, float]]:
-        """(division_time, size_after, growth_rate_after) per division."""
-        return [(float(self.birth_times[k]), float(self.sizes[k]),
-                 float(self.rates[k]))
-                for k in range(1, self.birth_times.size)]
 
     def _segment(self, t):
         t = np.asarray(t)
@@ -402,35 +403,11 @@ def simulate_tagged_cell(spec: ModelSpec, t_max: float,
     """Follow a uniformly picked branch until its events cover [0, t_max]."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    key = streams.run_key(seed)
-    keys, xi, tau, b = _root_state(spec, key)
-    rate, kernel = spec.division_rate, spec.growth_kernel
-    x0 = float(xi[0])
-
-    births = [0.0]
-    sizes = [x0]
-    rates = [float(tau[0])]
-    cums = [0.0]
-    while True:
-        zeta = _lifetimes(rate, keys, xi, tau)
-        t_div = b[0] + zeta[0]
-        if t_div > t_max:
-            break
-        bit = streams.draw_bit(keys, streams.STREAM_CHILD_CHOICE, 0)
-        keys = streams.child_keys(keys, bit.astype(np.uint64))
-        cum = cums[-1] + rates[-1] * zeta[0]
-        k = len(births)
-        size = x0 * math.exp(cum) / 2.0 ** k
-        tau = sample_growth_rates_keyed(kernel, tau, keys,
-                                        streams.STREAM_GROWTH)
-        xi = np.array([size])
-        b = np.array([t_div])
-        births.append(t_div)
-        sizes.append(size)
-        rates.append(float(tau[0]))
-        cums.append(cum)
-    return TaggedPath(x0, np.array(births), np.array(sizes), np.array(rates),
-                      np.array(cums), t_max)
+    forest = _Forest(spec, streams.run_key(seed), sizes_from_growth=True)
+    steps = [(forest.birth, forest.size, forest.rate, forest.cum)
+             for _ in _grow_until(forest, t_max, pick=True)]
+    births, sizes, rates, cums = (np.concatenate(c) for c in zip(*steps))
+    return TaggedPath(float(sizes[0]), births, sizes, rates, cums, t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -662,126 +639,38 @@ def _point_size_spec(spec: ModelSpec, x0: float) -> ModelSpec:
                                          init.growth_high, init.growth_value))
 
 
-def tagged_moments(spec: ModelSpec, t: float, battery, replicates: int,
-                   seed: int):
-    """Monte Carlo means of phi(size, rate, cumulated growth) at time t along
-    the tagged branch, vectorised across replicates."""
-    key = streams.run_key(seed, 1)
-    rep = np.arange(replicates, dtype=np.uint64)
-    keys = streams.child_keys(streams.combine(
-        np.broadcast_to(key, rep.shape).copy(), rep), 1)
-    spec_init = spec.initial
-    u = streams.draw_uniform(keys, streams.STREAM_INITIAL_SIZE, 0)
-    xi = spec_init.size_low + (spec_init.size_high - spec_init.size_low) * u
-    if spec_init.growth_value is not None:
-        tau = np.full(replicates, float(spec_init.growth_value))
-    else:
-        lo, hi = spec_init.growth_range(spec.bounds)
-        tau = lo + (hi - lo) * streams.draw_uniform(
-            keys, streams.STREAM_INITIAL_GROWTH, 0)
-    b = np.zeros(replicates)
-    cum = np.zeros(replicates)
-    x_final = np.empty(replicates)
-    v_final = np.empty(replicates)
-    w_final = np.empty(replicates)
-    active = np.ones(replicates, dtype=bool)
-    rate, kernel = spec.division_rate, spec.growth_kernel
-    x_birth = xi.copy()
-    count = np.zeros(replicates, dtype=np.int64)
-    x0 = xi.copy()
-    for _ in range(_MAX_FOREST_LEVELS):
-        if not active.any():
-            break
-        sel = np.flatnonzero(active)
-        zeta = _lifetimes(rate, keys[sel], x_birth[sel], tau[sel])
-        div_t = b[sel] + zeta
-        done = div_t > t
-        di = sel[done]
-        w_final[di] = cum[di] + tau[di] * (t - b[di])
-        x_final[di] = x0[di] * np.exp(w_final[di]) / 2.0 ** count[di]
-        v_final[di] = tau[di]
-        active[di] = False
-        ci = sel[~done]
-        if ci.size:
-            bit = streams.draw_bit(keys[ci], streams.STREAM_CHILD_CHOICE, 0)
-            keys[ci] = streams.child_keys(keys[ci], bit.astype(np.uint64))
-            cum[ci] += tau[ci] * zeta[~done]
-            count[ci] += 1
-            b[ci] = div_t[~done]
-            x_birth[ci] = x0[ci] * np.exp(cum[ci]) / 2.0 ** count[ci]
-            tau[ci] = sample_growth_rates_keyed(kernel, tau[ci], keys[ci],
-                                                streams.STREAM_GROWTH)
-    if active.any():
-        raise RuntimeError("tagged simulation exceeded the level guard")
-    out = []
-    for name, phi in battery:
-        vals = phi(x_final, v_final, w_final)
-        out.append((name, float(np.mean(vals)),
-                    float(np.std(vals, ddof=1) / math.sqrt(replicates))))
-    return out
+def _forest_moments(spec: ModelSpec, t: float, battery, replicates: int,
+                    seed: int, tagged: bool):
+    """Monte Carlo means (and standard errors) over ``replicates`` roots of
+    phi(size, rate, cumulated growth) at time t.
 
-
-def population_moments(spec: ModelSpec, t: float, battery, replicates: int,
-                       seed: int):
-    """Monte Carlo means of the weighted population sums
-    sum_u size_u(t) e^{-cumgrowth_u(t)} / x0 * phi(...) over whole trees.
-
-    The tree is grown exactly up to the query time: cells born after t
-    contribute nothing and are not simulated, so no censoring can occur.
+    ``tagged`` follows one uniformly picked branch per root and scores its
+    cell alive at t; otherwise whole trees are grown exactly up to t and
+    each root scores the weighted population sum
+    sum_u size_u(t) e^{-cumgrowth_u(t)} / x0 * phi(...).  Cells born after
+    t contribute nothing and are not simulated, so no censoring can occur.
     """
-    key = streams.run_key(seed, 2)
-    rep0 = np.arange(replicates, dtype=np.uint64)
-    keys = streams.child_keys(streams.combine(
-        np.broadcast_to(key, rep0.shape).copy(), rep0), 1)
-    init = spec.initial
-    u = streams.draw_uniform(keys, streams.STREAM_INITIAL_SIZE, 0)
-    xi = init.size_low + (init.size_high - init.size_low) * u
-    if init.growth_value is not None:
-        tau = np.full(replicates, float(init.growth_value))
-    else:
-        lo, hi = init.growth_range(spec.bounds)
-        tau = lo + (hi - lo) * streams.draw_uniform(
-            keys, streams.STREAM_INITIAL_GROWTH, 0)
-    b = np.zeros(replicates)
-    cum = np.zeros(replicates)
-    rep = rep0.astype(np.int64)
-    x0 = xi.copy()
-    rate, kernel = spec.division_rate, spec.growth_kernel
-
-    sums = {name: np.zeros(replicates) for name, _ in battery}
-    for _ in range(_MAX_FOREST_LEVELS):
-        if keys.size == 0:
-            break
-        zeta = _lifetimes(rate, keys, xi, tau)
-        div_t = b + zeta
-        alive = div_t > t  # born <= t by construction
-        if np.any(alive):
-            a = np.flatnonzero(alive)
-            w_t = cum[a] + tau[a] * (t - b[a])
-            x_t = xi[a] * np.exp(tau[a] * (t - b[a]))
-            weight = x_t * np.exp(-w_t) / x0[a]
-            for name, phi in battery:
-                np.add.at(sums[name], rep[a], weight * phi(x_t, tau[a], w_t))
-        d = np.flatnonzero(~alive)
-        if d.size == 0:
-            break
-        bits = np.tile(np.array([0, 1], dtype=np.uint64), d.size)
-        keys = streams.child_keys(np.repeat(keys[d], 2), bits)
-        xi = np.repeat(0.5 * xi[d] * np.exp(tau[d] * zeta[d]), 2)
-        b = np.repeat(div_t[d], 2)
-        cum = np.repeat(cum[d] + tau[d] * zeta[d], 2)
-        rep = np.repeat(rep[d], 2)
-        x0 = np.repeat(x0[d], 2)
-        tau = sample_growth_rates_keyed(kernel, np.repeat(tau[d], 2), keys,
-                                        streams.STREAM_GROWTH)
-    else:
-        raise RuntimeError("population simulation exceeded the level guard")
-    out = []
-    for name, _ in battery:
-        vals = sums[name]
-        out.append((name, float(np.mean(vals)),
-                    float(np.std(vals, ddof=1) / math.sqrt(replicates))))
-    return out
+    run_keys = streams.combine(streams.run_key(seed, 1 if tagged else 2),
+                               np.arange(replicates, dtype=np.uint64))
+    forest = _Forest(spec, run_keys, sizes_from_growth=tagged)
+    sums = np.zeros((len(battery), replicates))
+    for alive in _grow_until(forest, t, pick=tagged):
+        a = np.flatnonzero(alive)
+        root = forest.root[a]
+        rate = forest.rate[a]
+        age = t - forest.birth[a]
+        w_t = forest.cum[a] + rate * age
+        if tagged:
+            x_t = forest.root_size[root] * np.exp(w_t) / 2.0 ** forest.level
+            weight = 1.0
+        else:
+            x_t = forest.size[a] * np.exp(rate * age)
+            weight = x_t * np.exp(-w_t) / forest.root_size[root]
+        for row, (_, phi) in zip(sums, battery):
+            np.add.at(row, root, weight * phi(x_t, rate, w_t))
+    return [(name, float(np.mean(vals)),
+             float(np.std(vals, ddof=1) / math.sqrt(replicates)))
+            for (name, _), vals in zip(battery, sums)]
 
 
 def many_to_one_battery(spec: ModelSpec, t: float, replicates: int, seed: int,
@@ -790,7 +679,7 @@ def many_to_one_battery(spec: ModelSpec, t: float, replicates: int, seed: int,
     battery of test functions, from a fixed root size x0."""
     battery = battery if battery is not None else default_battery()
     spec_x = _point_size_spec(spec, x0)
-    tagged = tagged_moments(spec_x, t, battery, replicates, seed)
-    pop = population_moments(spec_x, t, battery, replicates, seed)
+    tagged = _forest_moments(spec_x, t, battery, replicates, seed, True)
+    pop = _forest_moments(spec_x, t, battery, replicates, seed, False)
     return [BatteryResult(name, tm, ts, pm, ps)
             for (name, tm, ts), (_, pm, ps) in zip(tagged, pop)]

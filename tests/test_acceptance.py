@@ -26,7 +26,8 @@ from gftree.invariant import (TransitionEvaluator, invariant_fixed_point,
                               steady_state_relation_error)
 from gftree.model import (GaussianIncrementGrowth, GrowthBounds,
                           PowerLawRate, cumulative_hazard, reference_model,
-                          sample_lifetimes_inverse, sample_lifetimes_rejection)
+                          sample_lifetimes_keyed, sample_lifetimes_rejection)
+from gftree.streams import child_keys, run_key
 from gftree.studies import run_convergence_study, variability_ablation
 from gftree.trees import many_to_one_battery
 
@@ -151,16 +152,23 @@ def test_criterion_7_sampler_law():
     rate = PowerLawRate(1.0, 2.0)
     rng = np.random.default_rng(RUN_SEED)
     crit = stats.distributions.kstwobign.isf(0.01) / math.sqrt(100_000)
+
+    def keyed(label, x, v):
+        keys = child_keys(run_key(RUN_SEED, label),
+                          np.arange(100_000, dtype=np.uint64))
+        return sample_lifetimes_keyed(rate, keys, np.full(keys.size, x),
+                                      np.full(keys.size, v))
+
     stats_seen = []
-    for _ in range(5):
+    for i in range(5):
         x = rng.uniform(0.4, 2.5)
         v = rng.uniform(0.2, 3.0)
-        draws = sample_lifetimes_inverse(rate, x, v, rng, 100_000)
+        draws = keyed(i, x, v)
         cdf = lambda t, x=x, v=v: 1.0 - np.exp(
             -np.asarray(cumulative_hazard(rate, x, v, t)))
         stats_seen.append(stats.kstest(draws, cdf).statistic)
     law_ok = all(s < crit for s in stats_seen)
-    a = sample_lifetimes_inverse(rate, 1.0, 1.0, rng, 100_000)
+    a = keyed(5, 1.0, 1.0)
     b = sample_lifetimes_rejection(rate, 1.0, 1.0, rng, 100_000)
     two = stats.ks_2samp(a, b)
     ok = law_ok and two.pvalue > 0.01

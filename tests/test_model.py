@@ -12,11 +12,28 @@ from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
                           TabulatedRate, UniformIncrementGrowth,
                           check_class_membership, contraction_coefficient,
                           cumulative_hazard, eval_division_rate,
-                          invert_hazard, reference_model, sample_growth_rate,
-                          sample_lifetimes_inverse, sample_lifetimes_rejection)
+                          invert_hazard, reference_model,
+                          sample_growth_rates_keyed, sample_lifetimes_keyed,
+                          sample_lifetimes_rejection)
+from gftree.streams import STREAM_GROWTH, child_keys, run_key
 
 SQUARE = PowerLawRate(1.0, 2.0)
 BOUNDS = GrowthBounds(0.2, 3.0)
+
+
+def node_keys(n):
+    """n node keys of the keyed path the simulator draws from."""
+    return child_keys(run_key(20240817), np.arange(n, dtype=np.uint64))
+
+
+def keyed_lifetimes(rate, x, v, n):
+    return sample_lifetimes_keyed(rate, node_keys(n), np.full(n, x),
+                                  np.full(n, v))
+
+
+def keyed_growth_rates(kernel, v_parent, n, **kwargs):
+    return sample_growth_rates_keyed(kernel, np.full(n, v_parent),
+                                     node_keys(n), STREAM_GROWTH, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +160,8 @@ def test_invert_raises_for_bounded_hazard():
 # Lifetime samplers
 # ---------------------------------------------------------------------------
 
-def test_lifetime_law_matches_hazard_cdf(rng):
-    draws = sample_lifetimes_inverse(SQUARE, 1.3, 0.8, rng, 20000)
+def test_lifetime_law_matches_hazard_cdf():
+    draws = keyed_lifetimes(SQUARE, 1.3, 0.8, 20000)
     cdf = lambda t: 1.0 - np.exp(-np.asarray(
         cumulative_hazard(SQUARE, 1.3, 0.8, t)))
     stat = stats.kstest(draws, cdf).statistic
@@ -152,14 +169,14 @@ def test_lifetime_law_matches_hazard_cdf(rng):
 
 
 def test_rejection_sampler_agrees_with_inverse(rng):
-    a = sample_lifetimes_inverse(SQUARE, 1.0, 1.0, rng, 30000)
+    a = keyed_lifetimes(SQUARE, 1.0, 1.0, 30000)
     b = sample_lifetimes_rejection(SQUARE, 1.0, 1.0, rng, 30000)
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
 def test_rejection_sampler_tabulated(rng):
     tab = TabulatedRate([0.5, 1.0, 2.0, 4.0], [0.2, 1.0, 3.0, 3.5])
-    a = sample_lifetimes_inverse(tab, 1.0, 1.0, rng, 20000)
+    a = keyed_lifetimes(tab, 1.0, 1.0, 20000)
     b = sample_lifetimes_rejection(tab, 1.0, 1.0, rng, 20000)
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
@@ -168,14 +185,14 @@ def test_rejection_sampler_tabulated(rng):
 # Growth kernels
 # ---------------------------------------------------------------------------
 
-def test_dirac_growth_returns_point(rng):
+def test_dirac_growth_returns_point():
     kernel = DiracGrowth(1.0, BOUNDS)
-    assert sample_growth_rate(kernel, 2.2, rng) == 1.0
+    assert keyed_growth_rates(kernel, 2.2, 1).tolist() == [1.0]
 
 
-def test_uniform_increment_stays_in_band(rng):
+def test_uniform_increment_stays_in_band():
     kernel = UniformIncrementGrowth(2.0, 0.5, BOUNDS)
-    draws = sample_growth_rate(kernel, 1.5, rng, size=100_000)
+    draws = keyed_growth_rates(kernel, 1.5, 100_000)
     assert np.all((draws >= 0.2) & (draws <= 3.0))
 
 
@@ -192,9 +209,9 @@ def test_uniform_increment_needs_downward_moves():
         UniformIncrementGrowth(0.8, 0.5, BOUNDS)
 
 
-def test_gaussian_increment_mean_matches_quadrature(rng):
+def test_gaussian_increment_mean_matches_quadrature():
     kernel = GaussianIncrementGrowth(0.5, BOUNDS)
-    draws = sample_growth_rate(kernel, 1.5, rng, size=1_000_000)
+    draws = keyed_growth_rates(kernel, 1.5, 1_000_000)
     dens = lambda w: kernel.conditioned_density(1.5, w)
     mass, _ = integrate.quad(dens, 0.2, 3.0)
     mean, _ = integrate.quad(lambda w: w * dens(w), 0.2, 3.0)
@@ -203,11 +220,11 @@ def test_gaussian_increment_mean_matches_quadrature(rng):
     assert abs(draws.mean() - mean) < 3.0 * se
 
 
-def test_independent_resample_follows_density(rng):
+def test_independent_resample_follows_density():
     grid = np.linspace(0.2, 3.0, 30)
     dens = np.exp(-(grid - 1.0) ** 2)
     kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
-    draws = sample_growth_rate(kernel, 2.9, rng, size=200_000)
+    draws = keyed_growth_rates(kernel, 2.9, 200_000)
     assert np.all((draws >= 0.2) & (draws <= 3.0))
     target_mean, _ = integrate.quad(
         lambda w: w * kernel.conditioned_density(0.0, w), 0.2, 3.0,
@@ -216,13 +233,13 @@ def test_independent_resample_follows_density(rng):
     assert abs(draws.mean() - target_mean) < 4.0 * se
 
 
-def test_rejection_budget_raises(rng):
+def test_rejection_budget_raises():
     # nearly all proposal mass misses the spike, so a tiny cap trips
     grid = np.linspace(0.2, 3.0, 2901)
     dens = np.where(np.abs(grid - 1.0) < 2e-3, 1.0, 0.0)
     kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
     with pytest.raises(RejectionBudgetExceeded):
-        sample_growth_rate(kernel, 1.0, rng, size=64, cap=3)
+        keyed_growth_rates(kernel, 1.0, 64, cap=3)
 
 
 def test_growth_bounds_validation():

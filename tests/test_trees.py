@@ -84,12 +84,11 @@ def test_same_seed_same_tree(variability_spec):
     assert not np.array_equal(a.size_birth, c.size_birth)
 
 
-def test_worker_count_does_not_change_tree(variability_spec):
-    a = simulate_full_tree(variability_spec, 9, seed=5, workers=1)
-    b = simulate_full_tree(variability_spec, 9, seed=5, workers=4)
-    for col in ("generation", "index", "size_birth", "growth_rate",
-                "birth_time", "lifetime"):
-        assert np.array_equal(getattr(a, col), getattr(b, col))
+def test_full_tree_rejects_indices_out_of_order():
+    # generations fit, but two cells share path "0" and path "1" is missing
+    with pytest.raises(ValueError):
+        GenealogyTree("full", [0, 1, 1], [0, 0, 0], np.ones(3), np.ones(3),
+                      np.zeros(3), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +115,6 @@ def test_sparse_dirac_size_recursion(dirac_spec):
         expected = 0.5 * chain.size_birth[k] * math.exp(
             chain.growth_rate[k] * chain.lifetime[k])
         assert chain.size_birth[k + 1] == expected
-
-
-def test_sparse_always_first_child(variability_spec):
-    chain = simulate_sparse_lineage(variability_spec, 6, seed=10,
-                                    always_first_child=True)
-    assert str(chain.path_of(5)) == "00000"
 
 
 def test_sparse_lineage_is_a_tree_restriction(variability_spec):
