@@ -164,7 +164,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0,
                    help="run seed; GFTREE_SEED overrides (default: %(default)s)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: machine parallelism)")
+                   help="worker processes for study; the other commands "
+                   "ignore it (default: machine parallelism)")
     p.add_argument("--out", default=".",
                    help="output directory (default: current)")
     p.add_argument("--no-timestamp", action="store_true",
@@ -219,7 +220,10 @@ def cmd_estimate(args) -> int:
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
     tree = read_genealogy_csv(path)
-    obs = extract_observations(tree)
+    try:
+        obs = extract_observations(tree)
+    except ValueError as exc:  # non-finite or non-positive cell values
+        raise UsageError(f"bad genealogy {path}: {exc}") from exc
     config = build_estimator_config(args)
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
            else estimate_division_rate(obs, config))

@@ -21,7 +21,6 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import erf
 
 from . import _hot
 from .curves import CurveOnGrid, write_curve_tsv
@@ -86,7 +85,7 @@ class GaussianKernel:
 
     @property
     def _scale(self) -> float:
-        mass = erf(self.radius / math.sqrt(2.0))
+        mass = math.erf(self.radius / math.sqrt(2.0))
         return 1.0 / (math.sqrt(2.0 * math.pi) * mass)
 
     def __call__(self, z):
@@ -290,10 +289,11 @@ class EstimatorConfig:
 
 def _kernel_sums(sizes: np.ndarray, centers: np.ndarray, h: float,
                  kernel: KernelSpec) -> np.ndarray:
-    """sum_i K((xi_i - c)/h) for each center c (unnormalised)."""
-    order = np.argsort(sizes, kind="stable")
-    s = np.ascontiguousarray(sizes[order])
-    centers = np.ascontiguousarray(np.atleast_1d(np.asarray(centers, dtype=np.float64)))
+    """sum_i K((xi_i - c)/h) for each center c (unnormalised): binned for
+    the Gaussian, exact per center for the polynomial kernel, whose jump at
+    the support edge linear binning would smear."""
+    s = np.sort(sizes)
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
     if isinstance(kernel, GaussianKernel):
         return _hot.kernel_sums(s, centers, h, kernel.radius, kernel._scale)
     r = kernel.support_radius
@@ -323,20 +323,18 @@ def kernel_density(obs: ObservationSet, y, h: float,
 
 def _coverage_sums(sizes: np.ndarray, y: np.ndarray,
                    weight: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """sum_i w_i 1{sizes_i <= y <= upper_i} per query point.
+    """sum_i w_i 1{sizes_i <= y <= upper_i} per ascending query point.
 
-    Ties (sibling cells share a birth size) are ordered by weight so the
-    summation order, hence the result, is independent of row order.
+    Row i adds w_i from the first y >= sizes_i on and takes it off from the
+    first y > upper_i on.  Rows enter the buckets in weight order, so the
+    sums do not depend on row order (equal weights are interchangeable).
     """
-    lo_order = np.lexsort((weight, sizes))
-    lo_sorted = sizes[lo_order]
-    lo_cum = np.concatenate([[0.0], np.cumsum(weight[lo_order])])
-    hi_order = np.lexsort((weight, upper))
-    hi_sorted = upper[hi_order]
-    hi_cum = np.concatenate([[0.0], np.cumsum(weight[hi_order])])
-    started = lo_cum[np.searchsorted(lo_sorted, y, side="right")]
-    ended = hi_cum[np.searchsorted(hi_sorted, y, side="left")]
-    return started - ended
+    order = np.argsort(weight)
+    w = weight[order]
+    start = np.searchsorted(y, sizes[order], side="left")
+    stop = np.searchsorted(y, upper[order], side="right")
+    m = y.size + 1
+    return np.cumsum(np.bincount(start, w, m) - np.bincount(stop, w, m))[:-1]
 
 
 def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
@@ -346,8 +344,9 @@ def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
         raise ValueError("floor must be positive")
     scalar = np.ndim(y) == 0
     yq = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    raw = _coverage_sums(obs.size_birth, yq, 1.0 / obs.growth_rate,
-                         obs.division_size()) / obs.n
+    rank = np.argsort(np.argsort(yq))
+    raw = _coverage_sums(obs.size_birth, np.sort(yq), 1.0 / obs.growth_rate,
+                         obs.division_size())[rank] / obs.n
     out = raw if floor is None else np.maximum(raw, floor)
     return float(out[0]) if scalar else out
 
@@ -394,10 +393,18 @@ def evaluation_grid(dx: float, m: int) -> np.ndarray:
     return dx + dx * np.arange(m)
 
 
-def _assemble(y: np.ndarray, dx: float, obs: ObservationSet, h: float,
-              floor: float, kernel: KernelSpec, raw_den: np.ndarray,
-              pooled: bool) -> DivisionRateEstimate:
-    dens_raw = _kernel_sums(obs.size_birth, y / 2.0, h, kernel) / (obs.n * h)
+def _assemble(obs: ObservationSet, config: EstimatorConfig,
+              sizes: np.ndarray, weight: np.ndarray, upper: np.ndarray,
+              pooled: bool = False) -> DivisionRateEstimate:
+    """The estimate on the config's grid, its denominator covered by the
+    rows ``sizes <= y <= upper`` with the given weights."""
+    n = obs.n
+    h = bandwidth(config.bandwidth_rule, n)
+    floor = threshold(config.threshold_rule, n)
+    dx, m = config.grid.resolve(n)
+    y = evaluation_grid(dx, m)
+    raw_den = _coverage_sums(sizes, y, weight, upper) / n
+    dens_raw = _kernel_sums(obs.size_birth, y / 2.0, h, config.kernel) / (n * h)
     negative = int(np.sum(dens_raw < 0))
     dens = np.maximum(dens_raw, 0.0)
     den = np.maximum(raw_den, floor)
@@ -405,7 +412,7 @@ def _assemble(y: np.ndarray, dx: float, obs: ObservationSet, h: float,
     return DivisionRateEstimate(
         curve=CurveOnGrid(float(y[0]), dx, values), nu_values=dens,
         raw_denominator=raw_den, clipped=raw_den < floor, h=h,
-        threshold_value=floor, n=obs.n, negative_density_points=negative,
+        threshold_value=floor, n=n, negative_density_points=negative,
         pooled=pooled)
 
 
@@ -413,14 +420,8 @@ def estimate_division_rate(obs: ObservationSet,
                            config: EstimatorConfig = EstimatorConfig()
                            ) -> DivisionRateEstimate:
     """Variability-aware estimate: each cell keeps its own growth rate."""
-    n = obs.n
-    h = bandwidth(config.bandwidth_rule, n)
-    floor = threshold(config.threshold_rule, n)
-    dx, m = config.grid.resolve(n)
-    y = evaluation_grid(dx, m)
-    raw = _coverage_sums(obs.size_birth, y, 1.0 / obs.growth_rate,
-                         obs.division_size()) / n
-    return _assemble(y, dx, obs, h, floor, config.kernel, raw, pooled=False)
+    return _assemble(obs, config, obs.size_birth, 1.0 / obs.growth_rate,
+                     obs.division_size())
 
 
 def estimate_division_rate_pooled(obs: ObservationSet,
@@ -428,15 +429,10 @@ def estimate_division_rate_pooled(obs: ObservationSet,
                                   ) -> DivisionRateEstimate:
     """Variability-ignoring control: every growth rate is replaced by the
     sample mean in the denominator indicator and weight."""
-    n = obs.n
-    h = bandwidth(config.bandwidth_rule, n)
-    floor = threshold(config.threshold_rule, n)
-    dx, m = config.grid.resolve(n)
-    y = evaluation_grid(dx, m)
     tau_bar = float(np.mean(obs.growth_rate))
     upper = obs.size_birth * np.exp(tau_bar * obs.lifetime)
-    raw = _coverage_sums(obs.size_birth, y, np.full(n, 1.0 / tau_bar), upper) / n
-    return _assemble(y, dx, obs, h, floor, config.kernel, raw, pooled=True)
+    return _assemble(obs, config, obs.size_birth,
+                     np.full(obs.n, 1.0 / tau_bar), upper, pooled=True)
 
 
 def estimate_division_rate_parent_indexed(
@@ -450,17 +446,9 @@ def estimate_division_rate_parent_indexed(
     observation count.  Agrees with the self-indexed estimate up to
     boundary-generation effects.
     """
-    n = obs.n
-    h = bandwidth(config.bandwidth_rule, n)
-    floor = threshold(config.threshold_rule, n)
-    dx, m = config.grid.resolve(n)
-    y = evaluation_grid(dx, m)
-    parent_size = np.asarray(parent_size, dtype=np.float64)
-    parent_growth = np.asarray(parent_growth, dtype=np.float64)
-    child_size = np.asarray(child_size, dtype=np.float64)
-    raw = _coverage_sums(parent_size, y, 1.0 / parent_growth,
-                         2.0 * child_size) / n
-    return _assemble(y, dx, obs, h, floor, config.kernel, raw, pooled=False)
+    return _assemble(obs, config, np.asarray(parent_size, dtype=np.float64),
+                     1.0 / np.asarray(parent_growth, dtype=np.float64),
+                     2.0 * np.asarray(child_size, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import _hot, streams
 
@@ -414,9 +413,11 @@ class GaussianIncrementGrowth:
             raise ValueError("std must be positive")
 
     def propose(self, v_parent, u):
+        from scipy.special import ndtri  # lazy: ~0.3 s of CLI start-up
         return np.asarray(v_parent) + self.std * ndtri(u)
 
     def conditioned_density(self, v, w_child) -> np.ndarray:
+        from scipy.special import ndtr
         b = self.bounds
         v = np.asarray(v, dtype=np.float64)
         z = (np.asarray(w_child) - v) / self.std

@@ -206,6 +206,20 @@ def test_malformed_genealogy_is_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lifetime", ["nan", "-1"])
+def test_invalid_genealogy_value_is_usage_error(tmp_path, capsys, lifetime):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("path,size_birth,growth_rate,lifetime,birth_time\n"
+                   ",1.0,1.0,0.5,0\n"
+                   f"0,0.9,1.0,{lifetime},0.5\n"
+                   "1,0.9,1.0,0.5,0.5\n")
+    out = tmp_path / "out"
+    assert run(["estimate", "--input", bad, "--out", out]) == 2
+    assert "lifetime entries must be finite and positive" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_deterministic_across_workers(tmp_path):
     for sub, workers in (("w1", 1), ("w8", 8)):
         assert run(["study", "--sizes", "5..6", "--replicates", 4,
@@ -273,15 +287,17 @@ def test_pde_check_no_convergence_is_runtime_error(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported lazily by the PDE steady-state solve; loading
-    # it with the CLI would add ~0.1 s to every command's start-up
+    # scipy is imported lazily, by the PDE steady-state solve (scipy.sparse)
+    # and the Gaussian growth kernel (scipy.special); loading either with
+    # the CLI would add 0.1-0.3 s to every command's start-up
     src = str(Path(gftree.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     subprocess.run(
         [sys.executable, "-c",
-         "import sys, gftree.cli; assert 'scipy.sparse' not in sys.modules"],
+         "import sys, gftree.cli; "
+         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"],
         env=env, check=True)
 
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gftree import _hot
 from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               FixedBandwidth, FixedThreshold, GaussianKernel,
                               GridSpec, InvLogThreshold, InvNThreshold,
@@ -10,8 +12,9 @@ from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               PowerBandwidth, SmoothnessBandwidth, bandwidth,
                               coverage_denominator, estimate_division_rate,
                               estimate_division_rate_parent_indexed,
-                              estimate_division_rate_pooled, kernel_density,
-                              kernel_moment, threshold, write_estimate_tsv)
+                              estimate_division_rate_pooled, evaluation_grid,
+                              kernel_density, kernel_moment, threshold,
+                              write_estimate_tsv)
 from gftree.trees import (extract_observations, parent_child_arrays,
                           simulate_full_tree, simulate_sparse_lineage)
 
@@ -19,6 +22,32 @@ from gftree.trees import (extract_observations, parent_child_arrays,
 def obs_of(*rows):
     data = np.array(rows, dtype=float)
     return ObservationSet(data[:, 0], data[:, 1], data[:, 2])
+
+
+def exact_gaussian_sums(sizes, centers, h, kernel=GaussianKernel()):
+    """Reference for the binned kernel sums: the truncated-Gaussian sum at
+    each center, over the sorted sizes inside its window."""
+    s = np.sort(sizes)
+    lo = np.searchsorted(s, centers - kernel.radius * h, side="left")
+    hi = np.searchsorted(s, centers + kernel.radius * h, side="right")
+    out = np.zeros(centers.size)
+    for j in range(centers.size):
+        if hi[j] > lo[j]:
+            z = (s[lo[j]:hi[j]] - centers[j]) / h
+            out[j] = np.sum(np.exp(-0.5 * z * z))
+    return out * kernel._scale
+
+
+def lexsort_coverage(sizes, y, weight, upper):
+    """Reference for the bucketed coverage sums: cumulative weights over the
+    rows sorted by size and by upper end, ties ordered by weight."""
+    lo_order = np.lexsort((weight, sizes))
+    lo_cum = np.concatenate([[0.0], np.cumsum(weight[lo_order])])
+    hi_order = np.lexsort((weight, upper))
+    hi_cum = np.concatenate([[0.0], np.cumsum(weight[hi_order])])
+    started = lo_cum[np.searchsorted(sizes[lo_order], y, side="right")]
+    ended = hi_cum[np.searchsorted(upper[hi_order], y, side="left")]
+    return started - ended
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +64,11 @@ def test_kernel_density_outside_support_is_zero():
     obs = obs_of([1.0, 1.0, 1.0])
     assert kernel_density(obs, 1.0 + 5.1 * 0.5, 0.5, GaussianKernel()) == 0.0
     assert kernel_density(obs, 1.0 - 5.1 * 0.5, 0.5, GaussianKernel()) == 0.0
+    # the size 0.4999 lies outside the window of y = 1.0, but it puts weight
+    # on the lattice point 0.5, which is inside
+    ys = np.linspace(0.0, 2.0, 401)
+    dens = kernel_density(obs_of([0.4999, 1.0, 1.0]), ys, 0.1)
+    assert dens[200] == 0.0 and dens[199] > 0.0
 
 
 def test_kernel_density_average_invariance():
@@ -89,6 +123,13 @@ def test_denominator_boundaries_inclusive():
     assert coverage_denominator(obs, 1.0) == 1.0
     assert coverage_denominator(obs, 2.0) == 1.0
     assert coverage_denominator(obs, 2.0 + 1e-12) == 0.0
+
+
+def test_denominator_accepts_unsorted_points():
+    obs = obs_of([1.0, 1.0, math.log(2.0)], [1.5, 2.0, math.log(2.0)])
+    ys = np.array([2.5, 1.2, 3.5, 1.0, 2.0])
+    assert np.array_equal(coverage_denominator(obs, ys),
+                          [coverage_denominator(obs, y) for y in ys])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +204,86 @@ def test_estimate_permutation_invariance(variability_spec):
     b = estimate_division_rate(shuffled)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.raw_denominator, b.raw_denominator)
+
+
+def test_shuffled_rows_give_identical_density_and_variants(variability_spec):
+    tree = simulate_full_tree(variability_spec, 8, seed=23)
+    obs = extract_observations(tree)
+    ps, pg, cs = parent_child_arrays(tree)
+    rng = np.random.default_rng(1)
+    perm, pair_perm = rng.permutation(obs.n), rng.permutation(ps.size)
+    shuffled = ObservationSet(obs.size_birth[perm], obs.growth_rate[perm],
+                              obs.lifetime[perm])
+    y = estimate_division_rate(obs).y
+    assert np.array_equal(kernel_density(obs, y, 0.1),
+                          kernel_density(shuffled, y, 0.1))
+    a = estimate_division_rate_pooled(obs)
+    b = estimate_division_rate_pooled(shuffled)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.raw_denominator, b.raw_denominator)
+    a = estimate_division_rate_parent_indexed(obs, ps, pg, cs)
+    b = estimate_division_rate_parent_indexed(
+        shuffled, ps[pair_perm], pg[pair_perm], cs[pair_perm])
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.raw_denominator, b.raw_denominator)
+
+
+@pytest.mark.parametrize("generations", [4, 5, 9, 15])
+def test_binned_sums_match_exact_reference(variability_spec, generations):
+    """n = 2^5 - 1 (fewer pairs than bins, so summed exactly), 2^6 - 1,
+    2^10 - 1 and 2^16 - 1 (binned): the density is within 2e-5 of its
+    maximum of the exact per-center sums, zero exactly where they are, and
+    the bucketed denominator within 1e-12 of its maximum of the lexsort
+    sums."""
+    obs = extract_observations(
+        simulate_full_tree(variability_spec, generations, seed=31))
+    est = estimate_division_rate(obs)
+    nu = exact_gaussian_sums(obs.size_birth, est.y / 2.0, est.h) \
+        / (obs.n * est.h)
+    assert np.max(np.abs(est.nu_values - nu)) <= 2e-5 * nu.max()
+    assert np.array_equal(est.nu_values == 0, nu == 0)
+    raw = lexsort_coverage(obs.size_birth, est.y, 1.0 / obs.growth_rate,
+                           obs.division_size()) / obs.n
+    assert np.max(np.abs(est.raw_denominator - raw)) <= 1e-12 * raw.max()
+
+
+def test_binned_sums_interpolate_uneven_centers():
+    """Centers off any even grid read the lattice by linear interpolation,
+    which adds at most about as much as the binning: 1e-4 of the maximum."""
+    rng = np.random.default_rng(5)
+    obs = ObservationSet(rng.uniform(0.5, 2.0, 1024), np.ones(1024),
+                         np.ones(1024))
+    y = rng.uniform(0.0, 2.5, 300)
+    got = kernel_density(obs, y, 0.05)
+    want = exact_gaussian_sums(obs.size_birth, y, 0.05) / (obs.n * 0.05)
+    assert np.max(np.abs(got - want)) <= 1e-4 * want.max()
+    assert np.array_equal(got == 0, want == 0)
+
+
+def test_kernel_sums_memory_stays_bounded():
+    """Only sizes within reach of a center are binned, so one size of 1e6
+    with h = 0.01 changes nothing and does not stretch the lattice; with
+    h = 1e-5 the lattice would need 2e7 bins, so the few pairs within
+    reach are summed instead."""
+    rng = np.random.default_rng(6)
+    sizes = np.sort(rng.uniform(0.5, 2.0, 1000))
+    centers = evaluation_grid(0.01, 500) / 2.0
+    kern = GaussianKernel()
+    plain = _hot.kernel_sums(sizes, centers, 0.01, kern.radius, kern._scale)
+    tracemalloc.start()
+    try:
+        with_outlier = _hot.kernel_sums(np.append(sizes, 1e6), centers, 0.01,
+                                        kern.radius, kern._scale)
+        narrow = _hot.kernel_sums(sizes, centers, 1e-5, kern.radius,
+                                  kern._scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(with_outlier, plain)
+    want = exact_gaussian_sums(sizes, centers, 1e-5)
+    assert np.any(want > 0)
+    assert np.allclose(narrow, want, rtol=1e-12, atol=0)
+    assert peak < 16 * 2 ** 20
 
 
 def test_estimate_denominator_never_below_floor(variability_spec):
