@@ -219,10 +219,10 @@ def cmd_estimate(args) -> int:
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    tree = read_genealogy_csv(path)
-    try:
+    try:  # not a tree, or non-finite or non-positive cell values
+        tree = read_genealogy_csv(path)
         obs = extract_observations(tree)
-    except ValueError as exc:  # non-finite or non-positive cell values
+    except ValueError as exc:
         raise UsageError(f"bad genealogy {path}: {exc}") from exc
     config = build_estimator_config(args)
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
@@ -308,6 +308,11 @@ def parse_size_range(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
+    if args.many_to_one:
+        if args.replicates < 2:  # the standard error needs two
+            raise UsageError("--replicates must be >= 2 for --many-to-one")
+        if not (np.isfinite(args.t) and args.t >= 0):
+            raise UsageError("--t must be finite and >= 0")
     spec = build_model(args)
     seed = resolve_seed(args)
     verdicts = {}
@@ -414,10 +419,13 @@ def cmd_ingest(args) -> int:
             colmap[fld] = col.strip()
     if args.drop_first < 0 or args.drop_last < 0:
         raise UsageError("--drop-first and --drop-last must be >= 0")
-    obs, report = ingest_lineage_csv(path, colmap or None,
-                                     lineage_column=args.lineage_column,
-                                     drop_first=args.drop_first,
-                                     drop_last=args.drop_last)
+    try:
+        obs, report = ingest_lineage_csv(path, colmap or None,
+                                         lineage_column=args.lineage_column,
+                                         drop_first=args.drop_first,
+                                         drop_last=args.drop_last)
+    except studies.SchemaError as exc:
+        raise UsageError(f"bad lineage CSV {path}: {exc}") from exc
     config = build_estimator_config(args)
     analysis = studies.analyze_experimental(obs, config)
     out = Path(args.out)

@@ -5,7 +5,6 @@ readers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -100,15 +99,3 @@ def load_csv_columns(fh, dtype, usecols) -> np.ndarray:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
                           comments=None, usecols=usecols, ndmin=1)
-
-
-def read_curve_tsv(path) -> dict[str, np.ndarray]:
-    """Read a TSV written by :func:`write_curve_tsv`."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    out = {}
-    for j, name in enumerate(header):
-        out[name] = np.array([float(r[j]) for r in rows])
-    return out

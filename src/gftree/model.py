@@ -365,6 +365,8 @@ class UniformIncrementGrowth:
             raise ValueError("rms must be positive")
         if self.bounds is None:
             raise ValueError("bounds are required")
+        if self.bounds.e_min == self.bounds.e_max:  # hit with probability 0
+            raise ValueError("a continuous increment needs e_min < e_max")
 
     @property
     def scale(self) -> float:
@@ -411,6 +413,8 @@ class GaussianIncrementGrowth:
     def __post_init__(self):
         if self.std <= 0:
             raise ValueError("std must be positive")
+        if self.bounds.e_min == self.bounds.e_max:  # hit with probability 0
+            raise ValueError("a continuous increment needs e_min < e_max")
 
     def propose(self, v_parent, u):
         from scipy.special import ndtri  # lazy: ~0.3 s of CLI start-up
@@ -515,8 +519,10 @@ def sample_growth_rates_keyed(kernel: GrowthKernel, v_parent: np.ndarray,
         active[sel[ok]] = False
         counter += per
     if active.any():
+        b = kernel.bounds
         raise RejectionBudgetExceeded(
-            f"no admissible growth rate within {cap} attempts")
+            f"no admissible growth rate in [{b.e_min}, {b.e_max}] within "
+            f"{cap} attempts for parent rate {float(v[active][0])}")
     return out
 
 

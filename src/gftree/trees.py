@@ -42,6 +42,7 @@ class HorizonExceeded(RuntimeError):
 
 
 _MAX_FOREST_LEVELS = 4096  # runaway guard for time-capped growth
+_FOREST_ROOTS = 1 << 12  # many-to-one roots per forest, to bound its memory
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +157,6 @@ class GenealogyTree:
             return TreePath(tuple(int(b) for b in self.chain_bits[:g]))
         idx = int(self.index[row])
         return TreePath(tuple((idx >> (g - 1 - k)) & 1 for k in range(g)))
-
-    def parent_row(self, row: int) -> int:
-        if self.generation[row] == 0:
-            raise ValueError("the root has no parent")
-        if self.scheme == "sparse":
-            return row - 1
-        g = int(self.generation[row])
-        return (2 ** (g - 1) - 1) + (int(self.index[row]) >> 1)
 
     @property
     def records(self) -> dict[TreePath, CellRecord]:
@@ -652,22 +645,27 @@ def _forest_moments(spec: ModelSpec, t: float, battery, replicates: int,
     """
     run_keys = streams.combine(streams.run_key(seed, 1 if tagged else 2),
                                np.arange(replicates, dtype=np.uint64))
-    forest = _Forest(spec, run_keys, sizes_from_growth=tagged)
     sums = np.zeros((len(battery), replicates))
-    for alive in _grow_until(forest, t, pick=tagged):
-        a = np.flatnonzero(alive)
-        root = forest.root[a]
-        rate = forest.rate[a]
-        age = t - forest.birth[a]
-        w_t = forest.cum[a] + rate * age
-        if tagged:
-            x_t = forest.root_size[root] * np.exp(w_t) / 2.0 ** forest.level
-            weight = 1.0
-        else:
-            x_t = forest.size[a] * np.exp(rate * age)
-            weight = x_t * np.exp(-w_t) / forest.root_size[root]
-        for row, (_, phi) in zip(sums, battery):
-            np.add.at(row, root, weight * phi(x_t, rate, w_t))
+    # a root's cells stay contiguous and breadth-first in any forest, so
+    # each root's sum adds in the same order whatever batch it is in
+    for lo in range(0, replicates, _FOREST_ROOTS):
+        batch = slice(lo, lo + _FOREST_ROOTS)
+        forest = _Forest(spec, run_keys[batch], sizes_from_growth=tagged)
+        for alive in _grow_until(forest, t, pick=tagged):
+            a = np.flatnonzero(alive)
+            root = forest.root[a]
+            rate = forest.rate[a]
+            age = t - forest.birth[a]
+            w_t = forest.cum[a] + rate * age
+            if tagged:
+                x_t = (forest.root_size[root] * np.exp(w_t)
+                       / 2.0 ** forest.level)
+                weight = 1.0
+            else:
+                x_t = forest.size[a] * np.exp(rate * age)
+                weight = x_t * np.exp(-w_t) / forest.root_size[root]
+            for row, (_, phi) in zip(sums[:, batch], battery):
+                np.add.at(row, root, weight * phi(x_t, rate, w_t))
     return [(name, float(np.mean(vals)),
              float(np.std(vals, ddof=1) / math.sqrt(replicates)))
             for (name, _), vals in zip(battery, sums)]

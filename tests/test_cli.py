@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,13 +198,16 @@ def test_study_reference_ladder_has_six_rows(tmp_path):
     assert len(table) == 1 + 6
 
 
-def test_malformed_genealogy_is_runtime_error(tmp_path, capsys):
+def test_malformed_genealogy_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("path,size_birth,growth_rate,lifetime,birth_time\n"
                    ",1.0,1.0,0.5,0\n"
                    "01,0.9,1.0,0.5,0.5\n")
-    assert run(["estimate", "--input", bad, "--out", tmp_path]) == 3
-    assert "runtime error" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run(["estimate", "--input", bad, "--out", out]) == 2
+    assert "neither a complete tree nor a single lineage" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lifetime", ["nan", "-1"])
@@ -266,6 +270,30 @@ def test_verify_without_flags_is_usage_error(tmp_path):
     assert run(["verify", "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--replicates", 0), ("--replicates", 1), ("--replicates", -5),
+    ("--t", -1), ("--t", "nan")])
+def test_verify_many_to_one_bad_input_is_usage_error(tmp_path, capsys, flag,
+                                                     value):
+    out = tmp_path / "out"
+    assert run(["verify", "--many-to-one", flag, value, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["uniform-increment:2.0,0.5", "gaussian:0.5"])
+def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
+    # a continuous increment never lands on a single point: without the
+    # check this ran 10^6 rejection rounds (~44 s) and exited 3
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run(["simulate", "--scheme", "full", "--generations", 3,
+                "--e-min", 1, "--e-max", 1, "--rho", rho, "--out", out]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "e_min < e_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pde_check(tmp_path):
     assert run(["pde-check", "--b", "x^2", "--tau", 1, "--grid-dx", 5e-3,
                 "--out", tmp_path, "--no-timestamp"]) == 0
@@ -322,6 +350,15 @@ def test_ingest_bad_map_is_usage_error(tmp_path):
     src.write_text("a,b,c\n1,1,1\n")
     assert run(["ingest", "--input", src, "--map", "oops",
                 "--out", tmp_path]) == 2
+
+
+def test_ingest_missing_columns_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "cells.csv"
+    src.write_text("size_birth,growth_rate\n1.0,1.0\n2.0,1.0\n")
+    out = tmp_path / "out"
+    assert run(["ingest", "--input", src, "--out", out]) == 2
+    assert "missing columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_unknown_map_field_is_usage_error(tmp_path, capsys):

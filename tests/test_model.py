@@ -238,7 +238,8 @@ def test_rejection_budget_raises():
     grid = np.linspace(0.2, 3.0, 2901)
     dens = np.where(np.abs(grid - 1.0) < 2e-3, 1.0, 0.0)
     kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
-    with pytest.raises(RejectionBudgetExceeded):
+    with pytest.raises(RejectionBudgetExceeded,
+                       match=r"in \[0\.2, 3\.0\] .* parent rate 1\.0$"):
         keyed_growth_rates(kernel, 1.0, 64, cap=3)
 
 
@@ -249,6 +250,12 @@ def test_growth_bounds_validation():
         GrowthBounds(2.0, 1.0)
     with pytest.raises(ValueError):
         DiracGrowth(5.0, BOUNDS)
+    point = GrowthBounds(1.0, 1.0)
+    DiracGrowth(1.0, point)  # a point band suits only a point kernel
+    with pytest.raises(ValueError, match="e_min < e_max"):
+        UniformIncrementGrowth(2.0, 0.5, point)
+    with pytest.raises(ValueError, match="e_min < e_max"):
+        GaussianIncrementGrowth(0.5, point)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from gftree import trees
 from gftree.model import (DiracGrowth, GrowthBounds, InitialDistribution,
                           ModelSpec, PowerLawRate, cumulative_hazard)
 from gftree.trees import (GenealogyTree, HorizonExceeded,
@@ -317,3 +319,32 @@ def test_many_to_one_unit_weight_is_exact(variability_spec):
     const = next(r for r in results if r.name == "one")
     assert const.population_mean == pytest.approx(1.0, abs=1e-12)
     assert const.population_se <= 1e-12
+
+
+def test_batched_many_to_one_equals_one_forest(variability_spec, monkeypatch):
+    # 100 roots in uneven batches of 7 add up bit for bit as in one forest
+    monkeypatch.setattr(trees, "_FOREST_ROOTS", 7)
+    batched = many_to_one_battery(variability_spec, 1.5, 100, seed=41)
+    monkeypatch.setattr(trees, "_FOREST_ROOTS", 100)
+    single = many_to_one_battery(variability_spec, 1.5, 100, seed=41)
+    for b, s in zip(batched, single, strict=True):
+        assert b.tagged_mean == s.tagged_mean
+        assert b.tagged_se == s.tagged_se
+        assert b.population_mean == s.population_mean
+        assert b.population_se == s.population_se
+
+
+def test_many_to_one_memory_is_free_of_replicate_count(variability_spec,
+                                                       monkeypatch):
+    monkeypatch.setattr(trees, "_FOREST_ROOTS", 512)
+
+    def peak(replicates):
+        tracemalloc.start()
+        try:
+            many_to_one_battery(variability_spec, 2.0, replicates, seed=42)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one forest of all roots would hold about 8 times as many cells
+    assert peak(8 * 512) <= 1.5 * peak(512)
