@@ -91,7 +91,10 @@ def build_model(args) -> ModelSpec:
         path = Path(args.model)
         if not path.exists():
             raise UsageError(f"model file not found: {path}")
-        return ModelSpec.from_json(path.read_text())
+        try:
+            return ModelSpec.from_json(path.read_text())
+        except (ValueError, KeyError, TypeError) as exc:  # JSON or spec
+            raise UsageError(f"bad model file {path}: {exc}") from exc
     bounds = GrowthBounds(args.e_min, args.e_max)
     rate = parse_rate(args.b)
     kernel = parse_growth_kernel(args.rho, bounds)

@@ -1,6 +1,6 @@
-"""Uniform-grid curves and their TSV serialisation, plus the float format
-of every text writer and the CSV column loader of the genealogy and lineage
-readers."""
+"""Uniform-grid curves and their TSV serialisation, plus the float text and
+row assembly of every text writer and the CSV column loader of the
+genealogy and lineage readers."""
 
 from __future__ import annotations
 
@@ -45,13 +45,96 @@ class CurveOnGrid:
 
 # The printf-style format of every float the text writers emit: 17
 # significant digits round-trip float64 exactly.  ``FLOAT_FORMAT % x`` and
-# ``format(x, ".17g")`` both end in CPython's ``PyOS_double_to_string``.
+# ``format(x, ".17g")`` both end in CPython's ``PyOS_double_to_string``;
+# :func:`float_text` gives the same bytes for a whole column at once.
 FLOAT_FORMAT = "%.17g"
 
+# b"0000" .. b"9999" as little-endian 4-byte words (byte k: digit k)
+_DIGITS4 = sum(np.arange(48, 58, dtype="<u4").reshape(-1, *[1] * (3 - k))
+               << 8 * k for k in range(4)).ravel()
+_POW10 = np.array([float(10 ** s) for s in range(21)])  # all exact
+# _DECADES[k + 5]: the least float64 not below 10**k, for k in [-5, 17]
+_DECADES = np.array([float(f"1e{k}") for k in range(-5, 18)])
+# below this many values, numpy's per-call cost outweighs that of ``%``
+_FEW = 192
 
-def float_repr(value: float) -> str:
-    """Decimal form with 17 significant digits: round-trips float64 exactly."""
-    return FLOAT_FORMAT % value
+
+def _digits17(x):
+    """``(n, e)`` for ``x`` in [1e-4, 1e16): ``e`` is the decimal exponent
+    and ``n`` the int64 of ``x * 10**(16 - e)`` rounded half to even."""
+    e = np.floor(np.log10(x)).astype(np.int64)
+    # log10 may misplace a value next to a power of ten
+    e[x < _DECADES[e + 5]] -= 1
+    e[x >= _DECADES[e + 6]] += 1
+    # x * 10**s as hi + lo exactly, by Dekker's two-product (numpy never
+    # fuses these products into an FMA); hi is an even integer here
+    def split(a):  # Veltkamp's split into two 26-bit halves
+        c = a * 134217729.0  # 2**27 + 1
+        return c - (c - a), a - (c - (c - a))
+
+    p = _POW10[16 - e]
+    hi = x * p
+    (xh, xl), (ph, pl) = split(x), split(p)
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    # n never rounds up to 10**17: below each power of ten in range, the
+    # nearest float64 lies more than half a 17th digit away
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+def float_text(values) -> np.ndarray:
+    """``(FLOAT_FORMAT % v).encode()`` of each value, as a 1-d ``S`` array.
+
+    Values in [1e-4, 1e16) get correctly rounded digits from exact float64
+    arithmetic, laid out as ``%g`` does; ``%`` formats the others (0,
+    negatives, nan, inf, the very small and the very large) and any array
+    shorter than ``_FEW``.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size < _FEW:
+        return _percent_text(FLOAT_FORMAT, x.tolist())
+    slow = ~((x >= 1e-4) & (x < 1e16))
+    n, e = _digits17(np.where(slow, 1.0, x))
+    # "000" and the 17 digits, in five groups of four
+    groups = np.empty((x.size, 5), "<u4")
+    for k in range(4, 0, -1):
+        n, low = np.divmod(n, 10000)
+        groups[:, k] = _DIGITS4[low]
+    groups[:, 0] = _DIGITS4[n]
+    digits = groups.view("S20").ravel()
+    # the integer part (or "0"), a point and the rest, less trailing zeros
+    # and a trailing point; byte 4 + e of digits is the first after the point
+    point = 4 + e
+    whole = np.strings.slice(digits, np.where(e < 0, 0, 3),
+                             np.where(e < 0, 1, point))
+    text = np.strings.add(np.strings.add(whole, b"."),
+                          np.strings.slice(digits, point, None)).astype("S24")
+    text = np.strings.rstrip(np.strings.rstrip(text, b"0"), b".")
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        text[rows] = _percent_text(FLOAT_FORMAT, x[rows].tolist())
+    return text
+
+
+def _percent_text(fmt: str, values: list) -> np.ndarray:
+    """``fmt % v`` of each value as an ``S`` array, through one ``%`` call;
+    the texts must hold no whitespace."""
+    return np.array(((fmt + "\n") * len(values) % tuple(values)).encode()
+                    .split(), dtype="S")
+
+
+def join_text(columns, delimiter: bytes, end: bytes) -> np.ndarray:
+    """Rows of delimited text, as one uint8 array ready to write: row ``i``
+    holds cell ``i`` of each of the equally long ``S`` arrays ``columns``
+    (ASCII, NUL only as padding), less its padding, with ``delimiter``
+    between cells and ``end`` after the last."""
+    parts = [part for c in columns for part in (c, np.bytes_(delimiter))]
+    parts[-1] = np.bytes_(end)
+    rows = np.empty(len(columns[0]),
+                    [(f"f{k}", part.dtype) for k, part in enumerate(parts)])
+    for k, part in enumerate(parts):
+        rows[f"f{k}"] = part
+    text = rows.view(np.uint8)
+    return text[text != 0]
 
 
 def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
@@ -59,27 +142,21 @@ def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
 
     Each column is formatted by its dtype kind: bools as ``1``/``0`` and
     integers in full (``%d`` of the Python scalars), anything else through
-    float64 as :data:`FLOAT_FORMAT`.  The table is one ``%`` call.
+    float64 as :data:`FLOAT_FORMAT`, all such columns in one
+    :func:`float_text` call.
     """
-    from itertools import chain
-
     names = list(columns)
     cols = [np.asarray(columns[k]) for k in names]
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("all columns must have equal length")
-    formats, cells = [], []
-    for c in cols:
-        if c.dtype.kind in "biu":
-            formats.append("%d")
-        else:
-            formats.append(FLOAT_FORMAT)
-            c = c.astype(np.float64, copy=False)
-        cells.append(c.tolist())
-    row = "\t".join(formats) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(names) + "\n")
-        fh.write(row * n % tuple(chain.from_iterable(zip(*cells))))
+    floats = [c for c in cols if c.dtype.kind not in "biu"]
+    texts = iter(float_text(floats).reshape(len(floats), n))
+    cells = [_percent_text("%d", c.tolist()) if c.dtype.kind in "biu"
+             else next(texts) for c in cols]
+    with open(path, "wb") as fh:
+        fh.write(("\t".join(names) + "\n").encode())
+        fh.write(join_text(cells, b"\t", b"\n"))
 
 
 def load_csv_columns(fh, dtype, usecols) -> np.ndarray:

@@ -465,24 +465,22 @@ _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 
 
-def _path_strings(tree: GenealogyTree, rows: slice) -> list[str]:
-    """The ``path`` cells of ``rows``: prefixes of the chain's bit string
-    (sparse), or each index's ``generation`` low bits, most significant
-    first (full)."""
+def _path_text(tree: GenealogyTree, rows: slice) -> np.ndarray:
+    """The ``path`` cells of ``rows``, NUL-padded: prefixes of the chain's
+    bits (sparse), or each index's ``generation`` low bits, most
+    significant first (full)."""
     gen = tree.generation[rows]
     if tree.scheme == "sparse":
-        chain = (tree.chain_bits + ord("0")).astype(np.uint8).tobytes().decode()
-        return list(map(chain.__getitem__, map(slice, gen.tolist())))
-    width = max(int(gen.max(initial=0)), 1)
-    pos = np.arange(width)
-    # left-align each path's bits in ``width`` bits, then read them MSB first
-    left = tree.index[rows] << (width - gen)
-    codes = (ord("0") + ((left[:, None] >> (width - 1 - pos)) & 1)
-             ).astype(np.uint32)
-    # one code point per character; the unicode dtype drops the zero
-    # padding past each path's end
-    codes[pos >= gen[:, None]] = 0
-    return codes.view(f"U{width}").ravel().tolist()
+        bits = np.append(tree.chain_bits[:gen.max(initial=0)], 0)
+    else:  # each index's bits, left-aligned in whole bytes
+        nbytes = int(gen.max(initial=0)) // 8 + 1
+        left = (tree.index[rows] << (8 * nbytes - gen)).astype(">u8")
+        bits = np.unpackbits(
+            left.view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:], axis=1)
+    width = bits.shape[-1]
+    keep = np.arange(width) < gen[:, None]
+    chars = (bits + ord("0")).astype(np.uint8) * keep
+    return chars.view(f"S{width}").ravel()
 
 
 def write_genealogy_csv(tree: GenealogyTree, path) -> None:
@@ -491,23 +489,22 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends) with
     every value as :data:`~gftree.curves.FLOAT_FORMAT` (17 significant
     digits), so a read-back is bit-exact.  Paths come from the tree's
-    columns, never from :class:`TreePath` objects, and each block of
-    ``_CSV_BLOCK`` rows is formatted by a single ``%`` call.
+    columns, never from :class:`TreePath` objects.  Blocks of
+    ``_CSV_BLOCK`` rows (fewer for long sparse paths) are formatted a
+    column at a time by :func:`~gftree.curves.float_text`.
     """
-    from itertools import chain
+    from .curves import float_text, join_text
 
-    from .curves import FLOAT_FORMAT
-
-    row = "%s" + ("," + FLOAT_FORMAT) * 4 + "\r\n"
     columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
                tree.birth_time)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
-        for start in range(0, len(tree), _CSV_BLOCK):
-            rows = slice(start, start + _CSV_BLOCK)
-            paths = _path_strings(tree, rows)
-            cells = zip(paths, *(c[rows].tolist() for c in columns))
-            fh.write(row * len(paths) % tuple(chain.from_iterable(cells)))
+    depth = int(tree.generation.max(initial=0))
+    step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (depth + 1)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
+        for start in range(0, len(tree), step):
+            rows = slice(start, start + step)
+            cells = [float_text(c[rows]) for c in columns]
+            fh.write(join_text([_path_text(tree, rows), *cells], b",", b"\r\n"))
 
 
 def _full_tree_indices(paths: np.ndarray, gens: np.ndarray,
@@ -523,10 +520,12 @@ def _full_tree_indices(paths: np.ndarray, gens: np.ndarray,
     one = codes == ord("1")
     if not np.array_equal(one | (codes == ord("0")), within):
         raise ValueError(_NOT_BINARY)
+    # the left-aligned bits as one big-endian number, shifted into place
+    packed = np.packbits(one, axis=1)
     index = np.zeros(gens.size, dtype=np.int64)
-    for k in range(width):
-        index = np.where(within[:, k], 2 * index + one[:, k], index)
-    return index
+    for column in packed.T:
+        index = (index << 8) | column
+    return index >> (8 * packed.shape[1] - gens)
 
 
 def read_genealogy_csv(path) -> GenealogyTree:

@@ -10,7 +10,7 @@ import pytest
 import gftree
 from gftree.cli import main, make_parser, parse_rate, parse_size_range
 from gftree.invariant import solve_conservative_pde
-from gftree.model import PowerLawRate
+from gftree.model import PowerLawRate, reference_model
 
 
 def run(args, **kwargs):
@@ -291,6 +291,35 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
                 "--e-min", 1, "--e-max", 1, "--rho", rho, "--out", out]) == 2
     assert time.perf_counter() - start < 2.0
     assert "e_min < e_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["bounds"].update(e_min=1.0, e_max=1.0), "e_min < e_max"),
+    (lambda doc: doc["division_rate"].update(form="cubic"),
+     "unknown division rate form"),
+    (lambda doc: doc.pop("bounds"), "bounds"),
+], ids=["point-band", "unknown-rate", "missing-field"])
+def test_bad_model_file_is_usage_error(tmp_path, capsys, edit, message):
+    doc = json.loads(reference_model().to_json())
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["simulate", "--scheme", "full", "--generations", 3,
+                "--model", model, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "bad model file" in err and message in err
+    assert not out.exists()
+
+
+def test_invalid_json_model_file_is_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"bounds": {"e_min": 0.2,')
+    out = tmp_path / "out"
+    assert run(["simulate", "--scheme", "full", "--generations", 3,
+                "--model", model, "--out", out]) == 2
+    assert "bad model file" in capsys.readouterr().err
     assert not out.exists()
 
 

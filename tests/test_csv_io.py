@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gftree import studies
-from gftree.curves import float_repr, write_curve_tsv
+from gftree.curves import FLOAT_FORMAT, float_text, write_curve_tsv
 from gftree.estimator import ObservationSet
 from gftree.studies import (DEFAULT_COLUMN_MAP, EmptyAfterFiltering,
                             IngestReport, SchemaError, ingest_lineage_csv)
@@ -182,20 +182,64 @@ def test_writer_matches_recorded_digest(tmp_path, variability_spec, make,
     assert sha256_of(path) == digest
 
 
-def test_writer_uses_csv_dialect_and_17_digits(tmp_path, variability_spec):
-    tree = simulate_full_tree(variability_spec, 3, seed=22)
-    path = tmp_path / "tree.csv"
-    write_genealogy_csv(tree, path)
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", encoding="utf-8", newline="") as fh:
+def oracle_write_genealogy_csv(tree, path):
+    """``csv.writer`` rows, every value through ``FLOAT_FORMAT %``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for i in range(len(tree)):
             writer.writerow([str(tree.path_of(i))] + [
-                float_repr(float(c[i])) for c in (
+                FLOAT_FORMAT % float(c[i]) for c in (
                     tree.size_birth, tree.growth_rate, tree.lifetime,
                     tree.birth_time)])
+
+
+def test_writer_uses_csv_dialect_and_17_digits(tmp_path, variability_spec):
+    tree = simulate_full_tree(variability_spec, 3, seed=22)
+    path, expected = tmp_path / "tree.csv", tmp_path / "expected.csv"
+    write_genealogy_csv(tree, path)
+    oracle_write_genealogy_csv(tree, expected)
     assert path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["full", "sparse"])
+def test_writer_fallback_values_match_oracle(tmp_path, scheme):
+    # Columns long enough for the vectorised digits, holding values outside
+    # [1e-4, 1e16) that take the per-value % fallback.
+    rng = np.random.default_rng(31)
+    n = 255
+    size, rate, birth_time, lifetime = rng.lognormal(0.0, 1.0, (4, n))
+    lifetime[[3, 50, 200]] = [1e-7, 9.999999999999999e-05, 5e-324]
+    birth_time[[0, 7, 100, 254]] = [0.0, 1e16, 1.2345678901234567e17, 1e300]
+    size[[1, 2]] = [1e-4, 9999999999999998.0]
+    rate[[5, 6]] = [1e20, 0.0001]
+    if scheme == "full":
+        gen = np.repeat(np.arange(8), 2 ** np.arange(8))
+        tree = GenealogyTree("full", gen, np.arange(n) - (2 ** gen - 1),
+                             size, rate, birth_time, lifetime)
+    else:
+        tree = GenealogyTree("sparse", np.arange(n), np.zeros(n), size, rate,
+                             birth_time, lifetime,
+                             chain_bits=rng.integers(0, 2, n - 1))
+    path, expected = tmp_path / "tree.csv", tmp_path / "expected.csv"
+    write_genealogy_csv(tree, path)
+    oracle_write_genealogy_csv(tree, expected)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_writer_memory_is_bounded_by_block(tmp_path, variability_spec):
+    # 2^16 - 1 rows fill one block and 2^17 - 1 rows two, so the peak
+    # holds if no block builds the whole file
+    def peak(generations):
+        tree = simulate_full_tree(variability_spec, generations, seed=28)
+        tracemalloc.start()
+        try:
+            write_genealogy_csv(tree, tmp_path / "tree.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < 1.5 * peak(15)
 
 
 def test_writer_spans_blocks(tmp_path, variability_spec, monkeypatch):
@@ -208,6 +252,50 @@ def test_writer_spans_blocks(tmp_path, variability_spec, monkeypatch):
     many = tmp_path / "many.csv"
     write_genealogy_csv(tree, many)
     assert one.read_bytes() == many.read_bytes()
+
+
+def _exact_ties(rng, per_decade):
+    """Doubles whose 18th significant digit is an exact, final 5, so that
+    17 digits tie, in every decade of [1e-4, 1e16): x = a / 2**(s + 1) with
+    a odd makes x * 10**s an odd multiple of 1/2."""
+    out = []
+    for s in range(1, 21):  # x * 10**s has 17 integer digits
+        num = 2 ** (s + 1) * 10 ** max(16 - s, 0)
+        den = 10 ** max(s - 16, 0)
+        lo, hi = -(-num // den), min(-(-10 * num // den), 2 ** 53)
+        odd = rng.integers(lo, hi, per_decade) | 1
+        out.append(np.ldexp(odd.astype(np.float64), -(s + 1)))
+    return np.concatenate(out)
+
+
+def test_float_text_matches_percent_17g():
+    rng = np.random.default_rng(30)
+    decades = np.array([float(f"1e{k}") for k in range(-10, 21)])
+    near = [decades]
+    up = down = decades
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    values = np.concatenate([
+        rng.lognormal(0.0, 1.0, 400_000),
+        10.0 ** rng.uniform(-8.0, 18.0, 500_000),
+        _exact_ties(rng, 5_000),
+        [(2 ** 53 - 1) / 4, 2251799813685246.25, 0.5 + 2 ** -52],
+        2.0 ** 53 + np.arange(-2_000.0, 2_000.0),
+        *near,
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+         np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308],
+        np.ldexp(rng.integers(1, 2 ** 52, 1_000).astype(np.float64), -1074),
+        -rng.lognormal(0.0, 3.0, 10_000),
+    ])
+    assert values.size > 10 ** 6
+    bad = []
+    for start in range(0, values.size, 1 << 16):
+        chunk = values[start:start + (1 << 16)].tolist()
+        got = float_text(chunk).tolist()
+        bad += [(v, g) for v, g in zip(chunk, got)
+                if g != (FLOAT_FORMAT % v).encode()]
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +526,21 @@ def test_curve_tsv_matches_oracle(tmp_path):
         "ints": list(range(12)),
         "floats": [k / 7 for k in range(12)],
     }
+    want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+    oracle_write_curve_tsv(want, columns)
+    write_curve_tsv(got, columns)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_curve_tsv_long_columns_match_oracle(tmp_path):
+    # long enough for the vectorised digits, with values that fall back
+    rng = np.random.default_rng(32)
+    f64 = rng.lognormal(0.0, 2.0, 1000)
+    f64[::97] = [0.0, -1.5, np.nan, np.inf, 1e-9, 1e17, 5e-324, -0.0, 1e-4,
+                 9999999999999998.0, 0.1]
+    columns = {"f64": f64, "i64": rng.integers(-10 ** 12, 10 ** 12, 1000),
+               "bool": rng.random(1000) < 0.5,
+               "f32": rng.random(1000).astype(np.float32)}
     want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
     oracle_write_curve_tsv(want, columns)
     write_curve_tsv(got, columns)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gftree.curves import CurveOnGrid, float_repr
+from gftree.curves import FLOAT_FORMAT, CurveOnGrid
 from gftree.estimator import (EstimatorConfig, estimate_division_rate,
                               kernel_density)
 from gftree.model import PowerLawRate
@@ -208,9 +208,8 @@ def test_ingest_roundtrip_matches_in_memory(tmp_path, variability_spec):
     with open(p, "w") as fh:
         fh.write("size_birth,growth_rate,lifetime\n")
         for i in range(obs.n):
-            fh.write(f"{float_repr(obs.size_birth[i])},"
-                     f"{float_repr(obs.growth_rate[i])},"
-                     f"{float_repr(obs.lifetime[i])}\n")
+            fh.write(",".join(FLOAT_FORMAT % float(c[i]) for c in (
+                obs.size_birth, obs.growth_rate, obs.lifetime)) + "\n")
     back, _ = ingest_lineage_csv(p)
     est_a = estimate_division_rate(obs)
     est_b = estimate_division_rate(back)
