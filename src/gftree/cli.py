@@ -167,8 +167,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0,
                    help="run seed; GFTREE_SEED overrides (default: %(default)s)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for study; the other commands "
-                   "ignore it (default: machine parallelism)")
+                   help="worker processes; only study uses it, and the "
+                   "other commands accept and ignore it (default: machine "
+                   "parallelism)")
     p.add_argument("--out", default=".",
                    help="output directory (default: current)")
     p.add_argument("--no-timestamp", action="store_true",

@@ -495,35 +495,40 @@ def sample_growth_rates_keyed(kernel: GrowthKernel, v_parent: np.ndarray,
                               cap: int = REJECTION_CAP) -> np.ndarray:
     """Child growth rates from kernel(v_parent, .) conditioned to the band,
     by rejection with a hard attempt cap: attempt j of node i draws from
-    the hash stream (node_keys[i], stream, j)."""
+    the hash stream (node_keys[i], stream, j).
+
+    Only the pending lanes are carried from round to round, as the
+    compacted columns (flat index, node key, parent rate), so a round costs
+    in proportion to the lanes it still draws for."""
     v = np.asarray(v_parent, dtype=np.float64)
     if isinstance(kernel, DiracGrowth):
         return kernel.propose(v, None)
 
-    out = np.full(v.shape, np.nan)
-    active = np.ones(v.shape, dtype=bool)
+    out = np.full(v.size, np.nan)
+    lane, keys, parent = np.arange(v.size), np.ravel(node_keys), v.ravel()
     per = kernel.uniforms_per_attempt
     counter = 0
     for _ in range(cap):
-        if not active.any():
+        if not lane.size:
             break
-        sel = np.flatnonzero(active)
         if per == 1:
-            u = streams.draw_uniform(node_keys[sel], stream, counter)
+            u = streams.draw_uniform(keys, stream, counter)
         else:
-            u = (streams.draw_uniform(node_keys[sel], stream, counter),
-                 streams.draw_uniform(node_keys[sel], stream, counter + 1))
-        prop = kernel.propose(v[sel], u)
+            u = (streams.draw_uniform(keys, stream, counter),
+                 streams.draw_uniform(keys, stream, counter + 1))
+        prop = kernel.propose(parent, u)
         ok = _accept_mask(kernel, prop)
-        out[sel[ok]] = prop[ok]
-        active[sel[ok]] = False
+        # integer positions: a boolean mask this random indexes ~3x slower
+        accept, pending = np.flatnonzero(ok), np.flatnonzero(~ok)
+        out[lane[accept]] = prop[accept]
+        lane, keys, parent = lane[pending], keys[pending], parent[pending]
         counter += per
-    if active.any():
+    if lane.size:
         b = kernel.bounds
         raise RejectionBudgetExceeded(
             f"no admissible growth rate in [{b.e_min}, {b.e_max}] within "
-            f"{cap} attempts for parent rate {float(v[active][0])}")
-    return out
+            f"{cap} attempts for parent rate {float(parent[0])}")
+    return out.reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ All integer arithmetic is exact 64-bit wraparound (numpy uint64 arrays), so
 accept/reject decisions and tree topology are identical on every backend.
 The uniform mapping ``((h >> 11) + 0.5) * 2**-53`` is exact dyadic arithmetic
 with values in the open interval (0, 1).
+
+Every function here returns a fresh array and never writes to its
+arguments, so callers may pass views (``run_keys[lo:hi]``), broadcast
+shape-(1,) keys or 0-d parts.  The hashing itself works in place on the
+array that :func:`combine` allocates.
 """
 
 from __future__ import annotations
@@ -34,13 +39,22 @@ STREAM_INITIAL_GROWTH = 5
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    """The splitmix64 finalizer, in place on ``z`` (a fresh array of at
+    least one dimension), with one temporary."""
+    t = z >> _S30
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 def combine(h: np.ndarray, part) -> np.ndarray:
-    """Fold ``part`` into hash state ``h`` (uint64 arrays, broadcastable).
+    """Fold ``part`` into hash state ``h`` (uint64 arrays, broadcastable;
+    ``h`` has at least one dimension).
 
     Adding the golden-ratio constant before the xor removes the zero fixed
     point of the finalizer; the finalizer is a bijection, so distinct
@@ -71,7 +85,11 @@ def draw_hash(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
 def draw_uniform(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
     """One uniform in the open interval (0, 1) per node key."""
     h = draw_hash(node_keys, stream, counter)
-    return ((h >> _S11).astype(np.float64) + 0.5) * (2.0 ** -53)
+    h >>= _S11
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def draw_bit(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:

@@ -5,8 +5,11 @@ A study draws M independent genealogies per target size, estimates the
 division rate on each, and scores the conditioned relative L2 error against
 the true rate.  Replicate seeds are hash-derived from (run seed, size,
 replicate index), so results are identical for any worker count.  The
-replicates of a size are grown in batches of at most ``_FOREST_CELLS``
-cells, one forest per batch; a batch is the unit of work a worker runs.
+replicates of a size are grown in batches, one forest per batch; a batch is
+the unit of work a worker runs.  A full-tree batch stores at most
+``_FOREST_CELLS`` cells.  A sparse forest steps one live cell per lineage,
+so its cost is its number of levels rather than its width, and a sparse
+batch stores up to ``_SPARSE_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -29,7 +31,8 @@ from .model import DivisionRate, ModelSpec
 from .streams import run_key
 from .trees import GenealogyTree, extract_observations, simulate_replicates
 
-_FOREST_CELLS = 1 << 14  # cells grown per batch of study replicates
+_FOREST_CELLS = 1 << 14  # cells stored per batch of full-tree replicates
+_SPARSE_CELLS = 1 << 16  # cells stored per batch of sparse lineages
 
 
 class EmptyConditioningSet(RuntimeError):
@@ -139,11 +142,14 @@ def _replicate_trees(spec: ModelSpec, scheme: str, log2_size: int,
     return simulate_replicates(spec, "sparse", 2 ** log2_size, seeds)
 
 
-def _batches(sizes_log2: Sequence[int], replicates: int):
-    """(log2 size, replicate range) per batch, sizes in the given order."""
+def _batches(sizes_log2: Sequence[int], replicates: int, scheme: str):
+    """(log2 size, replicate range) per batch, sizes in the given order;
+    a batch of ``scheme`` replicates stores at most its scheme's cap of
+    cells, or one replicate when a single one exceeds it."""
+    cap = _SPARSE_CELLS if scheme == "sparse" else _FOREST_CELLS
     out = []
     for k in sizes_log2:
-        step = max(1, _FOREST_CELLS >> k)
+        step = max(1, cap >> k)
         out += [(k, range(a, min(a + step, replicates)))
                 for a in range(0, replicates, step)]
     return out
@@ -155,6 +161,10 @@ def _map_batches(job, batches, workers: int) -> list:
     sizes = [k for k, _ in batches]
     reps = [r for _, r in batches]
     if workers > 1:
+        # imported here so that the other commands do not load
+        # multiprocessing at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, sizes, reps))
     else:
@@ -191,7 +201,8 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
         raise ValueError("need at least one size")
     job = partial(_replicate_errors, spec=spec, scheme=scheme, config=config,
                   seed=seed, conditioning=conditioning)
-    flat = _map_batches(job, _batches(sizes_log2, replicates), workers)
+    flat = _map_batches(job, _batches(sizes_log2, replicates, scheme),
+                        workers)
     rows = []
     for j, k in enumerate(sizes_log2):
         errs = np.array(flat[j * replicates:(j + 1) * replicates])
@@ -248,8 +259,8 @@ def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
     if not (0 < level <= 100):
         raise ValueError("level must lie in (0, 100]")
     job = partial(_replicate_curves, spec=spec, config=config, seed=seed)
-    curves = np.array(_map_batches(job, _batches([log2_size], replicates),
-                                   workers))
+    curves = np.array(_map_batches(job, _batches([log2_size], replicates,
+                                                    "full"), workers))
     n_records = 2 ** log2_size - 1
     dx, m = config.grid.resolve(n_records)
     from .estimator import evaluation_grid
@@ -296,7 +307,8 @@ def variability_ablation(spec: ModelSpec, log2_size: int, replicates: int,
 
     config = EstimatorConfig(threshold_rule=InvSqrtThreshold())
     job = partial(_ablation_pairs, spec=spec, config=config, seed=seed)
-    pairs = _map_batches(job, _batches([log2_size], replicates), workers)
+    pairs = _map_batches(job, _batches([log2_size], replicates, "full"),
+                         workers)
     aware, pooled = np.array(pairs).T
     return AblationResult(aware, pooled)
 

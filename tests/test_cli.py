@@ -346,7 +346,9 @@ def test_pde_check_no_convergence_is_runtime_error(tmp_path, monkeypatch):
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # scipy is imported lazily, by the PDE steady-state solve (scipy.sparse)
     # and the Gaussian growth kernel (scipy.special); loading either with
-    # the CLI would add 0.1-0.3 s to every command's start-up
+    # the CLI would add 0.1-0.3 s to every command's start-up.  The study
+    # process pool is imported only when study runs with --workers > 1,
+    # which keeps about 2 MB of multiprocessing out of every command.
     src = str(Path(gftree.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -354,7 +356,9 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     subprocess.run(
         [sys.executable, "-c",
          "import sys, gftree.cli; "
-         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"],
+         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+         "assert 'multiprocessing' not in sys.modules; "
+         "assert 'concurrent.futures.process' not in sys.modules"],
         env=env, check=True)
 
 

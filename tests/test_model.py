@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
                           invert_hazard, reference_model,
                           sample_growth_rates_keyed, sample_lifetimes_keyed,
                           sample_lifetimes_rejection)
-from gftree.streams import STREAM_GROWTH, child_keys, run_key
+from gftree.streams import STREAM_GROWTH, child_keys, draw_uniform, run_key
 
 SQUARE = PowerLawRate(1.0, 2.0)
 BOUNDS = GrowthBounds(0.2, 3.0)
@@ -241,6 +242,97 @@ def test_rejection_budget_raises():
     with pytest.raises(RejectionBudgetExceeded,
                        match=r"in \[0\.2, 3\.0\] .* parent rate 1\.0$"):
         keyed_growth_rates(kernel, 1.0, 64, cap=3)
+
+
+def masked_growth_rates(kernel, v_parent, node_keys, stream, cap):
+    """The masked rejection loop that the compacted one replaced, kept as
+    its oracle: each round scans the full-size mask of pending lanes and
+    gathers their keys and parent rates.  1-d inputs only."""
+    v = np.asarray(v_parent, dtype=np.float64)
+    if isinstance(kernel, DiracGrowth):
+        return kernel.propose(v, None)
+    out = np.full(v.shape, np.nan)
+    active = np.ones(v.shape, dtype=bool)
+    per = kernel.uniforms_per_attempt
+    counter = 0
+    for _ in range(cap):
+        if not active.any():
+            break
+        sel = np.flatnonzero(active)
+        if per == 1:
+            u = draw_uniform(node_keys[sel], stream, counter)
+        else:
+            u = (draw_uniform(node_keys[sel], stream, counter),
+                 draw_uniform(node_keys[sel], stream, counter + 1))
+        prop = kernel.propose(v[sel], u)
+        ok = kernel.bounds.contains(prop) & ~np.isnan(prop)
+        out[sel[ok]] = prop[ok]
+        active[sel[ok]] = False
+        counter += per
+    if active.any():
+        raise RejectionBudgetExceeded(float(v[active][0]))
+    return out
+
+
+def growth_kernels():
+    grid = np.linspace(0.2, 3.0, 57)
+    bumpy = np.exp(-(grid - 1.0) ** 2) * (1.2 + np.sin(5.0 * grid))
+    return {"dirac": DiracGrowth(1.0, BOUNDS),
+            "uniform": UniformIncrementGrowth(2.0, 0.5, BOUNDS),
+            "gaussian": GaussianIncrementGrowth(0.3, BOUNDS),
+            "resample": IndependentResampleGrowth(grid, bumpy, BOUNDS)}
+
+
+def band_edge_parents(n):
+    """n parent rates: a third at each band edge, a third inside."""
+    inside = np.linspace(0.2, 3.0, n - 2 * (n // 3))
+    return np.concatenate([np.full(n // 3, 0.2), inside,
+                           np.full(n // 3, 3.0)])
+
+
+@pytest.mark.parametrize("name", ["dirac", "uniform", "gaussian",
+                                  "resample"])
+def test_compacted_rejection_matches_masked_loop(name):
+    kernel = growth_kernels()[name]
+    n = 12_000
+    v, keys = band_edge_parents(n), node_keys(n)
+    fast = sample_growth_rates_keyed(kernel, v, keys, STREAM_GROWTH)
+    slow = masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 10 ** 6)
+    assert fast.shape == (n,)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    assert np.all(kernel.bounds.contains(fast))
+
+
+@pytest.mark.parametrize("name", ["dirac", "uniform", "gaussian",
+                                  "resample"])
+def test_compacted_rejection_keeps_shape(name):
+    kernel = growth_kernels()[name]
+    empty = sample_growth_rates_keyed(kernel, np.empty(0), node_keys(0),
+                                      STREAM_GROWTH)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    # the masked loop indexed 2-d inputs by flat positions; the compacted
+    # one draws lane i from its i-th key in C order and keeps the shape
+    v, keys = band_edge_parents(600), node_keys(600)
+    grid = sample_growth_rates_keyed(kernel, v.reshape(20, 30),
+                                     keys.reshape(20, 30), STREAM_GROWTH)
+    flat = masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 10 ** 6)
+    assert grid.shape == (20, 30)
+    assert np.array_equal(grid.ravel(), flat, equal_nan=True)
+
+
+def test_rejection_cap_names_band_and_first_pending_parent():
+    kernel = growth_kernels()["uniform"]
+    n = 12_000
+    v, keys = band_edge_parents(n), node_keys(n)
+    prop = kernel.propose(v, draw_uniform(keys, STREAM_GROWTH, 0))
+    first = v[~kernel.bounds.contains(prop)][0]
+    with pytest.raises(RejectionBudgetExceeded) as oracle:
+        masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 1)
+    assert oracle.value.args == (first,)
+    with pytest.raises(RejectionBudgetExceeded,
+                       match=r"in \[0\.2, 3\.0\] within 1 attempts for "
+                       rf"parent rate {re.escape(str(first))}$"):
+        sample_growth_rates_keyed(kernel, v, keys, STREAM_GROWTH, cap=1)
 
 
 def test_growth_bounds_validation():

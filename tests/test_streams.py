@@ -51,3 +51,35 @@ def test_run_key_parts_change_key():
     assert streams.run_key(1) != streams.run_key(2)
     assert streams.run_key(1, 5) != streams.run_key(1, 6)
     assert streams.run_key(1, 5, 0) != streams.run_key(1, 5, 1)
+
+
+def test_stream_functions_never_modify_their_inputs():
+    # hashing works in place on the array combine allocates; callers pass
+    # shape-(1,) run keys, views of a key column and 0-d parts
+    run = streams.run_key(11)
+    index = np.arange(50, dtype=np.uint64)
+    keys = streams.child_keys(run, index)
+    view = keys[10:30]
+    part = np.array(7, dtype=np.uint64)
+    bits = (index % np.uint64(2))[10:30]
+    before = [a.copy() for a in (run, index, keys, part, bits)]
+    calls = {
+        "combine_broadcast": lambda: streams.combine(run, index),
+        "combine_0d": lambda: streams.combine(view, part),
+        "child_keys_broadcast": lambda: streams.child_keys(run, index),
+        "child_keys_view": lambda: streams.child_keys(view, bits),
+        "draw_uniform_view": lambda: streams.draw_uniform(view, part, 3),
+        "draw_uniform_run": lambda: streams.draw_uniform(run, 2, part),
+    }
+    for name, call in calls.items():
+        out = call()
+        for arr, old in zip((run, index, keys, part, bits), before):
+            assert np.array_equal(arr, old), name
+        for arr in (run, index, keys, part, bits):
+            assert not np.shares_memory(out, arr), name
+    # a broadcast run key equals the same key repeated per index
+    assert np.array_equal(streams.child_keys(run, index),
+                          streams.child_keys(np.repeat(run, index.size),
+                                             index))
+    assert np.array_equal(streams.draw_uniform(view, part, 3),
+                          streams.draw_uniform(view.copy(), 7, 3))

@@ -7,8 +7,10 @@ from gftree.curves import FLOAT_FORMAT, CurveOnGrid
 from gftree.estimator import (EstimatorConfig, estimate_division_rate,
                               kernel_density)
 from gftree.model import PowerLawRate
-from gftree.studies import (EmptyAfterFiltering, EmptyConditioningSet,
-                            ErrorSummary, SchemaError, analyze_experimental,
+from gftree.streams import run_key
+from gftree.studies import (_FOREST_CELLS, _SPARSE_CELLS, EmptyAfterFiltering,
+                            EmptyConditioningSet, ErrorSummary, SchemaError,
+                            _batches, _replicate_trees, analyze_experimental,
                             confidence_band, ingest_lineage_csv,
                             relative_error, run_convergence_study,
                             variability_ablation)
@@ -88,6 +90,58 @@ def test_study_rows_and_sizes(dirac_spec):
 def test_study_rejects_bad_scheme(dirac_spec):
     with pytest.raises(ValueError):
         run_convergence_study(dirac_spec, [5], 2, "funky")
+
+
+def batch_lengths(batches, k):
+    return [len(reps) for size, reps in batches if size == k]
+
+
+def test_sparse_batches_are_wide():
+    batches = _batches(range(5, 11), 100, "sparse")
+    for k in range(5, 11):
+        lengths = batch_lengths(batches, k)
+        assert len(lengths) <= 2 and sum(lengths) == 100
+        assert max(lengths) * 2 ** k <= _SPARSE_CELLS
+    assert batch_lengths(batches, 10) == [64, 36]
+    # every replicate once, in order, sizes in the given order
+    assert [k for k, _ in batches] == sorted(k for k, _ in batches)
+    for k in range(5, 11):
+        reps = [i for size, r in batches if size == k for i in r]
+        assert reps == list(range(100))
+
+
+def test_batches_hold_one_replicate_beyond_the_cap():
+    assert batch_lengths(_batches([16, 17], 3, "sparse"), 16) == [1, 1, 1]
+    assert batch_lengths(_batches([16, 17], 3, "sparse"), 17) == [1, 1, 1]
+    assert batch_lengths(_batches([15], 5, "sparse"), 15) == [2, 2, 1]
+
+
+def test_full_batches_are_unchanged():
+    # a full-tree replicate at 2^k stores 2^k - 1 cells; at most 2^14 per
+    # batch, as before sparse batches widened
+    assert _FOREST_CELLS == 1 << 14
+    batches = _batches(range(5, 11), 100, "full")
+    assert batch_lengths(batches, 10) == [16] * 6 + [4]
+    assert batch_lengths(batches, 9) == [32] * 3 + [4]
+    for k in range(5, 11):
+        lengths = batch_lengths(batches, k)
+        assert sum(lengths) == 100
+        assert max(lengths) == min(100, _FOREST_CELLS >> k)
+
+
+def test_wide_sparse_batch_equals_single_lineages(variability_spec):
+    # growth-rate rejection draws differ per lineage, so a wide batch
+    # carries pending lanes of several lineages at once
+    (k, reps), *_ = _batches([9], 5, "sparse")
+    assert list(reps) == list(range(5))
+    batch = _replicate_trees(variability_spec, "sparse", k, 8, reps)
+    for i, tree in zip(reps, batch):
+        alone = simulate_sparse_lineage(variability_spec, 2 ** k,
+                                        int(run_key(8, k, i)[0]))
+        for col in ("generation", "index", "size_birth", "growth_rate",
+                    "birth_time", "lifetime", "chain_bits"):
+            assert np.array_equal(getattr(tree, col), getattr(alone, col)), \
+                (i, col)
 
 
 # ---------------------------------------------------------------------------
