@@ -10,8 +10,8 @@ from .estimator import (CompactPolynomialKernel, DivisionRateEstimate,
                         InvNThreshold, InvSqrtThreshold, ObservationSet,
                         PowerBandwidth, SmoothnessBandwidth, bandwidth,
                         coverage_denominator, estimate_division_rate,
-                        estimate_division_rate_pooled, kernel_density,
-                        threshold)
+                        estimate_division_rate_pooled, estimate_rows,
+                        kernel_density, threshold)
 from .invariant import (CflViolation, DegenerateDenominator, DriftReport,
                         InvariantSolution, NoConvergence, PdeState,
                         QuadratureOverflow, TransitionEvaluator,

@@ -1,12 +1,11 @@
-"""Hot numerical kernels: vectorised numpy implementations (see ``_np``).
-
-``BACKEND`` and ``compiled_backend()`` remain for run manifests that record
-which implementation ran; numpy is the only one.
-"""
+"""Hot numerical kernels in numpy (see ``_np``): the binned kernel sums of
+many rows (``kernel_sums_rows``) or one (``kernel_sums``), lifetimes and the
+PDE march.  ``BACKEND`` and ``compiled_backend()`` remain for run manifests
+that record which implementation ran; numpy is the only one."""
 
 from __future__ import annotations
 
-from ._np import kernel_sums, pde_run, powerlaw_lifetimes
+from ._np import kernel_sums, kernel_sums_rows, pde_run, powerlaw_lifetimes
 
 BACKEND = "numpy"
 

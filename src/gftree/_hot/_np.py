@@ -20,20 +20,31 @@ BINS_PER_BANDWIDTH = 80  # lattice resolution of the binned kernel sums
 
 def kernel_sums(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
                 radius: float, scale: float) -> np.ndarray:
-    """sum_i K((s_i - c)/h) for a truncated-Gaussian K, per center, by linear
-    binning and one direct convolution (Fan & Marron 1994).
+    """:func:`kernel_sums_rows` of one row, given as a 1-d array."""
+    return kernel_sums_rows(sizes_sorted[None], centers, h, radius, scale)[0]
+
+
+def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
+                     radius: float, scale: float) -> np.ndarray:
+    """sum_i K((s_ri - c)/h) for a truncated-Gaussian K, per row r and
+    center c, by linear binning and a direct correlation (Fan & Marron 1994).
 
     ``radius`` is the truncation radius in units of h; ``scale`` multiplies
     the raw exp(-z^2/2) values (normalisation is applied by the caller).
-    Sizes must be sorted ascending, so each bin sums in a canonical order.
+    Rows must be sorted ascending, so each bin sums in a canonical order.
     Only sizes within reach of a center are binned, on a lattice of spacing
     <= h/BINS_PER_BANDWIDTH that holds evenly spaced centers exactly (others
     are interpolated); a center with no size within radius*h gets exactly 0.
-    Where the pairs within reach are no more than the bins, they are summed.
+    One row-offset ``bincount`` bins every row; each row's valid-mode
+    correlation with the symmetric taps gives the lattice points
+    [span, size - span), the only ones the centers read.  A row whose
+    pairs within reach are no more than the bins sums them instead.
     """
     reach = radius * h
-    lo = np.searchsorted(sizes_sorted, centers - reach, side="left")
-    hi = np.searchsorted(sizes_sorted, centers + reach, side="right")
+    lo = np.array([np.searchsorted(s, centers - reach, side="left")
+                   for s in sizes_sorted])
+    hi = np.array([np.searchsorted(s, centers + reach, side="right")
+                   for s in sizes_sorted])
     c0, c1 = float(centers.min()), float(centers.max())
     step = (c1 - c0) / (centers.size - 1) if c1 > c0 else h
     delta = step / np.ceil(step * BINS_PER_BANDWIDTH / h)
@@ -41,17 +52,27 @@ def kernel_sums(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
     origin = c0 - (span + 1) * delta
     size = int((c1 - origin) / delta) + span + 3
     pairs = hi - lo
-    if pairs.sum() <= size:  # e.g. h far below the center spacing
-        j = np.repeat(np.arange(centers.size), pairs)
-        k = np.arange(j.size) + np.repeat(lo - np.cumsum(pairs) + pairs, pairs)
-        z = (sizes_sorted[k] - centers[j]) / h
-        return np.bincount(j, np.exp(-0.5 * z * z), centers.size) * scale
-    t = (sizes_sorted[lo.min():hi.max()] - origin) / delta
+    summed = pairs.sum(axis=1) <= size  # e.g. h far below the center step
+    out = np.zeros(lo.shape)
+    for r in np.flatnonzero(summed):
+        j = np.repeat(np.arange(centers.size), pairs[r])
+        k = np.arange(j.size) + np.repeat(lo[r] - np.cumsum(pairs[r])
+                                          + pairs[r], pairs[r])
+        z = (sizes_sorted[r, k] - centers[j]) / h
+        out[r] = np.bincount(j, np.exp(-0.5 * z * z), centers.size)
+    binned = np.flatnonzero(~summed)
+    parts = [sizes_sorted[r, lo[r].min():hi[r].max()] for r in binned]
+    t = (np.concatenate(parts or [np.empty(0)]) - origin) / delta
     i = t.astype(np.intp)
-    w = np.bincount(i, 1.0 - (t - i), size) + np.bincount(i + 1, t - i, size)
+    t -= i  # each size's fraction past its bin
+    i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
+    bins = binned.size * size
+    w = np.bincount(i, 1.0 - t, bins) + np.bincount(i + 1, t, bins)
     taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
-    lattice = np.convolve(w, taps)[span:span + size]
-    out = np.interp((centers - origin) / delta, np.arange(size), lattice)
+    x = (centers - origin) / delta
+    for r, row in zip(binned, w.reshape(-1, size)):
+        out[r] = np.interp(x, np.arange(span, size - span),
+                           np.correlate(row, taps, "valid"))
     return np.where(hi > lo, out, 0.0) * scale
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import studies
+from .curves import write_curve_tsv
 from .estimator import (EstimatorConfig, FixedBandwidth, FixedThreshold,
                         GaussianKernel, GridSpec, InvLogThreshold,
                         InvNThreshold, InvSqrtThreshold, PowerBandwidth,
@@ -237,8 +238,6 @@ def cmd_estimate(args) -> int:
     write_estimate_tsv(est, tsv)
     write_estimate_report(est, config, out / "estimate.json")
     if args.cross_check:
-        import numpy as np
-
         from .estimator import estimate_division_rate_parent_indexed
         from .trees import parent_child_arrays
 
@@ -378,7 +377,6 @@ def cmd_pde_check(args) -> int:
     flux = flux_identity_error(pde, rate, tau, 0.5, 2.5)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .curves import write_curve_tsv
     write_curve_tsv(out / "invariant_density.tsv",
                     {"x": inv.x, "nu": inv.values})
     write_curve_tsv(out / "pde_steady_state.tsv",
@@ -435,7 +433,6 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_estimate_tsv(analysis.rate_estimate, out / "estimate.tsv")
-    from .curves import write_curve_tsv
     write_curve_tsv(out / "density.tsv", {
         "y": analysis.density_curve.x,
         "nu_hat": analysis.density_curve.values,

@@ -1,15 +1,15 @@
 """Nonparametric estimation of the division rate from flat cell records.
 
 The input is a flat set of per-cell observations (size at birth, exponential
-growth rate, lifetime) with no genealogy attached.  The estimate of the
-division rate at a point y is a plug-in ratio
+growth rate, lifetime) with no genealogy attached.  The estimate at y is
 
     b_hat(y) = (y/2) * nu_hat(y/2) / max(D_raw(y), threshold)
 
 where nu_hat is a kernel density estimate of the size-at-birth distribution
 and D_raw(y) averages (1/growth_rate) over cells whose size interval
-[size_birth, size_birth * e^{rate * lifetime}] covers y.  The threshold floor
-keeps the ratio defined where the data carry no mass.
+[size_birth, size_birth * e^{rate * lifetime}] covers y; the floor keeps the
+ratio defined where the data carry no mass.  Samples of one size are rows of
+(R, n) arrays, estimated in one pass; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -289,20 +289,25 @@ class EstimatorConfig:
 
 def _kernel_sums(sizes: np.ndarray, centers: np.ndarray, h: float,
                  kernel: KernelSpec) -> np.ndarray:
-    """sum_i K((xi_i - c)/h) for each center c (unnormalised): binned for
-    the Gaussian, exact per center for the polynomial kernel, whose jump at
-    the support edge linear binning would smear."""
-    s = np.sort(sizes)
+    """sum_i K((xi_ri - c)/h) per row r of ``sizes`` and center c
+    (unnormalised): binned for the Gaussian, exact per center for the
+    polynomial kernel, whose jump at the support edge linear binning would
+    smear."""
+    s = np.sort(sizes, axis=1)
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
     if isinstance(kernel, GaussianKernel):
-        return _hot.kernel_sums(s, centers, h, kernel.radius, kernel._scale)
+        if len(s) == 1:  # the one-row case, under its traced name
+            return _hot.kernel_sums(s[0], centers, h, kernel.radius,
+                                    kernel._scale)[None]
+        return _hot.kernel_sums_rows(s, centers, h, kernel.radius,
+                                     kernel._scale)
     r = kernel.support_radius
-    lo = np.searchsorted(s, centers - r * h, side="left")
-    hi = np.searchsorted(s, centers + r * h, side="right")
-    out = np.zeros(centers.size)
-    for j in range(centers.size):
-        if hi[j] > lo[j]:
-            out[j] = float(np.sum(kernel((s[lo[j]:hi[j]] - centers[j]) / h)))
+    out = np.zeros((len(s), centers.size))
+    for row, srow in zip(out, s):
+        lo = np.searchsorted(srow, centers - r * h, side="left")
+        hi = np.searchsorted(srow, centers + r * h, side="right")
+        for j in np.flatnonzero(hi > lo):
+            row[j] = float(np.sum(kernel((srow[lo[j]:hi[j]] - centers[j]) / h)))
     return out
 
 
@@ -316,25 +321,29 @@ def kernel_density(obs: ObservationSet, y, h: float,
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     scalar = np.ndim(y) == 0
-    vals = _kernel_sums(obs.size_birth, np.atleast_1d(y), h, kernel)
+    vals = _kernel_sums(obs.size_birth[None], np.atleast_1d(y), h, kernel)[0]
     out = np.maximum(vals / (obs.n * h), 0.0)
     return float(out[0]) if scalar else out
 
 
 def _coverage_sums(sizes: np.ndarray, y: np.ndarray,
                    weight: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """sum_i w_i 1{sizes_i <= y <= upper_i} per ascending query point.
+    """sum_i w_ri 1{sizes_ri <= y <= upper_ri} per row r and ascending y.
 
-    Row i adds w_i from the first y >= sizes_i on and takes it off from the
-    first y > upper_i on.  Rows enter the buckets in weight order, so the
-    sums do not depend on row order (equal weights are interchangeable).
+    Cell i adds w_ri from the first y >= sizes_ri on and takes it off from
+    the first y > upper_ri on: a row-offset ``bincount`` per edge, then a
+    cumulative sum along each row.  Cells enter the buckets in their row's
+    weight order, so the sums do not depend on cell order (equal weights
+    are interchangeable).
     """
-    order = np.argsort(weight)
-    w = weight[order]
-    start = np.searchsorted(y, sizes[order], side="left")
-    stop = np.searchsorted(y, upper[order], side="right")
+    order = np.argsort(weight, axis=1)
+    w = np.take_along_axis(weight, order, axis=1).ravel()
     m = y.size + 1
-    return np.cumsum(np.bincount(start, w, m) - np.bincount(stop, w, m))[:-1]
+    edges = [np.searchsorted(y, np.take_along_axis(x, order, axis=1), side)
+             + m * np.arange(len(order))[:, None]
+             for x, side in ((sizes, "left"), (upper, "right"))]
+    start, stop = (np.bincount(e.ravel(), w, m * len(order)) for e in edges)
+    return np.cumsum((start - stop).reshape(-1, m), axis=1)[:, :-1]
 
 
 def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
@@ -345,8 +354,9 @@ def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
     scalar = np.ndim(y) == 0
     yq = np.atleast_1d(np.asarray(y, dtype=np.float64))
     rank = np.argsort(np.argsort(yq))
-    raw = _coverage_sums(obs.size_birth, np.sort(yq), 1.0 / obs.growth_rate,
-                         obs.division_size())[rank] / obs.n
+    raw = _coverage_sums(obs.size_birth[None], np.sort(yq),
+                         1.0 / obs.growth_rate[None],
+                         obs.division_size()[None])[0, rank] / obs.n
     out = raw if floor is None else np.maximum(raw, floor)
     return float(out[0]) if scalar else out
 
@@ -393,35 +403,50 @@ def evaluation_grid(dx: float, m: int) -> np.ndarray:
     return dx + dx * np.arange(m)
 
 
-def _assemble(obs: ObservationSet, config: EstimatorConfig,
+def _assemble(size_birth: np.ndarray, config: EstimatorConfig,
               sizes: np.ndarray, weight: np.ndarray, upper: np.ndarray,
-              pooled: bool = False) -> DivisionRateEstimate:
-    """The estimate on the config's grid, its denominator covered by the
-    rows ``sizes <= y <= upper`` with the given weights."""
-    n = obs.n
+              pooled: bool = False) -> list[DivisionRateEstimate]:
+    """The estimates of the (R, n) samples ``size_birth`` on the config's
+    grid, row r's denominator covered by its cells ``sizes <= y <= upper``
+    with the given weights ((R, k) arrays).  The rows share n, hence the
+    bandwidth, floor and grid, and each sum takes them all in one pass."""
+    n = size_birth.shape[1]
     h = bandwidth(config.bandwidth_rule, n)
     floor = threshold(config.threshold_rule, n)
     dx, m = config.grid.resolve(n)
     y = evaluation_grid(dx, m)
     raw_den = _coverage_sums(sizes, y, weight, upper) / n
-    dens_raw = _kernel_sums(obs.size_birth, y / 2.0, h, config.kernel) / (n * h)
-    negative = int(np.sum(dens_raw < 0))
+    dens_raw = _kernel_sums(size_birth, y / 2.0, h, config.kernel) / (n * h)
+    negative = np.sum(dens_raw < 0, axis=1)
     dens = np.maximum(dens_raw, 0.0)
-    den = np.maximum(raw_den, floor)
-    values = 0.5 * y * dens / den
-    return DivisionRateEstimate(
-        curve=CurveOnGrid(float(y[0]), dx, values), nu_values=dens,
-        raw_denominator=raw_den, clipped=raw_den < floor, h=h,
-        threshold_value=floor, n=n, negative_density_points=negative,
-        pooled=pooled)
+    values = 0.5 * y * dens / np.maximum(raw_den, floor)
+    return [DivisionRateEstimate(
+        curve=CurveOnGrid(float(y[0]), dx, v), nu_values=d,
+        raw_denominator=raw, clipped=raw < floor, h=h, threshold_value=floor,
+        n=n, negative_density_points=int(neg), pooled=pooled)
+        for v, d, raw, neg in zip(values, dens, raw_den, negative)]
+
+
+def estimate_rows(size_birth: np.ndarray, growth_rate: np.ndarray,
+                  lifetime: np.ndarray,
+                  config: EstimatorConfig = EstimatorConfig(),
+                  pooled: bool = False) -> list[DivisionRateEstimate]:
+    """One estimate per row of the (R, n) cell columns, variability-aware
+    or, with ``pooled``, with each row's growth rates replaced by their
+    mean in the denominator indicator and weight."""
+    if pooled:
+        growth_rate = np.array([[np.mean(v)] for v in growth_rate])
+    weight = np.broadcast_to(1.0 / growth_rate, size_birth.shape)
+    return _assemble(size_birth, config, size_birth, weight,
+                     size_birth * np.exp(growth_rate * lifetime), pooled)
 
 
 def estimate_division_rate(obs: ObservationSet,
                            config: EstimatorConfig = EstimatorConfig()
                            ) -> DivisionRateEstimate:
     """Variability-aware estimate: each cell keeps its own growth rate."""
-    return _assemble(obs, config, obs.size_birth, 1.0 / obs.growth_rate,
-                     obs.division_size())
+    return estimate_rows(obs.size_birth[None], obs.growth_rate[None],
+                         obs.lifetime[None], config)[0]
 
 
 def estimate_division_rate_pooled(obs: ObservationSet,
@@ -429,10 +454,8 @@ def estimate_division_rate_pooled(obs: ObservationSet,
                                   ) -> DivisionRateEstimate:
     """Variability-ignoring control: every growth rate is replaced by the
     sample mean in the denominator indicator and weight."""
-    tau_bar = float(np.mean(obs.growth_rate))
-    upper = obs.size_birth * np.exp(tau_bar * obs.lifetime)
-    return _assemble(obs, config, obs.size_birth,
-                     np.full(obs.n, 1.0 / tau_bar), upper, pooled=True)
+    return estimate_rows(obs.size_birth[None], obs.growth_rate[None],
+                         obs.lifetime[None], config, pooled=True)[0]
 
 
 def estimate_division_rate_parent_indexed(
@@ -446,9 +469,9 @@ def estimate_division_rate_parent_indexed(
     observation count.  Agrees with the self-indexed estimate up to
     boundary-generation effects.
     """
-    return _assemble(obs, config, np.asarray(parent_size, dtype=np.float64),
-                     1.0 / np.asarray(parent_growth, dtype=np.float64),
-                     2.0 * np.asarray(child_size, dtype=np.float64))
+    ps, pg, cs = (np.asarray(a, dtype=np.float64)[None]
+                  for a in (parent_size, parent_growth, child_size))
+    return _assemble(obs.size_birth[None], config, ps, 1.0 / pg, 2.0 * cs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -489,11 +489,6 @@ class DriftReport:
         }
 
 
-def _drift_weight(x: np.ndarray, params: ClassParams,
-                  bounds: GrowthBounds) -> np.ndarray:
-    return np.exp(params.m * x ** params.lam / (bounds.e_min * params.lam))
-
-
 def verify_drift(params: ClassParams, rate: DivisionRate,
                  bounds: GrowthBounds, x_max: float = 8.0,
                  dx: float = 1e-2, quad_points: int = 2001) -> DriftReport:

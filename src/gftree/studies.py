@@ -9,7 +9,8 @@ replicates of a size are grown in batches, one forest per batch; a batch is
 the unit of work a worker runs.  A full-tree batch stores at most
 ``_FOREST_CELLS`` cells.  A sparse forest steps one live cell per lineage,
 so its cost is its number of levels rather than its width, and a sparse
-batch stores up to ``_SPARSE_CELLS`` cells.
+batch stores up to ``_SPARSE_CELLS`` cells.  A batch's replicates are
+estimated together, as rows, ``_FOREST_CELLS`` cells per pass.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import streams
 from .curves import CurveOnGrid, write_curve_tsv
 from .estimator import (DivisionRateEstimate, EstimatorConfig,
-                        ObservationSet, estimate_division_rate,
-                        estimate_division_rate_pooled, kernel_density)
+                        InvSqrtThreshold, ObservationSet,
+                        estimate_division_rate, estimate_rows,
+                        evaluation_grid, kernel_density)
 from .model import DivisionRate, ModelSpec
-from .streams import run_key
-from .trees import GenealogyTree, extract_observations, simulate_replicates
+from .trees import grow_replicates
 
 _FOREST_CELLS = 1 << 14  # cells stored per batch of full-tree replicates
 _SPARSE_CELLS = 1 << 16  # cells stored per batch of sparse lineages
@@ -74,8 +76,8 @@ def relative_error(estimate: CurveOnGrid, truth: DivisionRate,
 def estimate_error(est: DivisionRateEstimate, truth: DivisionRate,
                    conditioning: Optional[float] = None) -> float:
     """Relative error of a full estimate; the conditioning threshold
-    defaults to 1/log(n)."""
-    cond = conditioning if conditioning is not None else 1.0 / math.log(est.n)
+    defaults to the estimator's own floor, ``est.threshold_value``."""
+    cond = conditioning if conditioning is not None else est.threshold_value
     return relative_error(est.curve, truth, est.raw_denominator, cond)
 
 
@@ -85,10 +87,11 @@ def estimate_error(est: DivisionRateEstimate, truth: DivisionRate,
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Replicate errors at one target size."""
+    """Errors of the replicates at one size with a conditioning set."""
 
     n: int
     per_replicate: np.ndarray
+    empty_conditioning: int = 0  # replicates without one
 
     def __post_init__(self):
         object.__setattr__(self, "per_replicate",
@@ -131,17 +134,6 @@ class ConvergenceStudy:
         return [row.mean_error for row in self.rows]
 
 
-def _replicate_trees(spec: ModelSpec, scheme: str, log2_size: int,
-                     seed: int, reps: range) -> list[GenealogyTree]:
-    """The genealogies of replicates ``reps`` at target size 2^log2_size,
-    grown as one forest: the full scheme simulates k-1 generations
-    (2^k - 1 records), the sparse scheme a lineage of exactly 2^k cells."""
-    seeds = [int(run_key(seed, log2_size, i)[0]) for i in reps]
-    if scheme == "full":
-        return simulate_replicates(spec, "full", max(log2_size - 1, 0), seeds)
-    return simulate_replicates(spec, "sparse", 2 ** log2_size, seeds)
-
-
 def _batches(sizes_log2: Sequence[int], replicates: int, scheme: str):
     """(log2 size, replicate range) per batch, sizes in the given order;
     a batch of ``scheme`` replicates stores at most its scheme's cap of
@@ -172,13 +164,50 @@ def _map_batches(job, batches, workers: int) -> list:
     return [x for part in parts for x in part]
 
 
-def _replicate_errors(log2_size: int, reps: range, spec: ModelSpec,
-                      scheme: str, config: EstimatorConfig, seed: int,
-                      conditioning: Optional[float]) -> list[float]:
-    return [estimate_error(estimate_division_rate(extract_observations(tree),
-                                                  config),
-                           spec.division_rate, conditioning)
-            for tree in _replicate_trees(spec, scheme, log2_size, seed, reps)]
+def _run_keys(seed: int, log2_size: int, reps: range) -> np.ndarray:
+    """``run_key(int(run_key(seed, log2_size, i)[0]))`` for each i in reps."""
+    i = np.arange(reps.start, reps.stop, dtype=np.uint64)
+    return streams.combine(streams.run_key(seed, log2_size, i), 0)
+
+
+def _replicate_results(log2_size: int, reps: range, spec: ModelSpec,
+                       scheme: str, config: EstimatorConfig, seed: int,
+                       kind: str, conditioning: Optional[float] = None
+                       ) -> list:
+    """One result per replicate in ``reps`` at target size 2^log2_size, all
+    grown as one forest (full: k-1 generations, 2^k - 1 records; sparse: a
+    lineage of 2^k cells) and estimated row-wise, in passes of at most
+    ``_FOREST_CELLS`` cells that bound the memory: its curve
+    (``kind="curve"``), its :func:`estimate_error` or nan when no grid
+    point passes the conditioning (``"error"``), or its aware and pooled
+    errors for :func:`variability_ablation` (``"ablation"``)."""
+    size = max(log2_size - 1, 0) if scheme == "full" else 2 ** log2_size
+    cols = grow_replicates(spec, scheme, size,
+                           _run_keys(seed, log2_size, reps))[[0, 1, 3]]
+    step = max(1, _FOREST_CELLS // cols.shape[2])  # rows per pass
+
+    def estimate(pooled=False):
+        return [est for a in range(0, cols.shape[1], step) for est in
+                estimate_rows(*cols[:, a:a + step], config, pooled)]
+
+    aware = estimate()
+    if kind == "curve":
+        return [est.values for est in aware]
+    if kind == "ablation":  # both errors on the aware floor's upper third
+        pooled = estimate(pooled=True)
+        m = aware[0].y.size
+        raws = np.where(np.arange(m) >= (2 * m) // 3,
+                        [a.raw_denominator for a in aware], 0.0)
+        return [tuple(relative_error(e.curve, spec.division_rate, raw,
+                                     a.threshold_value) for e in (a, p))
+                for a, p, raw in zip(aware, pooled, raws)]
+    out = []
+    for est in aware:
+        try:
+            out.append(estimate_error(est, spec.division_rate, conditioning))
+        except EmptyConditioningSet:
+            out.append(math.nan)
+    return out
 
 
 def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
@@ -192,21 +221,29 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
 
     The full scheme simulates k-1 generations for target size 2^k (2^k - 1
     records); the sparse scheme follows a lineage of exactly 2^k cells.
-    All estimator rules evaluate at the actual record count.
+    All estimator rules evaluate at the actual record count.  Replicates
+    with an empty conditioning set are counted, not scored; a size where
+    every replicate has one raises :class:`EmptyConditioningSet`.
     """
     if scheme not in ("full", "sparse"):
         raise ValueError("scheme must be 'full' or 'sparse'")
     sizes_log2 = sorted(sizes_log2)
     if not sizes_log2:
         raise ValueError("need at least one size")
-    job = partial(_replicate_errors, spec=spec, scheme=scheme, config=config,
-                  seed=seed, conditioning=conditioning)
+    job = partial(_replicate_results, spec=spec, scheme=scheme, config=config,
+                  seed=seed, kind="error", conditioning=conditioning)
     flat = _map_batches(job, _batches(sizes_log2, replicates, scheme),
                         workers)
     rows = []
     for j, k in enumerate(sizes_log2):
         errs = np.array(flat[j * replicates:(j + 1) * replicates])
-        rows.append(ErrorSummary(n=2 ** k, per_replicate=errs))
+        empty = np.isnan(errs)
+        if empty.all():
+            raise EmptyConditioningSet(
+                f"at n = {2 ** k} no replicate has a grid point whose "
+                "denominator passes the conditioning threshold")
+        rows.append(ErrorSummary(n=2 ** k, per_replicate=errs[~empty],
+                                 empty_conditioning=int(empty.sum())))
     slope, stderr = _loglog_slope(np.array([r.n for r in rows], dtype=float),
                                   np.array([r.mean_error for r in rows]))
     return ConvergenceStudy(scheme, tuple(rows), slope, stderr)
@@ -242,12 +279,6 @@ class ConfidenceBand:
     replicates: int
 
 
-def _replicate_curves(log2_size: int, reps: range, spec: ModelSpec,
-                      config: EstimatorConfig, seed: int) -> list[np.ndarray]:
-    return [estimate_division_rate(extract_observations(tree), config).values
-            for tree in _replicate_trees(spec, "full", log2_size, seed, reps)]
-
-
 def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
                     config: EstimatorConfig = EstimatorConfig(),
                     level: float = 95.0, seed: int = 0,
@@ -258,13 +289,11 @@ def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
         raise ValueError("need at least 20 replicates for a band")
     if not (0 < level <= 100):
         raise ValueError("level must lie in (0, 100]")
-    job = partial(_replicate_curves, spec=spec, config=config, seed=seed)
+    job = partial(_replicate_results, spec=spec, scheme="full",
+                  config=config, seed=seed, kind="curve")
     curves = np.array(_map_batches(job, _batches([log2_size], replicates,
                                                     "full"), workers))
-    n_records = 2 ** log2_size - 1
-    dx, m = config.grid.resolve(n_records)
-    from .estimator import evaluation_grid
-    y = evaluation_grid(dx, m)
+    y = evaluation_grid(*config.grid.resolve(2 ** log2_size - 1))
     tail = (100.0 - level) / 200.0
     return ConfidenceBand(
         y=y,
@@ -303,39 +332,13 @@ def variability_ablation(spec: ModelSpec, log2_size: int, replicates: int,
     sparse-density region) and conditions both errors on the aware
     estimator's raw denominator exceeding the floor.
     """
-    from .estimator import InvSqrtThreshold
-
     config = EstimatorConfig(threshold_rule=InvSqrtThreshold())
-    job = partial(_ablation_pairs, spec=spec, config=config, seed=seed)
+    job = partial(_replicate_results, spec=spec, scheme="full",
+                  config=config, seed=seed, kind="ablation")
     pairs = _map_batches(job, _batches([log2_size], replicates, "full"),
                          workers)
     aware, pooled = np.array(pairs).T
     return AblationResult(aware, pooled)
-
-
-def _ablation_pairs(log2_size: int, reps: range, spec: ModelSpec,
-                    config: EstimatorConfig,
-                    seed: int) -> list[tuple[float, float]]:
-    return [_ablation_pair(tree, spec, config)
-            for tree in _replicate_trees(spec, "full", log2_size, seed, reps)]
-
-
-def _ablation_pair(tree: GenealogyTree, spec: ModelSpec,
-                   config: EstimatorConfig) -> tuple[float, float]:
-    obs = extract_observations(tree)
-    aware = estimate_division_rate(obs, config)
-    pooled = estimate_division_rate_pooled(obs, config)
-    m = len(aware.curve)
-    mask = ((aware.raw_denominator > aware.threshold_value)
-            & (np.arange(m) >= (2 * m) // 3))
-    if not np.any(mask):
-        raise EmptyConditioningSet("upper grid third carries no mass")
-    y = aware.y[mask]
-    truth = np.asarray(spec.division_rate(y))
-    scale = np.sum(truth ** 2)
-    ea = float(np.sqrt(np.sum((aware.values[mask] - truth) ** 2) / scale))
-    ep = float(np.sqrt(np.sum((pooled.values[mask] - truth) ** 2) / scale))
-    return ea, ep
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,8 @@ def study_report_dict(full: ConvergenceStudy,
                       replicates: int) -> dict:
     def rows(study):
         return [{"log2_n": int(round(math.log2(r.n))),
-                 "n": r.n, "mean_error": r.mean_error,
+                 "n": r.n, "empty_conditioning": r.empty_conditioning,
+                 "mean_error": r.mean_error,
                  "std_dev": r.std_dev, "median_error": r.median_error,
                  "per_replicate": r.per_replicate.tolist()}
                 for r in study.rows]

@@ -15,7 +15,7 @@ generation of cells from any number of roots: the full tree keeps both
 children of every cell, the sparse lineage and the tagged branch one child
 drawn from the cell's choice stream, and the many-to-one check grows
 tagged branches and whole trees up to a fixed time.  Study replicates are
-grown together as one forest per batch (:func:`simulate_replicates`).
+grown together as one forest per batch (:func:`grow_replicates`).
 """
 
 from __future__ import annotations
@@ -282,26 +282,21 @@ def _grow_until(forest: _Forest, t: float, pick: bool):
                        f"{_MAX_FOREST_LEVELS} generations")
 
 
-def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
-                        seeds) -> list[GenealogyTree]:
-    """One genealogy per seed, grown together as one forest.
-
-    ``scheme="full"`` gives every cell of generations 0..``size``;
-    ``"sparse"`` a lineage of ``size`` cells that follows, at each
-    division, the child drawn from the cell's choice stream.  Each tree
-    equals the one :func:`simulate_full_tree` or
-    :func:`simulate_sparse_lineage` returns for its seed.
-    """
+def grow_replicates(spec: ModelSpec, scheme: str, size: int,
+                    run_keys: np.ndarray) -> np.ndarray:
+    """Size at birth, growth rate, birth time, lifetime and (sparse only)
+    the bit each cell was reached by, as a (column, replicate, cell) array:
+    one genealogy per run key, grown together as one forest, its cells in
+    breadth-first order.  ``scheme="full"`` gives every cell of generations
+    0..``size``; ``"sparse"`` a lineage of ``size`` cells that follows, at
+    each division, the child drawn from the cell's choice stream."""
     if scheme not in ("full", "sparse"):
         raise ValueError(f"unknown scheme {scheme!r}")
     full = scheme == "full"
     levels = size + 1 if full else size
-    n = len(seeds)
-    forest = _Forest(spec, np.concatenate([streams.run_key(s)
-                                           for s in seeds]))
-    # one row per tree: its cells in breadth-first order, per column
-    width = 2 ** levels - 1 if full else levels
-    cols = np.empty((4 if full else 5, n, width))
+    n = run_keys.size
+    forest = _Forest(spec, run_keys)
+    cols = np.empty((4 if full else 5, n, 2 ** levels - 1 if full else levels))
     start = 0
     for g in range(levels):
         if g:
@@ -311,17 +306,23 @@ def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
                                    forest.life, forest.bit)):
             out[:, start:end] = col.reshape(n, -1)
         start = end
-    size_birth, rate, birth, life = cols[:4]
-    if full:
-        gen = np.repeat(np.arange(levels), 2 ** np.arange(levels))
-        index = np.arange(width) - (2 ** gen - 1)
-        return [GenealogyTree("full", gen, index, size_birth[r], rate[r],
-                              birth[r], life[r]) for r in range(n)]
-    gen = np.arange(levels)
-    index = np.zeros(levels, dtype=np.int64)
-    return [GenealogyTree("sparse", gen, index, size_birth[r], rate[r],
-                          birth[r], life[r], chain_bits=cols[4, r, 1:])
-            for r in range(n)]
+    return cols
+
+
+def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
+                        seeds) -> list[GenealogyTree]:
+    """One genealogy per seed, grown together by :func:`grow_replicates`;
+    each equals the one :func:`simulate_full_tree` or
+    :func:`simulate_sparse_lineage` returns for its seed."""
+    cols = grow_replicates(spec, scheme, size,
+                           np.concatenate([streams.run_key(s) for s in seeds]))
+    gen, index = np.arange(cols.shape[2]), np.zeros(cols.shape[2], np.int64)
+    if scheme == "full":
+        gen = np.repeat(np.arange(size + 1), 2 ** np.arange(size + 1))
+        index = np.arange(gen.size) - (2 ** gen - 1)
+    return [GenealogyTree(scheme, gen, index, *cols[:4, r],
+                          chain_bits=cols[4, r, 1:] if len(cols) > 4 else None)
+            for r in range(len(seeds))]
 
 
 def simulate_full_tree(spec: ModelSpec, generations: int,

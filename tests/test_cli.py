@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 import gftree
 from gftree.cli import main, make_parser, parse_rate, parse_size_range
 from gftree.invariant import solve_conservative_pde
-from gftree.model import PowerLawRate, reference_model
+from gftree.model import (PowerLawRate, reference_model,
+                          sample_growth_rates_keyed)
+from gftree.trees import population_snapshot, simulate_full_tree
 
 
 def run(args, **kwargs):
@@ -188,6 +191,19 @@ def test_study_outputs(tmp_path):
     report = json.loads((tmp_path / "study.json").read_text())
     assert {r["n"] for r in report["full"]["rows"]} == {32, 64, 128}
     assert "slope" in report["full"]
+
+
+def test_study_counts_replicates_with_empty_conditioning(tmp_path):
+    """Under variable growth at 2^5 some replicates keep no grid point above
+    the floor: they are counted, and the summary is taken over the rest."""
+    assert run(["study", "--rho", "uniform-increment:2.0,0.5", "--sizes",
+                "5..5", "--replicates", 5, "--band-size", 0, "--full-only",
+                "--out", tmp_path, "--no-timestamp"]) == 0
+    row, = json.loads((tmp_path / "study.json").read_text())["full"]["rows"]
+    assert 0 < row["empty_conditioning"] < 5
+    assert len(row["per_replicate"]) == 5 - row["empty_conditioning"]
+    assert row["mean_error"] == pytest.approx(
+        sum(row["per_replicate"]) / len(row["per_replicate"]), rel=1e-15)
 
 
 def test_study_reference_ladder_has_six_rows(tmp_path):
@@ -416,3 +432,100 @@ def test_ingest_negative_drop_is_usage_error(tmp_path, capsys, flag):
     assert run(["ingest", "--input", src, flag, "-1", "--out", out]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Exit codes of the typed errors
+# ---------------------------------------------------------------------------
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _schema_error(tmp_path, monkeypatch):
+    return ["ingest", "--input", _write(tmp_path / "cells.csv",
+                                        "size_birth,growth_rate\n1.0,1.0\n")]
+
+
+def _empty_after_filtering(tmp_path, monkeypatch):
+    return ["ingest", "--input", _write(
+        tmp_path / "cells.csv",
+        "size_birth,growth_rate,lifetime\n1.0,-1.0,0.5\n0.0,1.0,0.5\n")]
+
+
+def _quadrature_overflow(tmp_path, monkeypatch):
+    return ["verify", "--drift"]  # the reference band is too wide
+
+
+def _non_divergent_hazard(tmp_path, monkeypatch):
+    model = json.loads(reference_model("dirac").to_json())
+    model["division_rate"] = {"form": "tabulated", "grid": [0.5, 4.0],
+                              "values": [0.0, 0.0]}
+    path = _write(tmp_path / "model.json", json.dumps(model))
+    return ["simulate", "--model", path, "--scheme", "full",
+            "--generations", 2]
+
+
+def _horizon_exceeded(tmp_path, monkeypatch):
+    def snapshot_after_the_leaves_divide(spec, generations, seed):
+        population_snapshot(simulate_full_tree(spec, 0, seed), 1e6)
+
+    monkeypatch.setattr(gftree.cli, "simulate_full_tree",
+                        snapshot_after_the_leaves_divide)
+    return ["simulate", "--scheme", "full", "--generations", 2]
+
+
+def _rejection_budget_exceeded(tmp_path, monkeypatch):
+    monkeypatch.setattr(gftree.trees, "sample_growth_rates_keyed",
+                        functools.partial(sample_growth_rates_keyed, cap=1))
+    return ["simulate", "--scheme", "full", "--generations", 6]
+
+
+def _no_convergence(tmp_path, monkeypatch):
+    monkeypatch.setattr(gftree.cli, "solve_conservative_pde",
+                        functools.partial(solve_conservative_pde,
+                                          stop_rate=0.0))
+    return ["pde-check", "--grid-dx", 1e-2]
+
+
+def _cfl_violation(tmp_path, monkeypatch):
+    monkeypatch.setattr(gftree.cli, "solve_conservative_pde",
+                        functools.partial(solve_conservative_pde, dt=1.0))
+    return ["pde-check", "--grid-dx", 1e-2]
+
+
+def _degenerate_denominator(tmp_path, monkeypatch):
+    # y = 12 lies beyond twice the grid's x_max = 5, where nu carries no mass
+    return ["pde-check", "--grid-dx", 1e-2, "--check-hi", 12]
+
+
+def _empty_conditioning_set(tmp_path, monkeypatch):
+    return ["study", "--sizes", "5..5", "--replicates", 2, "--band-size", 0,
+            "--full-only", "--threshold", 100]
+
+
+# error -> (exit code, message fragment, arguments); README "Exit codes"
+EXIT_CODES = {
+    "SchemaError": (2, "missing columns", _schema_error),
+    "QuadratureOverflow": (4, "drift: FAIL", _quadrature_overflow),
+    "NonDivergentHazard": (3, "cumulative hazard", _non_divergent_hazard),
+    "HorizonExceeded": (3, "simulate more generations", _horizon_exceeded),
+    "NoConvergence": (3, "last residual", _no_convergence),
+    "DegenerateDenominator": (3, "invariant mass vanishes",
+                              _degenerate_denominator),
+    "EmptyConditioningSet": (3, "n = 32", _empty_conditioning_set),
+    "EmptyAfterFiltering": (3, "no usable rows", _empty_after_filtering),
+    "RejectionBudgetExceeded": (3, "no admissible growth rate",
+                                _rejection_budget_exceeded),
+    "CflViolation": (3, "violates the step bound", _cfl_violation),
+}
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES))
+def test_typed_errors_reach_their_exit_codes(tmp_path, monkeypatch, capsys,
+                                             error):
+    code, message, arguments = EXIT_CODES[error]
+    argv = arguments(tmp_path, monkeypatch)
+    assert run([*argv, "--out", tmp_path / "out", "--no-timestamp"]) == code
+    assert message in "".join(capsys.readouterr())

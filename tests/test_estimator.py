@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gftree import _hot
+from gftree import _hot, estimator
 from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               FixedBandwidth, FixedThreshold, GaussianKernel,
                               GridSpec, InvLogThreshold, InvNThreshold,
@@ -12,9 +12,9 @@ from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               PowerBandwidth, SmoothnessBandwidth, bandwidth,
                               coverage_denominator, estimate_division_rate,
                               estimate_division_rate_parent_indexed,
-                              estimate_division_rate_pooled, evaluation_grid,
-                              kernel_density, kernel_moment, threshold,
-                              write_estimate_tsv)
+                              estimate_division_rate_pooled, estimate_rows,
+                              evaluation_grid, kernel_density, kernel_moment,
+                              threshold, write_estimate_tsv)
 from gftree.trees import (extract_observations, parent_child_arrays,
                           simulate_full_tree, simulate_sparse_lineage)
 
@@ -36,6 +36,30 @@ def exact_gaussian_sums(sizes, centers, h, kernel=GaussianKernel()):
             z = (s[lo[j]:hi[j]] - centers[j]) / h
             out[j] = np.sum(np.exp(-0.5 * z * z))
     return out * kernel._scale
+
+
+def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
+    """Reference for the valid-mode correlation: the binned sums with the
+    whole lattice from one full ``np.convolve``, as computed before only
+    the lattice points the centers read were kept."""
+    s = np.sort(sizes)
+    reach = kernel.radius * h
+    lo = np.searchsorted(s, centers - reach, side="left")
+    hi = np.searchsorted(s, centers + reach, side="right")
+    c0, c1 = float(centers.min()), float(centers.max())
+    step = (c1 - c0) / (centers.size - 1) if c1 > c0 else h
+    delta = step / np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h)
+    span = int(reach / delta)
+    origin = c0 - (span + 1) * delta
+    size = int((c1 - origin) / delta) + span + 3
+    assert (hi - lo).sum() > size, "the pairs would be summed, not binned"
+    t = (s[lo.min():hi.max()] - origin) / delta
+    i = t.astype(np.intp)
+    w = np.bincount(i, 1.0 - (t - i), size) + np.bincount(i + 1, t - i, size)
+    taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
+    lattice = np.convolve(w, taps)[span:span + size]
+    out = np.interp((centers - origin) / delta, np.arange(size), lattice)
+    return np.where(hi > lo, out, 0.0) * kernel._scale
 
 
 def lexsort_coverage(sizes, y, weight, upper):
@@ -284,6 +308,84 @@ def test_kernel_sums_memory_stays_bounded():
     assert np.any(want > 0)
     assert np.allclose(narrow, want, rtol=1e-12, atol=0)
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [63, 65_535])
+def test_valid_correlation_matches_full_convolution(n):
+    """The lattice points the centers read, correlated in valid mode, are
+    bit-identical to the same points of the full convolution, on the
+    estimator's grid and on uneven centers."""
+    rng = np.random.default_rng(n)
+    sizes = rng.lognormal(0.0, 0.4, n)
+    h = bandwidth(PowerBandwidth(), n)
+    kern = GaussianKernel()
+    for centers in (evaluation_grid(*GridSpec().resolve(n)) / 2.0,
+                    np.sort(rng.uniform(0.2, 2.5, 97))):
+        got = _hot.kernel_sums(np.sort(sizes), centers, h, kern.radius,
+                               kern._scale)
+        assert np.array_equal(got, convolved_lattice_sums(sizes, centers, h))
+
+
+def sample_rows(r, n, seed):
+    """(size_birth, growth_rate, lifetime) rows of r samples of n cells;
+    row 1 lies out of every center's reach when r > 1."""
+    rng = np.random.default_rng(seed)
+    xi = rng.lognormal(0.0, 0.4, (r, n))
+    if r > 1:
+        xi[1] += 100.0
+    return xi, rng.uniform(0.5, 2.0, (r, n)), rng.uniform(0.2, 1.5, (r, n))
+
+
+@pytest.mark.parametrize("r, n", [(1, 255), (4, 31), (5, 255), (3, 1023)])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_rows_equal_one_row_estimates(r, n, pooled):
+    """R rows estimated together equal R one-row estimates bit for bit: at
+    n = 31 the pairs are summed, and row 1 has no size in reach."""
+    xi, tau, zeta = sample_rows(r, n, seed=r * n)
+    batch = estimate_rows(xi, tau, zeta, pooled=pooled)
+    one = estimate_division_rate_pooled if pooled else estimate_division_rate
+    for k in range(r):
+        want = one(ObservationSet(xi[k], tau[k], zeta[k]))
+        got = batch[k]
+        for col in ("values", "nu_values", "raw_denominator", "clipped", "y"):
+            assert np.array_equal(getattr(got, col), getattr(want, col)), col
+        assert got.report_dict() == want.report_dict()
+    if r > 1:
+        assert not batch[1].nu_values.any()
+
+
+def test_rows_equal_one_row_sums_on_uneven_centers():
+    """Rows of kernel sums, Gaussian and polynomial, and rows of coverage
+    sums equal one-row calls at uneven centers, the pairs-summed rows
+    mixed with binned ones."""
+    xi, tau, zeta = sample_rows(4, 255, seed=8)
+    xi[3, 20:] += 50.0  # few pairs: summed, beside binned rows
+    centers = np.random.default_rng(9).uniform(0.0, 2.5, 200)
+    for kern in (GaussianKernel(), CompactPolynomialKernel(order=2)):
+        rows = estimator._kernel_sums(xi, centers, 0.1, kern)
+        for k in range(4):
+            assert np.array_equal(
+                rows[k], estimator._kernel_sums(xi[k][None], centers, 0.1,
+                                                kern)[0])
+    y = np.sort(centers)
+    upper = xi * np.exp(tau * zeta)
+    rows = estimator._coverage_sums(xi, y, 1.0 / tau, upper)
+    for k in range(4):
+        assert np.array_equal(rows[k], estimator._coverage_sums(
+            xi[k][None], y, 1.0 / tau[k][None], upper[k][None])[0])
+
+
+def test_parent_indexed_rows_equal_one_row_estimates(variability_spec):
+    trees = [simulate_full_tree(variability_spec, 7, seed) for seed in (3, 4)]
+    cols = [parent_child_arrays(t) for t in trees]
+    xi = np.array([t.size_birth for t in trees])
+    ps, pg, cs = (np.array([c[j] for c in cols]) for j in range(3))
+    batch = estimator._assemble(xi, EstimatorConfig(), ps, 1.0 / pg, 2.0 * cs)
+    for k, tree in enumerate(trees):
+        want = estimate_division_rate_parent_indexed(
+            extract_observations(tree), *cols[k])
+        assert np.array_equal(batch[k].values, want.values)
+        assert np.array_equal(batch[k].raw_denominator, want.raw_denominator)
 
 
 def test_estimate_denominator_never_below_floor(variability_spec):

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from gftree.curves import FLOAT_FORMAT, CurveOnGrid
-from gftree.estimator import (EstimatorConfig, estimate_division_rate,
-                              kernel_density)
+from gftree.estimator import (EstimatorConfig, FixedThreshold, InvNThreshold,
+                              estimate_division_rate, kernel_density)
 from gftree.model import PowerLawRate
 from gftree.streams import run_key
 from gftree.studies import (_FOREST_CELLS, _SPARSE_CELLS, EmptyAfterFiltering,
                             EmptyConditioningSet, ErrorSummary, SchemaError,
-                            _batches, _replicate_trees, analyze_experimental,
+                            _batches, _run_keys, analyze_experimental,
                             confidence_band, ingest_lineage_csv,
                             relative_error, run_convergence_study,
                             variability_ablation)
-from gftree.trees import (extract_observations, simulate_sparse_lineage)
+from gftree.trees import (extract_observations, grow_replicates,
+                          simulate_full_tree, simulate_sparse_lineage)
 
 SQUARE = PowerLawRate(1.0, 2.0)
 
@@ -87,6 +88,43 @@ def test_study_rows_and_sizes(dirac_spec):
     assert study.scheme == "sparse"
 
 
+def test_batch_run_keys_equal_per_replicate_keys():
+    for seed in (7, -3, 2 ** 70 + 5):
+        keys = _run_keys(seed, 9, range(5, 23))
+        assert np.array_equal(keys, np.concatenate(
+            [run_key(int(run_key(seed, 9, i)[0])) for i in range(5, 23)]))
+
+
+@pytest.mark.parametrize("scheme", ["full", "sparse"])
+def test_study_conditions_on_the_estimator_floor(dirac_spec, scheme):
+    """Each batch, grown as one forest and estimated in one pass, scores
+    every replicate as its own tree and estimate would score, conditioned
+    on the estimator's floor: 1/n under the inverse-n rule, not 1/log n."""
+    config = EstimatorConfig(threshold_rule=InvNThreshold())
+    study = run_convergence_study(dirac_spec, [6], 5, scheme, config, seed=3)
+    want, log_floor = [], []
+    for i in range(5):
+        key = int(run_key(3, 6, i)[0])
+        tree = (simulate_full_tree(dirac_spec, 5, key) if scheme == "full"
+                else simulate_sparse_lineage(dirac_spec, 64, key))
+        est = estimate_division_rate(extract_observations(tree), config)
+        assert est.threshold_value == 1.0 / est.n
+        want.append(relative_error(est.curve, dirac_spec.division_rate,
+                                   est.raw_denominator, 1.0 / est.n))
+        log_floor.append(relative_error(est.curve, dirac_spec.division_rate,
+                                        est.raw_denominator,
+                                        1.0 / math.log(est.n)))
+    assert np.array_equal(study.rows[0].per_replicate, want)
+    assert study.rows[0].empty_conditioning == 0
+    assert not np.array_equal(want, log_floor)
+
+
+def test_study_fails_only_when_every_replicate_is_empty(variability_spec):
+    config = EstimatorConfig(threshold_rule=FixedThreshold(100.0))
+    with pytest.raises(EmptyConditioningSet, match="n = 32"):
+        run_convergence_study(variability_spec, [5], 3, "full", config)
+
+
 def test_study_rejects_bad_scheme(dirac_spec):
     with pytest.raises(ValueError):
         run_convergence_study(dirac_spec, [5], 2, "funky")
@@ -134,14 +172,15 @@ def test_wide_sparse_batch_equals_single_lineages(variability_spec):
     # carries pending lanes of several lineages at once
     (k, reps), *_ = _batches([9], 5, "sparse")
     assert list(reps) == list(range(5))
-    batch = _replicate_trees(variability_spec, "sparse", k, 8, reps)
-    for i, tree in zip(reps, batch):
+    batch = grow_replicates(variability_spec, "sparse", 2 ** k,
+                            _run_keys(8, k, reps))
+    for i in reps:
         alone = simulate_sparse_lineage(variability_spec, 2 ** k,
                                         int(run_key(8, k, i)[0]))
-        for col in ("generation", "index", "size_birth", "growth_rate",
-                    "birth_time", "lifetime", "chain_bits"):
-            assert np.array_equal(getattr(tree, col), getattr(alone, col)), \
-                (i, col)
+        for j, col in enumerate(("size_birth", "growth_rate", "birth_time",
+                                 "lifetime")):
+            assert np.array_equal(batch[j, i], getattr(alone, col)), (i, col)
+        assert np.array_equal(batch[4, i, 1:], alone.chain_bits), i
 
 
 # ---------------------------------------------------------------------------
