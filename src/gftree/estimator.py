@@ -326,24 +326,59 @@ def kernel_density(obs: ObservationSet, y, h: float,
     return float(out[0]) if scalar else out
 
 
+def _grid_buckets(y: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(y, x, side)`` for an ascending grid ``y``.
+
+    Each bucket is guessed from the grid's first step and checked against
+    its neighbours ``y[g - 1]`` and ``y[g]``; only the misses go through
+    ``searchsorted``, so the result is exact for any ascending ``y`` and
+    cheap for a uniform one.  Builds one guess array in place.
+    """
+    m = y.size
+    step = y[1] - y[0] if m > 1 and y[1] > y[0] else 1.0
+    guess = x - (y[0] if m else 0.0)
+    guess /= step
+    if side == "left":
+        np.ceil(guess, out=guess)
+    else:
+        np.floor(guess, out=guess)
+        guess += 1.0
+    np.fmin(np.fmax(guess, 0.0, out=guess), m, out=guess)  # NaN to 0
+    g = guess.astype(np.int64)
+    del guess
+    padded = np.concatenate(([-np.inf], y, [np.inf]))  # y[g - 1] is padded[g]
+    below, above = ((np.less, np.greater_equal) if side == "left"
+                    else (np.less_equal, np.greater))
+    hit = below(padded[g], x)
+    hit &= above(padded[1:][g], x)
+    miss = np.flatnonzero(~hit)
+    g[miss] = np.searchsorted(y, x[miss], side)
+    return g
+
+
 def _coverage_sums(sizes: np.ndarray, y: np.ndarray,
                    weight: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """sum_i w_ri 1{sizes_ri <= y <= upper_ri} per row r and ascending y.
 
     Cell i adds w_ri from the first y >= sizes_ri on and takes it off from
-    the first y > upper_ri on: a row-offset ``bincount`` per edge, then a
-    cumulative sum along each row.  Cells enter the buckets in their row's
-    weight order, so the sums do not depend on cell order (equal weights
-    are interchangeable).
+    the first y > upper_ri on: a row-offset ``bincount`` per edge, built
+    one edge at a time, then a cumulative sum along each row.  Cells enter
+    the buckets in their row's weight order, so the sums do not depend on
+    cell order (equal weights are interchangeable).
     """
     order = np.argsort(weight, axis=1)
     w = np.take_along_axis(weight, order, axis=1).ravel()
     m = y.size + 1
-    edges = [np.searchsorted(y, np.take_along_axis(x, order, axis=1), side)
-             + m * np.arange(len(order))[:, None]
-             for x, side in ((sizes, "left"), (upper, "right"))]
-    start, stop = (np.bincount(e.ravel(), w, m * len(order)) for e in edges)
-    return np.cumsum((start - stop).reshape(-1, m), axis=1)[:, :-1]
+
+    def edge_sums(x, side):
+        edge = _grid_buckets(
+            y, np.take_along_axis(x, order, axis=1).ravel(), side)
+        edge.reshape(order.shape)[:] += m * np.arange(len(order))[:, None]
+        return np.bincount(edge, w, m * len(order))
+
+    sums = edge_sums(sizes, "left")
+    sums -= edge_sums(upper, "right")
+    return np.cumsum(sums.reshape(-1, m), axis=1)[:, :-1]
 
 
 def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):

@@ -98,12 +98,21 @@ class CellRecord:
         return self.size_birth * math.exp(self.growth_rate * (t - self.birth_time))
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 view of ``values``, so that observation sets can
+    share a tree's columns instead of copying them."""
+    view = np.asarray(values, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 class GenealogyTree:
     """A simulated genealogy in breadth-first, left-to-right order.
 
     ``scheme`` is ``"full"`` (every cell of the first N generations;
     2^{N+1} - 1 records) or ``"sparse"`` (a single followed lineage of n
-    records).  Columns are numpy arrays aligned to the record order.
+    records).  Columns are numpy arrays aligned to the record order; the
+    four float columns are read-only views.
     """
 
     def __init__(self, scheme: str, generation: np.ndarray, index: np.ndarray,
@@ -113,10 +122,10 @@ class GenealogyTree:
         self.scheme = scheme
         self.generation = np.asarray(generation, dtype=np.int64)
         self.index = np.asarray(index, dtype=np.int64)
-        self.size_birth = np.asarray(size_birth, dtype=np.float64)
-        self.growth_rate = np.asarray(growth_rate, dtype=np.float64)
-        self.birth_time = np.asarray(birth_time, dtype=np.float64)
-        self.lifetime = np.asarray(lifetime, dtype=np.float64)
+        self.size_birth = _read_only(size_birth)
+        self.growth_rate = _read_only(growth_rate)
+        self.birth_time = _read_only(birth_time)
+        self.lifetime = _read_only(lifetime)
         self.chain_bits = (None if chain_bits is None
                            else np.asarray(chain_bits, dtype=np.int64))
         self._records: Optional[dict[TreePath, CellRecord]] = None
@@ -440,9 +449,9 @@ def population_snapshot(tree: GenealogyTree, t: float) -> list[SnapshotCell]:
 
 def extract_observations(tree: GenealogyTree) -> ObservationSet:
     """Flat (size, rate, lifetime) rows in breadth-first order; the
-    estimator is permutation-invariant so the order is cosmetic."""
-    return ObservationSet(tree.size_birth.copy(), tree.growth_rate.copy(),
-                          tree.lifetime.copy())
+    estimator is permutation-invariant so the order is cosmetic.  The
+    columns are the tree's own read-only arrays, not copies."""
+    return ObservationSet(tree.size_birth, tree.growth_rate, tree.lifetime)
 
 
 def parent_child_arrays(tree: GenealogyTree):
@@ -464,6 +473,9 @@ _CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
 _CSV_BLOCK = 1 << 16  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
+_PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
+_DECODE_ROWS = 1 << 16  # full-tree paths decoded per block
+_NUL_SCAN_BYTES = 1 << 20
 
 
 def _path_text(tree: GenealogyTree, rows: slice) -> np.ndarray:
@@ -511,22 +523,65 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
 def _full_tree_indices(paths: np.ndarray, gens: np.ndarray,
                        depth: int) -> np.ndarray:
     """Index within its generation of every path of a full-tree candidate,
-    from an (n, depth) byte matrix; paths are at most ``depth`` long."""
+    decoded from the first ``depth`` bytes of ``_DECODE_ROWS`` paths at a
+    time, so the byte and bit matrices stay bounded; paths are at most
+    ``depth`` long."""
     width = max(depth, 1)
-    try:
-        codes = paths.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    except UnicodeEncodeError as exc:
-        raise ValueError(_NOT_BINARY) from exc
-    within = np.arange(width) < gens[:, None]
-    one = codes == ord("1")
-    if not np.array_equal(one | (codes == ord("0")), within):
-        raise ValueError(_NOT_BINARY)
-    # the left-aligned bits as one big-endian number, shifted into place
-    packed = np.packbits(one, axis=1)
-    index = np.zeros(gens.size, dtype=np.int64)
-    for column in packed.T:
-        index = (index << 8) | column
-    return index >> (8 * packed.shape[1] - gens)
+    index = np.empty(gens.size, dtype=np.int64)
+    for start in range(0, gens.size, _DECODE_ROWS):
+        rows = slice(start, start + _DECODE_ROWS)
+        codes = paths[rows].astype(f"S{width}").view(np.uint8)
+        codes = codes.reshape(-1, width)
+        within = np.arange(width) < gens[rows, None]
+        one = codes == ord("1")
+        if not np.array_equal(one | (codes == ord("0")), within):
+            raise ValueError(_NOT_BINARY)
+        # the left-aligned bits as one big-endian number, shifted into place
+        packed = np.packbits(one, axis=1)
+        block = np.zeros(packed.shape[0], dtype=np.int64)
+        for column in packed.T:
+            block = (block << 8) | column
+        index[rows] = block >> (8 * packed.shape[1] - gens[rows])
+    return index
+
+
+def _breadth_first_order(slot: np.ndarray) -> Optional[np.ndarray]:
+    """The rows in breadth-first order, given each row's ``slot`` in it, or
+    None when they are in that order already.  Raises ``ValueError`` unless
+    the slots are a permutation of 0..n-1 (one scatter, no sort)."""
+    n = slot.size
+    if slot.max() >= n:
+        raise ValueError(_NOT_A_TREE)
+    seen = np.zeros(n, dtype=bool)
+    seen[slot] = True
+    if not seen.all():
+        raise ValueError(_NOT_A_TREE)
+    if not np.any(slot[1:] < slot[:-1]):
+        return None
+    order = np.empty(n, dtype=np.int64)
+    order[slot] = np.arange(n)
+    return order
+
+
+def _refuse_nul(path) -> None:
+    """``S`` fields drop trailing NULs, so a path ``"1\\0"`` would read as
+    ``"1"``: refuse a NUL byte anywhere, one block of the file at a time."""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_NUL_SCAN_BYTES), b""):
+            if b"\0" in block:
+                raise ValueError("genealogy CSV holds a NUL byte")
+
+
+def _load_genealogy_table(path, dtype, usecols) -> np.ndarray:
+    """The rows after a checked header, parsed by
+    :func:`~gftree.curves.load_csv_columns`."""
+    from .curves import load_csv_columns
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected genealogy header {header!r}")
+        return load_csv_columns(fh, dtype, usecols)
 
 
 def read_genealogy_csv(path) -> GenealogyTree:
@@ -535,53 +590,55 @@ def read_genealogy_csv(path) -> GenealogyTree:
 
     Rows may come in any order, with LF or CRLF line ends and ``csv``-style
     quoting; blank lines are skipped.  Values are parsed column-wise by
-    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``.
+    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``,
+    and paths as bytes in the same pass, cut at ``_PATH_WIDTH``; when a
+    path fills that width the path column alone is read again unsized.
+    Each row goes to its breadth-first slot (``2^g - 1 + index``, or its
+    length in a chain), checked to be a permutation without sorting.
     Raises ``ValueError`` for a wrong header, an unparsable or short row,
-    no rows, a path character other than 0 or 1, or paths that form
-    neither a complete tree (each present once) nor a single chain.
+    no rows, a NUL byte, a path character other than 0 or 1, or paths that
+    form neither a complete tree (each present once) nor a single chain.
     """
-    from .curves import load_csv_columns
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected genealogy header {header!r}")
-        table = load_csv_columns(
-            fh, [("path", object), ("values", np.float64, (4,))],
-            (0, 1, 2, 3, 4))
-    paths = table["path"]
-    n = paths.size
+    _refuse_nul(path)
+    table = _load_genealogy_table(
+        path, [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (4,))],
+        (0, 1, 2, 3, 4))
+    n = table.size
     if n == 0:
         raise ValueError("genealogy CSV holds no cells")
-    gens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
+    paths = table["path"]
+    gens = np.strings.str_len(paths).astype(np.int64, copy=False)
+    if gens.max() >= _PATH_WIDTH:  # some path may be cut: read them whole
+        paths = _load_genealogy_table(path, "S", (0,))
+        gens = np.strings.str_len(paths).astype(np.int64, copy=False)
     depth = int(gens.max())
     bits = None
     if n == 2 ** (depth + 1) - 1 and np.array_equal(
             np.bincount(gens), 2 ** np.arange(depth + 1)):
         scheme = "full"
         index = _full_tree_indices(paths, gens, depth)
-        # equal-length binary strings sort like their integer values
-        order = np.lexsort((index, gens))
-        gens, index = gens[order], index[order]
-        if not np.array_equal(index, np.arange(n) - (2 ** gens - 1)):
-            raise ValueError(_NOT_A_TREE)
+        order = _breadth_first_order((1 << gens) - 1 + index)
     else:
         scheme = "sparse"
-        order = np.argsort(gens, kind="stable")
-        gens = gens[order]
-        chain = paths[order[-1]]
         # n distinct lengths 0..n-1, each a prefix of the longest path
-        if not (np.array_equal(gens, np.arange(n))
-                and all(map(chain.startswith, paths))):
+        order = _breadth_first_order(gens)
+        chain = paths[n - 1 if order is None else order[-1]]
+        if not all(map(chain.startswith, paths)):
             raise ValueError(_NOT_A_TREE)
-        if chain.strip("01"):
+        if chain.strip(b"01"):
             raise ValueError(_NOT_BINARY)
-        bits = (np.frombuffer(chain.encode(), dtype=np.uint8)
+        bits = (np.frombuffer(chain, dtype=np.uint8)
                 - ord("0")).astype(np.int64)
         index = np.zeros(n, dtype=np.int64)
-    data = table["values"][order]
-    return GenealogyTree(scheme, gens, index, data[:, 0], data[:, 1],
-                         data[:, 3], data[:, 2], chain_bits=bits)
+    values = table["values"]
+    if order is None:
+        columns = [np.ascontiguousarray(values[:, k]) for k in range(4)]
+    else:
+        gens, index = gens[order], index[order]
+        columns = [values[order, k] for k in range(4)]
+    del table, paths, values  # the tree validates without the parse table
+    return GenealogyTree(scheme, gens, index, columns[0], columns[1],
+                         columns[3], columns[2], chain_bits=bits)
 
 
 # ---------------------------------------------------------------------------

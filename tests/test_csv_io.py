@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gftree import studies
+from gftree import studies, trees
 from gftree.curves import FLOAT_FORMAT, float_text, write_curve_tsv
 from gftree.estimator import ObservationSet
 from gftree.studies import (DEFAULT_COLUMN_MAP, EmptyAfterFiltering,
@@ -378,6 +378,12 @@ BAD_FILES = {
                         [",1,1,0.5,0", "0,1,1,0.5,0.5", "2,1,1,0.5,0.5"]),
     "non-number": (",".join(_CSV_HEADER),
                    [",1,1,0.5,oops"]),
+    # paths are parsed as bytes, which drop trailing NULs: "1\0" would
+    # otherwise complete the tree
+    "nul-ending-path": (",".join(_CSV_HEADER),
+                        [",1,1,0.5,0", "0,1,1,0.5,0.5", "1\0,1,1,0.5,0.5"]),
+    "nul-inside-path": (",".join(_CSV_HEADER), [
+        f"{p},1,1,0.5,0" for p in ("", "0", "1", "00", "0\01", "10", "11")]),
 }
 
 
@@ -403,6 +409,55 @@ def test_reader_sparse_chain_2e12_without_fixed_width_paths(
     assert peak < 32 * 2 ** 20
     assert_same_tree(got, oracle_read_genealogy_csv(path))
     assert_same_tree(got, chain)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_reader_chains_around_the_path_width(tmp_path, variability_spec,
+                                              extra):
+    # a chain of W + 1 cells has a longest path of W bytes, which fills the
+    # first parse's width; at W + 2 cells that path is cut and read again
+    cells = trees._PATH_WIDTH + extra
+    chain = simulate_sparse_lineage(variability_spec, cells, seed=29)
+    header, rows = _lines(chain, tmp_path)
+    random.Random(2).shuffle(rows)
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, rows))
+    assert_same_tree(got, chain)
+
+
+def test_reader_shuffled_full_tree_across_decode_blocks(
+        tmp_path, variability_spec, monkeypatch):
+    monkeypatch.setattr(trees, "_DECODE_ROWS", 7)
+    full = simulate_full_tree(variability_spec, 6, seed=30)
+    header, rows = _lines(full, tmp_path)
+    random.Random(3).shuffle(rows)
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, rows))
+    assert_same_tree(got, full)
+
+
+def test_breadth_first_order_checks_a_permutation():
+    assert trees._breadth_first_order(np.arange(5)) is None
+    slot = np.array([3, 0, 4, 1, 2])
+    order = trees._breadth_first_order(slot)
+    assert np.array_equal(slot[order], np.arange(5))
+    for bad in ([1, 0, 1], [0, 1, 3], [2, 2, 0, 1]):
+        with pytest.raises(ValueError, match="neither a complete tree"):
+            trees._breadth_first_order(np.array(bad))
+
+
+def test_reader_memory_per_row(tmp_path, variability_spec):
+    full = simulate_full_tree(variability_spec, 16, seed=31)
+    path = tmp_path / "tree.csv"
+    write_genealogy_csv(full, path)
+    del full
+    tracemalloc.start()
+    try:
+        got = read_genealogy_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 2 ** 17 - 1
+    # the float columns alone take 32 B/row and the parse table 64 B/row
+    assert peak < 150 * len(got)
 
 
 def test_reader_rejects_non_binary_sparse_path(tmp_path):

@@ -156,6 +156,26 @@ def test_denominator_accepts_unsorted_points():
                           [coverage_denominator(obs, y) for y in ys])
 
 
+@pytest.mark.parametrize("y", [
+    evaluation_grid(0.013, 700),
+    np.array([0.7]),
+    np.sort(np.random.default_rng(5).lognormal(0.0, 1.0, 300)),
+    np.array([0.5, 0.5, 1.0, 1.0, 1.0, 4.0]),
+    np.array([]),
+], ids=["uniform", "one-point", "non-uniform", "repeated", "empty"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_grid_buckets_equal_searchsorted(y, side):
+    rng = np.random.default_rng(6)
+    lo, hi = (y[0], y[-1]) if y.size else (0.0, 1.0)
+    x = np.concatenate([
+        y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf),  # on the grid
+        lo - rng.uniform(0.0, 3.0, 50), hi + rng.uniform(0.0, 3.0, 50),
+        rng.uniform(lo, hi, 2000), [-np.inf, np.inf, np.nan, 0.0, -0.0]])
+    rng.shuffle(x)
+    assert np.array_equal(estimator._grid_buckets(y, x, side),
+                          np.searchsorted(y, x, side))
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------

@@ -216,6 +216,17 @@ def test_extraction_counts(variability_spec):
     assert extract_observations(chain).n == 5
 
 
+def test_extraction_shares_read_only_columns(variability_spec):
+    tree = simulate_full_tree(variability_spec, 3, seed=2)
+    obs = extract_observations(tree)
+    for got, own in ((obs.size_birth, tree.size_birth),
+                     (obs.growth_rate, tree.growth_rate),
+                     (obs.lifetime, tree.lifetime)):
+        assert np.shares_memory(got, own)
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 1.0
+
+
 def test_genealogy_csv_roundtrip_full(tmp_path, variability_spec):
     tree = simulate_full_tree(variability_spec, 5, seed=13)
     path = tmp_path / "tree.csv"
