@@ -2,7 +2,6 @@
 and estimate the division rate nonparametrically, with deterministic
 invariant-measure and PDE cross-checks."""
 
-from ._hot import BACKEND
 from .curves import CurveOnGrid
 from .estimator import (CompactPolynomialKernel, DivisionRateEstimate,
                         EstimatorConfig, FixedBandwidth, FixedThreshold,
@@ -33,9 +32,8 @@ from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,
                       SchemaError, analyze_experimental, confidence_band,
                       estimate_error, ingest_lineage_csv, relative_error,
                       run_convergence_study)
-from .trees import (BatteryResult, CellRecord, GenealogyTree, HorizonExceeded,
-                    SnapshotCell, TaggedPath, TreePath, extract_observations,
-                    many_to_one_battery, population_snapshot,
+from .trees import (BatteryResult, GenealogyTree, TaggedPath,
+                    extract_observations, many_to_one_battery,
                     read_genealogy_csv, simulate_full_tree,
                     simulate_sparse_lineage, simulate_tagged_cell,
                     write_genealogy_csv)

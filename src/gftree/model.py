@@ -454,6 +454,15 @@ class IndependentResampleGrowth:
             raise ValueError("density must be nonnegative with positive mass")
         if self.bounds is None:
             raise ValueError("bounds are required")
+        b = self.bounds
+        if b.e_min == b.e_max:
+            inside = np.interp(b.e_min, grid, dens, left=0.0, right=0.0)
+        else:  # exact when piecewise linear; <= 0 if the band misses the grid
+            lo, hi = max(b.e_min, grid[0]), min(b.e_max, grid[-1])
+            nodes = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
+            inside = np.trapezoid(np.interp(nodes, grid, dens), nodes)
+        if not inside > 0:  # rejection would never accept a rate
+            raise ValueError("the resample density has no mass in the band")
         mass = np.trapezoid(dens, grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", dens / mass)

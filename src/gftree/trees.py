@@ -1,10 +1,16 @@
-"""Genealogy simulation: full trees, sparse lineages, tagged paths, snapshots.
+"""Genealogy simulation: full trees, sparse lineages and tagged paths.
 
-Cells are indexed by paths in the binary tree (root = empty path).  A cell of
-size ``x`` and growth rate ``v`` lives ``F^{-1}(E)`` where ``F`` is the
-cumulative division hazard and ``E`` a unit exponential; at division both
-children are born at half the final size and draw fresh growth rates from the
-inheritance kernel.
+A genealogy is a set of columns, one record per cell in breadth-first
+order, so a cell's place in the binary tree is its row: row r of a full tree
+is generation floor(log2(r + 1)) with parent row (r - 1) // 2, and the k-th
+cell of a followed lineage is generation k, reached by the child bits
+``chain_bits[:k]``.  The genealogy CSV spells that place as a {0,1} path
+string (root = empty path).
+
+A cell of size ``x`` and growth rate ``v`` lives ``F^{-1}(E)`` where ``F``
+is the cumulative division hazard and ``E`` a unit exponential; at division
+both children are born at half the final size and draw fresh growth rates
+from the inheritance kernel.
 
 Randomness is replayable per node: each node owns a hash key rolled along its
 path (see :mod:`gftree.streams`), so a genealogy is a pure function of
@@ -23,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,69 +39,8 @@ from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
                     sample_lifetimes_keyed)
 
 
-class HorizonExceeded(RuntimeError):
-    """A snapshot time reaches beyond the simulated part of the tree.
-
-    Returning the surviving cells anyway would silently censor the
-    population, so this is an error rather than a truncation.
-    """
-
-
 _MAX_FOREST_LEVELS = 4096  # runaway guard for time-capped growth
 _FOREST_ROOTS = 1 << 12  # many-to-one roots per forest, to bound its memory
-
-
-# ---------------------------------------------------------------------------
-# Paths and records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreePath:
-    """A node of the binary genealogical tree: a finite {0,1} sequence."""
-
-    bits: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("path bits must be 0 or 1")
-
-    @property
-    def generation(self) -> int:
-        return len(self.bits)
-
-    def parent(self) -> "TreePath":
-        if not self.bits:
-            raise ValueError("the root has no parent")
-        return TreePath(self.bits[:-1])
-
-    def child(self, bit: int) -> "TreePath":
-        return TreePath(self.bits + (bit,))
-
-    @staticmethod
-    def from_string(text: str) -> "TreePath":
-        return TreePath(tuple(int(c) for c in text))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
-class CellRecord:
-    """One cell: path, size at birth, growth rate, birth time, lifetime."""
-
-    path: TreePath
-    size_birth: float
-    growth_rate: float
-    birth_time: float
-    lifetime: float
-
-    def division_time(self) -> float:
-        return self.birth_time + self.lifetime
-
-    def size_at(self, t: float) -> float:
-        if not (self.birth_time <= t < self.division_time()):
-            raise ValueError("cell is not alive at the requested time")
-        return self.size_birth * math.exp(self.growth_rate * (t - self.birth_time))
 
 
 def _read_only(values) -> np.ndarray:
@@ -111,79 +56,62 @@ class GenealogyTree:
 
     ``scheme`` is ``"full"`` (every cell of the first N generations;
     2^{N+1} - 1 records) or ``"sparse"`` (a single followed lineage of n
-    records).  Columns are numpy arrays aligned to the record order; the
-    four float columns are read-only views.
+    records, with the child bit of each of its n - 1 divisions in
+    ``chain_bits``).  The four float columns are read-only views aligned to
+    the record order; a record's place in the tree is its row
+    (:meth:`positions`).
     """
 
-    def __init__(self, scheme: str, generation: np.ndarray, index: np.ndarray,
-                 size_birth: np.ndarray, growth_rate: np.ndarray,
-                 birth_time: np.ndarray, lifetime: np.ndarray,
-                 chain_bits: Optional[np.ndarray] = None):
+    def __init__(self, scheme: str, size_birth: np.ndarray,
+                 growth_rate: np.ndarray, birth_time: np.ndarray,
+                 lifetime: np.ndarray, chain_bits: Optional[np.ndarray] = None):
         self.scheme = scheme
-        self.generation = np.asarray(generation, dtype=np.int64)
-        self.index = np.asarray(index, dtype=np.int64)
         self.size_birth = _read_only(size_birth)
         self.growth_rate = _read_only(growth_rate)
         self.birth_time = _read_only(birth_time)
         self.lifetime = _read_only(lifetime)
         self.chain_bits = (None if chain_bits is None
                            else np.asarray(chain_bits, dtype=np.int64))
-        self._records: Optional[dict[TreePath, CellRecord]] = None
-        self._validate()
-
-    def _validate(self):
         n = len(self)
-        if self.scheme == "full":
-            depth = int(self.generation.max(initial=0))
-            if n != 2 ** (depth + 1) - 1:
+        if any(c.size != n for c in (self.growth_rate, self.birth_time,
+                                     self.lifetime)):
+            raise ValueError("the four columns must have equal length")
+        if scheme == "full":
+            if n == 0 or (n + 1) & n:
                 raise ValueError("full scheme must hold exactly 2^(N+1)-1 records")
-            expected_gen = np.repeat(np.arange(depth + 1),
-                                     2 ** np.arange(depth + 1))
-            if not (np.array_equal(self.generation, expected_gen)
-                    and np.array_equal(self.index,
-                                       np.arange(n) - (2 ** expected_gen - 1))):
-                raise ValueError("records must be in breadth-first order")
-        elif self.scheme == "sparse":
-            if not np.array_equal(self.generation, np.arange(n)):
-                raise ValueError("sparse scheme must be a single chain")
+        elif scheme == "sparse":
             if self.chain_bits is None or self.chain_bits.size != max(n - 1, 0):
                 raise ValueError("sparse scheme needs one child bit per division")
             if not np.all((self.chain_bits == 0) | (self.chain_bits == 1)):
                 raise ValueError("chain bits must be 0 or 1")
         else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"unknown scheme {scheme!r}")
 
     def __len__(self) -> int:
         return self.size_birth.size
 
+    def positions(self, rows: slice = slice(None)):
+        """(generation, index within it) of ``rows``, as int64 arrays.  In a
+        full tree row r holds generation g = floor(log2(r + 1)) and index
+        r + 1 - 2^g; the k-th cell of a lineage is (k, 0)."""
+        span = range(len(self))[rows]
+        row = np.arange(span.start, span.stop, span.step)
+        if self.scheme == "sparse":
+            return row, np.zeros_like(row)
+        gen = (np.frexp(row + 1)[1] - 1).astype(np.int64)
+        return gen, row + 1 - (1 << gen)
+
+    @property
+    def generation(self) -> np.ndarray:
+        return self.positions()[0]
+
+    @property
+    def index(self) -> np.ndarray:
+        return self.positions()[1]
+
     @property
     def depth(self) -> int:
-        return int(self.generation.max(initial=0))
-
-    def path_of(self, row: int) -> TreePath:
-        g = int(self.generation[row])
-        if self.scheme == "sparse":
-            return TreePath(tuple(int(b) for b in self.chain_bits[:g]))
-        idx = int(self.index[row])
-        return TreePath(tuple((idx >> (g - 1 - k)) & 1 for k in range(g)))
-
-    @property
-    def records(self) -> dict[TreePath, CellRecord]:
-        if self._records is None:
-            self._records = {}
-            for i in range(len(self)):
-                p = self.path_of(i)
-                self._records[p] = CellRecord(
-                    p, float(self.size_birth[i]), float(self.growth_rate[i]),
-                    float(self.birth_time[i]), float(self.lifetime[i]))
-        return self._records
-
-    def leaf_mask(self) -> np.ndarray:
-        if self.scheme == "full":
-            return self.generation == self.depth
-        mask = np.zeros(len(self), dtype=bool)
-        mask[-1] = True
-        return mask
+        return int(self.positions(slice(-1, None))[0].max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +253,7 @@ def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
     :func:`simulate_sparse_lineage` returns for its seed."""
     cols = grow_replicates(spec, scheme, size,
                            np.concatenate([streams.run_key(s) for s in seeds]))
-    gen, index = np.arange(cols.shape[2]), np.zeros(cols.shape[2], np.int64)
-    if scheme == "full":
-        gen = np.repeat(np.arange(size + 1), 2 ** np.arange(size + 1))
-        index = np.arange(gen.size) - (2 ** gen - 1)
-    return [GenealogyTree(scheme, gen, index, *cols[:4, r],
+    return [GenealogyTree(scheme, *cols[:4, r],
                           chain_bits=cols[4, r, 1:] if len(cols) > 4 else None)
             for r in range(len(seeds))]
 
@@ -414,38 +338,8 @@ def simulate_tagged_cell(spec: ModelSpec, t_max: float,
 
 
 # ---------------------------------------------------------------------------
-# Snapshots and observation extraction
+# Observation extraction
 # ---------------------------------------------------------------------------
-
-class SnapshotCell(NamedTuple):
-    size: float
-    growth_rate: float
-    path: TreePath
-
-
-def population_snapshot(tree: GenealogyTree, t: float) -> list[SnapshotCell]:
-    """All cells alive at time t (born at or before t, division strictly
-    after).  Raises HorizonExceeded when some simulated leaf has already
-    divided by t, since its unsimulated offspring would be missing."""
-    if tree.scheme != "full":
-        raise ValueError("snapshots need a full-scheme tree")
-    if t < 0:
-        raise ValueError("snapshot time must be >= 0")
-    division = tree.birth_time + tree.lifetime
-    censored = tree.leaf_mask() & (division <= t)
-    if np.any(censored):
-        raise HorizonExceeded(
-            f"{int(censored.sum())} leaves divide at or before t={t}; "
-            "simulate more generations")
-    alive = (tree.birth_time <= t) & (t < division)
-    out = []
-    for row in np.flatnonzero(alive):
-        size = tree.size_birth[row] * math.exp(
-            tree.growth_rate[row] * (t - tree.birth_time[row]))
-        out.append(SnapshotCell(float(size), float(tree.growth_rate[row]),
-                                tree.path_of(int(row))))
-    return out
-
 
 def extract_observations(tree: GenealogyTree) -> ObservationSet:
     """Flat (size, rate, lifetime) rows in breadth-first order; the
@@ -457,10 +351,7 @@ def extract_observations(tree: GenealogyTree) -> ObservationSet:
 def parent_child_arrays(tree: GenealogyTree):
     """(parent_size, parent_growth, child_size) per non-root record."""
     rows = np.arange(1, len(tree))
-    if tree.scheme == "sparse":
-        parents = rows - 1
-    else:
-        parents = (2 ** (tree.generation[rows] - 1) - 1) + (tree.index[rows] >> 1)
+    parents = rows - 1 if tree.scheme == "sparse" else (rows - 1) >> 1
     return (tree.size_birth[parents], tree.growth_rate[parents],
             tree.size_birth[rows])
 
@@ -482,12 +373,12 @@ def _path_text(tree: GenealogyTree, rows: slice) -> np.ndarray:
     """The ``path`` cells of ``rows``, NUL-padded: prefixes of the chain's
     bits (sparse), or each index's ``generation`` low bits, most
     significant first (full)."""
-    gen = tree.generation[rows]
+    gen, index = tree.positions(rows)
     if tree.scheme == "sparse":
         bits = np.append(tree.chain_bits[:gen.max(initial=0)], 0)
     else:  # each index's bits, left-aligned in whole bytes
         nbytes = int(gen.max(initial=0)) // 8 + 1
-        left = (tree.index[rows] << (8 * nbytes - gen)).astype(">u8")
+        left = (index << (8 * nbytes - gen)).astype(">u8")
         bits = np.unpackbits(
             left.view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:], axis=1)
     width = bits.shape[-1]
@@ -501,8 +392,8 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
 
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends) with
     every value as :data:`~gftree.curves.FLOAT_FORMAT` (17 significant
-    digits), so a read-back is bit-exact.  Paths come from the tree's
-    columns, never from :class:`TreePath` objects.  Blocks of
+    digits), so a read-back is bit-exact.  Paths come from each row's
+    :meth:`~GenealogyTree.positions`.  Blocks of
     ``_CSV_BLOCK`` rows (fewer for long sparse paths) are formatted a
     column at a time by :func:`~gftree.curves.float_text`.
     """
@@ -510,8 +401,7 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
 
     columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
                tree.birth_time)
-    depth = int(tree.generation.max(initial=0))
-    step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (depth + 1)))
+    step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (tree.depth + 1)))
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
         for start in range(0, len(tree), step):
@@ -592,9 +482,11 @@ def read_genealogy_csv(path) -> GenealogyTree:
     quoting; blank lines are skipped.  Values are parsed column-wise by
     :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``,
     and paths as bytes in the same pass, cut at ``_PATH_WIDTH``; when a
-    path fills that width the path column alone is read again unsized.
-    Each row goes to its breadth-first slot (``2^g - 1 + index``, or its
-    length in a chain), checked to be a permutation without sorting.
+    path fills that width the path column alone is read again as Python
+    strings, and only the longest path is encoded.  Each row goes to its
+    breadth-first slot (``2^g - 1 + index``, or its length in a chain),
+    checked to be a permutation without sorting; the tree keeps no
+    position column.
     Raises ``ValueError`` for a wrong header, an unparsable or short row,
     no rows, a NUL byte, a path character other than 0 or 1, or paths that
     form neither a complete tree (each present once) nor a single chain.
@@ -609,15 +501,16 @@ def read_genealogy_csv(path) -> GenealogyTree:
     paths = table["path"]
     gens = np.strings.str_len(paths).astype(np.int64, copy=False)
     if gens.max() >= _PATH_WIDTH:  # some path may be cut: read them whole
-        paths = _load_genealogy_table(path, "S", (0,))
-        gens = np.strings.str_len(paths).astype(np.int64, copy=False)
+        # as str objects: a bytes column would be (n, longest path) wide
+        paths = _load_genealogy_table(path, object, (0,))
+        gens = np.fromiter(map(len, paths), np.int64, n)
     depth = int(gens.max())
     bits = None
     if n == 2 ** (depth + 1) - 1 and np.array_equal(
             np.bincount(gens), 2 ** np.arange(depth + 1)):
         scheme = "full"
-        index = _full_tree_indices(paths, gens, depth)
-        order = _breadth_first_order((1 << gens) - 1 + index)
+        order = _breadth_first_order(
+            (1 << gens) - 1 + _full_tree_indices(paths, gens, depth))
     else:
         scheme = "sparse"
         # n distinct lengths 0..n-1, each a prefix of the longest path
@@ -625,20 +518,20 @@ def read_genealogy_csv(path) -> GenealogyTree:
         chain = paths[n - 1 if order is None else order[-1]]
         if not all(map(chain.startswith, paths)):
             raise ValueError(_NOT_A_TREE)
+        if isinstance(chain, str):
+            chain = chain.encode()
         if chain.strip(b"01"):
             raise ValueError(_NOT_BINARY)
         bits = (np.frombuffer(chain, dtype=np.uint8)
                 - ord("0")).astype(np.int64)
-        index = np.zeros(n, dtype=np.int64)
     values = table["values"]
     if order is None:
         columns = [np.ascontiguousarray(values[:, k]) for k in range(4)]
     else:
-        gens, index = gens[order], index[order]
         columns = [values[order, k] for k in range(4)]
-    del table, paths, values  # the tree validates without the parse table
-    return GenealogyTree(scheme, gens, index, columns[0], columns[1],
-                         columns[3], columns[2], chain_bits=bits)
+    del table, paths, gens, values  # the tree is built without them
+    return GenealogyTree(scheme, columns[0], columns[1], columns[3],
+                         columns[2], chain_bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from gftree.cli import main, make_parser, parse_rate, parse_size_range
 from gftree.invariant import solve_conservative_pde
 from gftree.model import (PowerLawRate, reference_model,
                           sample_growth_rates_keyed)
-from gftree.trees import population_snapshot, simulate_full_tree
 
 
 def run(args, **kwargs):
@@ -315,15 +314,22 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
     (lambda doc: doc["division_rate"].update(form="cubic"),
      "unknown division rate form"),
     (lambda doc: doc.pop("bounds"), "bounds"),
-], ids=["point-band", "unknown-rate", "missing-field"])
+    # without the check rejection ran out its budget (77 s) and exited 3
+    (lambda doc: doc.update(growth_kernel={
+        "form": "independent_resample", "grid": [5.0, 6.0],
+        "density": [1.0, 1.0]}), "no mass in the band"),
+], ids=["point-band", "unknown-rate", "missing-field",
+        "resample-density-off-band"])
 def test_bad_model_file_is_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(reference_model().to_json())
     edit(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert run(["simulate", "--scheme", "full", "--generations", 3,
                 "--model", model, "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "bad model file" in err and message in err
     assert not out.exists()
@@ -467,15 +473,6 @@ def _non_divergent_hazard(tmp_path, monkeypatch):
             "--generations", 2]
 
 
-def _horizon_exceeded(tmp_path, monkeypatch):
-    def snapshot_after_the_leaves_divide(spec, generations, seed):
-        population_snapshot(simulate_full_tree(spec, 0, seed), 1e6)
-
-    monkeypatch.setattr(gftree.cli, "simulate_full_tree",
-                        snapshot_after_the_leaves_divide)
-    return ["simulate", "--scheme", "full", "--generations", 2]
-
-
 def _rejection_budget_exceeded(tmp_path, monkeypatch):
     monkeypatch.setattr(gftree.trees, "sample_growth_rates_keyed",
                         functools.partial(sample_growth_rates_keyed, cap=1))
@@ -510,7 +507,6 @@ EXIT_CODES = {
     "SchemaError": (2, "missing columns", _schema_error),
     "QuadratureOverflow": (4, "drift: FAIL", _quadrature_overflow),
     "NonDivergentHazard": (3, "cumulative hazard", _non_divergent_hazard),
-    "HorizonExceeded": (3, "simulate more generations", _horizon_exceeded),
     "NoConvergence": (3, "last residual", _no_convergence),
     "DegenerateDenominator": (3, "invariant mass vanishes",
                               _degenerate_denominator),

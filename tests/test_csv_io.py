@@ -49,17 +49,17 @@ def oracle_read_genealogy_csv(path) -> GenealogyTree:
     gens = gens[order]
     n = len(paths)
     depth = int(gens.max(initial=0))
+    # sorted by (generation, path) the rows are breadth-first, which is
+    # where a tree takes its positions from
     if n == 2 ** (depth + 1) - 1 and set(paths) == _complete_paths(depth):
-        index = np.array([int(p, 2) if p else 0 for p in paths], dtype=np.int64)
-        return GenealogyTree("full", gens, index, data[:, 0], data[:, 1],
-                             data[:, 3], data[:, 2])
+        return GenealogyTree("full", data[:, 0], data[:, 1], data[:, 3],
+                             data[:, 2])
     if np.array_equal(gens, np.arange(n)) and all(
             paths[i + 1][:len(paths[i])] == paths[i] for i in range(n - 1)):
         bits = np.array([int(paths[i + 1][-1]) for i in range(n - 1)],
                         dtype=np.int64)
-        return GenealogyTree("sparse", gens, np.zeros(n, dtype=np.int64),
-                             data[:, 0], data[:, 1], data[:, 3], data[:, 2],
-                             chain_bits=bits)
+        return GenealogyTree("sparse", data[:, 0], data[:, 1], data[:, 3],
+                             data[:, 2], chain_bits=bits)
     raise ValueError("genealogy is neither a complete tree nor a single lineage")
 
 
@@ -182,13 +182,22 @@ def test_writer_matches_recorded_digest(tmp_path, variability_spec, make,
     assert sha256_of(path) == digest
 
 
+def oracle_path(tree, row) -> str:
+    """The {0,1} path of ``row``: the chain's first ``row`` bits, or the
+    ``generation`` bits of the row's index, most significant first."""
+    (gen,), (index,) = tree.positions(slice(row, row + 1))
+    if tree.scheme == "sparse":
+        return "".join(str(b) for b in tree.chain_bits[:gen])
+    return format(int(index), f"0{gen}b") if gen else ""
+
+
 def oracle_write_genealogy_csv(tree, path):
     """``csv.writer`` rows, every value through ``FLOAT_FORMAT %``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for i in range(len(tree)):
-            writer.writerow([str(tree.path_of(i))] + [
+            writer.writerow([oracle_path(tree, i)] + [
                 FLOAT_FORMAT % float(c[i]) for c in (
                     tree.size_birth, tree.growth_rate, tree.lifetime,
                     tree.birth_time)])
@@ -214,12 +223,9 @@ def test_writer_fallback_values_match_oracle(tmp_path, scheme):
     size[[1, 2]] = [1e-4, 9999999999999998.0]
     rate[[5, 6]] = [1e20, 0.0001]
     if scheme == "full":
-        gen = np.repeat(np.arange(8), 2 ** np.arange(8))
-        tree = GenealogyTree("full", gen, np.arange(n) - (2 ** gen - 1),
-                             size, rate, birth_time, lifetime)
+        tree = GenealogyTree("full", size, rate, birth_time, lifetime)
     else:
-        tree = GenealogyTree("sparse", np.arange(n), np.zeros(n), size, rate,
-                             birth_time, lifetime,
+        tree = GenealogyTree("sparse", size, rate, birth_time, lifetime,
                              chain_bits=rng.integers(0, 2, n - 1))
     path, expected = tmp_path / "tree.csv", tmp_path / "expected.csv"
     write_genealogy_csv(tree, path)
@@ -406,7 +412,8 @@ def test_reader_sparse_chain_2e12_without_fixed_width_paths(
     finally:
         tracemalloc.stop()
     # a fixed-width unicode path column would take 4096 * 4095 * 4 B = 64 MiB
-    assert peak < 32 * 2 ** 20
+    # and a bytes one 16 MiB; the longest path as str objects 8 MiB
+    assert peak < 12 * 2 ** 20
     assert_same_tree(got, oracle_read_genealogy_csv(path))
     assert_same_tree(got, chain)
 
@@ -470,8 +477,7 @@ def test_reader_rejects_non_binary_sparse_path(tmp_path):
 def test_tree_rejects_non_binary_chain_bits():
     one = np.ones(2)
     with pytest.raises(ValueError, match="0 or 1"):
-        GenealogyTree("sparse", np.arange(2), np.zeros(2), one, one, one,
-                      one, chain_bits=np.array([7]))
+        GenealogyTree("sparse", one, one, one, one, chain_bits=np.array([7]))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,28 @@ def test_growth_bounds_validation():
         GaussianIncrementGrowth(0.5, point)
 
 
+@pytest.mark.parametrize("grid, density, bounds, ok", [
+    ([5.0, 6.0], [1.0, 1.0], BOUNDS, False),  # the grid lies above the band
+    ([0.1, 0.2], [1.0, 1.0], BOUNDS, False),  # it meets the band at a point
+    ([0.1, 0.3], [1.0, 0.0], BOUNDS, True),
+    ([0.2, 3.0], [0.0, 1e-3], BOUNDS, True),
+    ([0.2, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 1.0], GrowthBounds(0.5, 2.0),
+     False),
+    ([0.5, 2.0], [1.0, 1.0], GrowthBounds(1.0, 1.0), True),
+    ([0.0, 1.0], [1.0, 0.0], GrowthBounds(1.0, 1.0), False),
+    ([2.0, 5.0], [1.0, 1.0], GrowthBounds(1.0, 1.0), False),
+])
+def test_resample_density_needs_mass_in_the_band(grid, density, bounds, ok):
+    # a density without mass in the band would reject every proposal
+    make = lambda: IndependentResampleGrowth(np.array(grid), np.array(density),
+                                             bounds)
+    if ok:
+        make()
+    else:
+        with pytest.raises(ValueError, match="no mass in the band"):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # Admissibility class
 # ---------------------------------------------------------------------------

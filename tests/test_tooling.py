@@ -1,15 +1,18 @@
-"""The benchmark tracer's layer table names functions that exist.
+"""Names that other files rely on still exist.
 
 ``perfbench/tracing.py`` wraps ``(module, function)`` pairs of the package
 by name; a renamed or deleted function would silently drop its layer from
-a traced run.  This reads the table without changing it.
+a traced run.  This reads the table without changing it.  The README's
+library example is run as written, so it cannot name a deleted function.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing_module():
@@ -32,3 +35,13 @@ def test_traced_layers_resolve_after_cli_import():
     hot = sys.modules["gftree._hot"]
     assert isinstance(hot.BACKEND, str)
     assert callable(hot.compiled_backend)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert len(scope["tree"]) == 2 ** 14 - 1
+    assert scope["est"].n == 2 ** 14 - 1

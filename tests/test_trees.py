@@ -8,35 +8,71 @@ from scipy import stats
 from gftree import trees
 from gftree.model import (DiracGrowth, GrowthBounds, InitialDistribution,
                           ModelSpec, PowerLawRate, cumulative_hazard)
-from gftree.trees import (GenealogyTree, HorizonExceeded,
-                          TreePath, extract_observations, many_to_one_battery,
-                          parent_child_arrays, population_snapshot,
+from gftree.trees import (GenealogyTree, extract_observations,
+                          many_to_one_battery, parent_child_arrays,
                           read_genealogy_csv, simulate_full_tree,
                           simulate_sparse_lineage, simulate_tagged_cell,
                           write_genealogy_csv)
 
 
-def single_root_tree(size=1.0, rate=1.0, lifetime=math.log(2.0)):
-    return GenealogyTree("full", np.array([0]), np.array([0]),
-                         np.array([size]), np.array([rate]),
-                         np.array([0.0]), np.array([lifetime]))
-
-
 # ---------------------------------------------------------------------------
-# Paths
+# Positions: a record's place in the tree is its breadth-first row
 # ---------------------------------------------------------------------------
 
-def test_tree_path_basics():
-    root = TreePath()
-    assert root.generation == 0 and str(root) == ""
-    p = TreePath.from_string("011")
-    assert p.generation == 3
-    assert p.parent() == TreePath.from_string("01")
-    assert p.child(0) == TreePath.from_string("0110")
-    with pytest.raises(ValueError):
-        root.parent()
-    with pytest.raises(ValueError):
-        TreePath((0, 2))
+def tree_of(scheme, n, chain_bits=None):
+    return GenealogyTree(scheme, *np.ones((4, n)), chain_bits=chain_bits)
+
+
+@pytest.mark.parametrize("depth", range(21))
+def test_full_tree_positions_equal_breadth_first_layout(depth):
+    # the layout the tree stored as columns before positions were derived
+    gen = np.repeat(np.arange(depth + 1), 2 ** np.arange(depth + 1))
+    index = np.arange(gen.size) - (2 ** gen - 1)
+    tree = tree_of("full", gen.size)
+    got_gen, got_index = tree.positions()
+    assert got_gen.dtype == got_index.dtype == np.int64
+    assert np.array_equal(got_gen, gen) and np.array_equal(got_index, index)
+    assert np.array_equal(tree.generation, gen)
+    assert np.array_equal(tree.index, index)
+    assert tree.depth == depth
+    for rows in (slice(0, 1), slice(3, None), slice(gen.size // 3,
+                                                    gen.size // 2)):
+        got_gen, got_index = tree.positions(rows)
+        assert np.array_equal(got_gen, gen[rows])
+        assert np.array_equal(got_index, index[rows])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+def test_lineage_positions_are_row_and_zero(n):
+    tree = tree_of("sparse", n, chain_bits=np.ones(max(n - 1, 0)))
+    gen, index = tree.positions()
+    assert np.array_equal(gen, np.arange(n))
+    assert np.array_equal(index, np.zeros(n, dtype=np.int64))
+    assert tree.depth == max(n - 1, 0)
+    assert np.array_equal(tree.positions(slice(2, 5))[0], np.arange(n)[2:5])
+
+
+@pytest.mark.parametrize("args, message", [
+    (("full", 0), "full scheme must hold"),
+    (("full", 2), "full scheme must hold"),
+    (("full", 6), "full scheme must hold"),
+    (("sparse", 3), "one child bit per division"),
+    (("sparse", 3, np.ones(3)), "one child bit per division"),
+    (("sparse", 3, np.array([0, 2])), "0 or 1"),
+    (("binary", 3), "unknown scheme"),
+], ids=["full-empty", "full-2", "full-6", "sparse-no-bits",
+        "sparse-too-many-bits", "sparse-non-binary-bit", "unknown-scheme"])
+def test_tree_constructor_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        tree_of(*args)
+
+
+def test_tree_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        GenealogyTree("full", np.ones(3), np.ones(3), np.ones(3), np.ones(2))
+    with pytest.raises(ValueError, match="equal length"):
+        GenealogyTree("sparse", np.ones(2), np.ones(3), np.ones(2),
+                      np.ones(2), chain_bits=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -53,28 +89,25 @@ def test_zero_generations_gives_root_only(variability_spec):
 def test_two_generations_give_seven_records(variability_spec):
     tree = simulate_full_tree(variability_spec, 2, seed=2)
     assert len(tree) == 7
-    recs = tree.records
-    assert set(map(str, recs)) == {"", "0", "1", "00", "01", "10", "11"}
-    # siblings are born equal: binary fission into exact halves
-    for prefix in ("", "0", "1"):
-        left = recs[TreePath.from_string(prefix + "0")]
-        right = recs[TreePath.from_string(prefix + "1")]
-        assert left.size_birth == right.size_birth
-        assert left.birth_time == right.birth_time
+    assert tree.generation.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert tree.index.tolist() == [0, 0, 1, 0, 1, 2, 3]
+    # siblings (rows 2k + 1 and 2k + 2) are born equal: binary fission
+    # into exact halves
+    for left in (1, 3, 5):
+        assert tree.size_birth[left] == tree.size_birth[left + 1]
+        assert tree.birth_time[left] == tree.birth_time[left + 1]
 
 
 def test_division_relation_and_birth_times(variability_spec):
     tree = simulate_full_tree(variability_spec, 6, seed=3)
-    recs = tree.records
-    for path, rec in recs.items():
-        if path.generation == 0:
-            continue
-        parent = recs[path.parent()]
-        grown = parent.size_birth * math.exp(
-            parent.growth_rate * parent.lifetime)
-        assert abs(2.0 * rec.size_birth - grown) <= 4 * math.ulp(grown)
-        assert rec.birth_time == parent.birth_time + parent.lifetime
-        assert 0.2 <= rec.growth_rate <= 3.0
+    for row in range(1, len(tree)):
+        parent = (row - 1) // 2
+        grown = tree.size_birth[parent] * math.exp(
+            tree.growth_rate[parent] * tree.lifetime[parent])
+        assert abs(2.0 * tree.size_birth[row] - grown) <= 4 * math.ulp(grown)
+        assert tree.birth_time[row] == (tree.birth_time[parent]
+                                        + tree.lifetime[parent])
+        assert 0.2 <= tree.growth_rate[row] <= 3.0
 
 
 def test_same_seed_same_tree(variability_spec):
@@ -86,11 +119,15 @@ def test_same_seed_same_tree(variability_spec):
     assert not np.array_equal(a.size_birth, c.size_birth)
 
 
-def test_full_tree_rejects_indices_out_of_order():
-    # generations fit, but two cells share path "0" and path "1" is missing
-    with pytest.raises(ValueError):
-        GenealogyTree("full", [0, 1, 1], [0, 0, 0], np.ones(3), np.ones(3),
-                      np.zeros(3), np.ones(3))
+def test_full_tree_rejects_indices_out_of_order(tmp_path):
+    # generations fit, but two cells share path "0" and path "1" is
+    # missing; a tree takes its positions from its rows, so the reader,
+    # which places rows by their paths, is what refuses this
+    path = tmp_path / "bad.csv"
+    path.write_text("path,size_birth,growth_rate,lifetime,birth_time\n"
+                    ",1,1,1,0\n0,1,1,1,1\n0,1,1,1,1\n")
+    with pytest.raises(ValueError, match="neither a complete tree"):
+        read_genealogy_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +137,16 @@ def test_full_tree_rejects_indices_out_of_order():
 def test_sparse_single_record(variability_spec):
     chain = simulate_sparse_lineage(variability_spec, 1, seed=4)
     assert len(chain) == 1
-    assert chain.path_of(0) == TreePath()
+    assert chain.chain_bits.size == 0  # the root: the empty path
+    assert chain.generation.tolist() == [0] and chain.depth == 0
 
 
 def test_sparse_chain_structure(variability_spec):
     chain = simulate_sparse_lineage(variability_spec, 3, seed=4)
-    paths = [chain.path_of(k) for k in range(3)]
-    assert paths[0].generation == 0
-    assert paths[1].parent() == paths[0]
-    assert paths[2].parent() == paths[1]
+    # row k is generation k, the child of row k - 1 by bit chain_bits[k - 1]
+    assert chain.generation.tolist() == [0, 1, 2]
+    assert chain.chain_bits.size == 2
+    assert set(chain.chain_bits.tolist()) <= {0, 1}
 
 
 def test_sparse_dirac_size_recursion(dirac_spec):
@@ -124,13 +162,14 @@ def test_sparse_lineage_is_a_tree_restriction(variability_spec):
     randomness depends only on (seed, path)."""
     tree = simulate_full_tree(variability_spec, 7, seed=17)
     chain = simulate_sparse_lineage(variability_spec, 8, seed=17)
-    recs = tree.records
-    for k in range(8):
-        rec = recs[chain.path_of(k)]
-        assert rec.size_birth == chain.size_birth[k]
-        assert rec.growth_rate == chain.growth_rate[k]
-        assert rec.birth_time == chain.birth_time[k]
-        assert rec.lifetime == chain.lifetime[k]
+    row = 0  # the chain's k-th cell in the tree: child bit b of row r is
+    for k in range(8):  # row 2r + 1 + b
+        if k:
+            row = 2 * row + 1 + int(chain.chain_bits[k - 1])
+        assert tree.size_birth[row] == chain.size_birth[k]
+        assert tree.growth_rate[row] == chain.growth_rate[k]
+        assert tree.birth_time[row] == chain.birth_time[k]
+        assert tree.lifetime[row] == chain.lifetime[k]
 
 
 # ---------------------------------------------------------------------------
@@ -163,46 +202,6 @@ def test_tagged_rejects_queries_beyond_horizon(variability_spec):
     path = simulate_tagged_cell(variability_spec, 1.0, seed=6)
     with pytest.raises(ValueError):
         path.size_at(1.5)
-
-
-# ---------------------------------------------------------------------------
-# Snapshots
-# ---------------------------------------------------------------------------
-
-def test_snapshot_exponential_growth():
-    tree = single_root_tree()
-    cells = population_snapshot(tree, 0.5 * math.log(2.0))
-    assert len(cells) == 1
-    assert cells[0].size == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert cells[0].path == TreePath()
-
-
-def test_snapshot_at_zero_is_root():
-    tree = single_root_tree(size=0.7)
-    cells = population_snapshot(tree, 0.0)
-    assert len(cells) == 1 and cells[0].size == 0.7
-
-
-def test_snapshot_division_boundary_is_censored():
-    tree = single_root_tree()
-    with pytest.raises(HorizonExceeded):
-        population_snapshot(tree, math.log(2.0))
-
-
-def test_snapshot_counts_alive_cells(dirac_spec):
-    tree = simulate_full_tree(dirac_spec, 6, seed=12)
-    first_division = float(tree.lifetime[0])
-    t = 0.5 * first_division
-    cells = population_snapshot(tree, t)
-    assert len(cells) == 1  # only the root lives before its first division
-    alive = (tree.birth_time <= t) & (t < tree.birth_time + tree.lifetime)
-    assert len(cells) == int(alive.sum())
-
-
-def test_snapshot_requires_full_scheme(variability_spec):
-    chain = simulate_sparse_lineage(variability_spec, 4, seed=1)
-    with pytest.raises(ValueError):
-        population_snapshot(chain, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +264,15 @@ def test_parent_child_arrays(variability_spec):
     tree = simulate_full_tree(variability_spec, 4, seed=15)
     ps, pg, cs = parent_child_arrays(tree)
     assert ps.size == len(tree) - 1
-    recs = tree.records
     for row in (1, 5, len(tree) - 1):
-        path = tree.path_of(row)
-        parent = recs[path.parent()]
-        i = row - 1
-        assert ps[i] == parent.size_birth
-        assert pg[i] == parent.growth_rate
-        assert cs[i] == tree.size_birth[row]
+        # the parent of generation g, index i is generation g - 1, index
+        # i // 2, at row 2^(g-1) - 1 + i // 2 = (row - 1) // 2
+        g, i = tree.generation[row], tree.index[row]
+        parent = 2 ** (g - 1) - 1 + i // 2
+        assert parent == (row - 1) // 2
+        assert ps[row - 1] == tree.size_birth[parent]
+        assert pg[row - 1] == tree.growth_rate[parent]
+        assert cs[row - 1] == tree.size_birth[row]
 
 
 def test_simulation_with_tabulated_rate():
@@ -287,13 +287,11 @@ def test_simulation_with_tabulated_rate():
     tree = simulate_full_tree(spec, 6, seed=44)
     assert len(tree) == 127
     assert np.all(tree.lifetime > 0)
-    recs = tree.records
-    for path, rec in recs.items():
-        if path.generation:
-            parent = recs[path.parent()]
-            grown = parent.size_birth * math.exp(
-                parent.growth_rate * parent.lifetime)
-            assert abs(2 * rec.size_birth - grown) <= 4 * math.ulp(grown)
+    for row in range(1, len(tree)):
+        parent = (row - 1) // 2
+        grown = tree.size_birth[parent] * math.exp(
+            tree.growth_rate[parent] * tree.lifetime[parent])
+        assert abs(2 * tree.size_birth[row] - grown) <= 4 * math.ulp(grown)
 
 
 # ---------------------------------------------------------------------------
