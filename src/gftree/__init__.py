@@ -11,20 +11,18 @@ from .estimator import (CompactPolynomialKernel, DivisionRateEstimate,
                         coverage_denominator, estimate_division_rate,
                         estimate_division_rate_pooled, estimate_rows,
                         kernel_density, threshold)
-from .invariant import (CflViolation, DegenerateDenominator, DriftReport,
+from .invariant import (DegenerateDenominator, DriftReport,
                         InvariantSolution, NoConvergence, PdeState,
                         QuadratureOverflow, TransitionEvaluator,
                         invariant_fixed_point, reconstruct_division_rate,
-                        solve_conservative_pde, transition_density,
-                        verify_drift)
+                        solve_conservative_pde, verify_drift)
 from .model import (ClassParams, ClassReport, DiracGrowth, DivisionRate,
                     GaussianIncrementGrowth, GrowthBounds, GrowthKernel,
                     IndependentResampleGrowth, InitialDistribution, ModelSpec,
                     NonDivergentHazard, PowerLawRate, RejectionBudgetExceeded,
                     TabulatedRate, UniformIncrementGrowth,
                     check_class_membership, contraction_coefficient,
-                    cumulative_hazard, eval_division_rate, invert_hazard,
-                    reference_class_params, reference_model,
+                    cumulative_hazard, reference_class_params, reference_model,
                     sample_growth_rates_keyed, sample_lifetimes_keyed,
                     sample_lifetimes_rejection)
 from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,

@@ -1,7 +1,8 @@
 """Hot numerical kernels in numpy (see ``_np``): the binned kernel sums of
 many rows (``kernel_sums_rows``) or one (``kernel_sums``), lifetimes and the
-PDE march.  ``BACKEND`` and ``compiled_backend()`` remain for run manifests
-that record which implementation ran; numpy is the only one."""
+explicit march ``pde_run`` of the PDE's sparse upwind operator.  ``BACKEND``
+and ``compiled_backend()`` remain for run manifests that record which
+implementation ran; numpy is the only one."""
 
 from __future__ import annotations
 

@@ -76,36 +76,18 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
     return np.where(hi > lo, out, 0.0) * scale
 
 
-def pde_run(n: np.ndarray, dt: float, flux_coef: np.ndarray,
-            src_rate: np.ndarray, sink_rate: np.ndarray,
-            src_idx: np.ndarray, src_w: np.ndarray, dx: float,
-            max_steps: int, stop_rate: float):
-    """Explicit upwind steps of the conservative transport-fragmentation
-    scheme, with per-step mass renormalisation.
-
-    dn_i/dt = -(F_{i+1/2} - F_{i-1/2})/dx + src_rate_i * ntilde(2 x_i)
-              - sink_rate_i * n_i,
-    where F_{i+1/2} = flux_coef_i * n_i (upwind, velocity >= 0) and
-    ntilde(2 x_i) = (1 - src_w_i) n_{src_idx_i} + src_w_i n_{src_idx_i + 1},
-    zero when 2 x_i falls beyond the grid (encoded as src_idx < 0).
+def pde_run(n: np.ndarray, dt: float, operator, dx: float, max_steps: int,
+            stop_rate: float):
+    """Explicit steps n <- n + dt (operator @ n) of the PDE's sparse upwind
+    matrix, each clipped at 0 and renormalised to unit mass.
 
     Returns (n, steps_done, last_l1_rate, max_mass_drift_rate).
     """
-    n = n.copy()
-    m = n.size
-    valid = src_idx >= 0
-    idx = np.where(valid, src_idx, 0)
-    w = src_w
     max_drift = 0.0
     rate = np.inf
     steps = 0
-    flux = np.empty(m + 1)
-    flux[0] = 0.0
     for steps in range(1, max_steps + 1):
-        flux[1:] = flux_coef * n
-        ntilde = np.where(valid, (1.0 - w) * n[idx] + w * n[np.minimum(idx + 1, m - 1)], 0.0)
-        n_new = n + dt * (-(flux[1:] - flux[:-1]) / dx
-                          + src_rate * ntilde - sink_rate * n)
+        n_new = n + dt * (operator @ n)
         np.maximum(n_new, 0.0, out=n_new)
         # the upwind scheme conserves the plain cell sum exactly (telescoping
         # fluxes), so that is the mass the renormalisation tracks

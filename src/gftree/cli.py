@@ -62,9 +62,11 @@ def parse_rate(text: str) -> PowerLawRate:
     if not m:
         raise UsageError(f"cannot parse division rate {text!r}; "
                          "expected forms like 'x^2' or '2.5*x^1'")
-    coeff = float(m.group("coeff") or 1.0)
-    exp = float(m.group("exp") or 1.0)
-    return PowerLawRate(coeff, exp)
+    try:  # e.g. a negative exponent
+        return PowerLawRate(float(m.group("coeff") or 1.0),
+                            float(m.group("exp") or 1.0))
+    except ValueError as exc:
+        raise UsageError(f"bad --b {text!r}: {exc}") from exc
 
 
 def parse_growth_kernel(text: str, bounds: GrowthBounds):
@@ -115,7 +117,7 @@ def resolve_seed(args) -> int:
     return args.seed
 
 
-def build_estimator_config(args, n_hint: int = 0) -> EstimatorConfig:
+def build_estimator_config(args) -> EstimatorConfig:
     if args.bandwidth is not None:
         bw = FixedBandwidth(args.bandwidth)
     else:
@@ -363,6 +365,14 @@ def cmd_verify(args) -> int:
 def cmd_pde_check(args) -> int:
     rate = parse_rate(args.b)
     tau = args.tau
+    if not 0 < tau < np.inf:
+        raise UsageError("--tau must be finite and > 0")
+    if not 0 < args.cfl <= 1:
+        raise UsageError("--cfl must lie in (0, 1]")
+    if args.t_end is not None and not 0 <= args.t_end < np.inf:
+        raise UsageError("--t-end must be finite and >= 0")
+    if not 0 < args.grid_dx < args.grid_xmax < np.inf:
+        raise UsageError("need 0 < --grid-dx < --grid-xmax < inf")
     inv = invariant_fixed_point(rate, tau, x_max=args.grid_xmax,
                                 dx=args.grid_dx)
     recon = reconstruct_division_rate(

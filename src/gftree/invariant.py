@@ -15,10 +15,12 @@ and the steady state N of the conservative PDE
 matches the invariant density through nu(x) = 2 B(2x) N(2x) (up to overall
 scale: both sides are normalised to unit mass before comparison).
 
-N is the Perron eigenvector of the upwind finite-volume operator, solved
-for directly by sparse LU inverse iteration (Doumic & Gabriel 2010; Perthame
-2007).  An explicit, mass-renormalised march of the same operator remains
-for finite-horizon transients; run long enough it reaches the same vector.
+N is the Perron eigenvector of the upwind finite-volume operator, a sparse
+matrix built once (``_pde_operator``) and solved directly by LU inverse
+iteration (Doumic & Gabriel 2010; Perthame 2007).  Finite-horizon
+transients march the same matrix explicitly with the step
+cfl dx / (tau x_max), from n uniform on [0, x_max/2], renormalising mass
+every step; run long enough the march reaches the same vector.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class DegenerateDenominator(RuntimeError):
             f"invariant mass vanishes on [y/2, y] at {points.size} grid "
             f"points (first: y={points[0]:.6g})")
         self.points = points
-
-
-class CflViolation(ValueError):
-    """Explicit time step too large for the advection speed."""
 
 
 class QuadratureOverflow(RuntimeError):
@@ -113,11 +111,6 @@ class TransitionEvaluator:
 
     def density(self, x, v, y, v_child) -> np.ndarray:
         return self.size_density(x, v, y) * self.growth_density(v, v_child)
-
-
-def transition_density(ev: TransitionEvaluator, x, v, y, v_child):
-    """Joint transition density at (child size y, child rate v_child)."""
-    return ev.density(x, v, y, v_child)
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +265,35 @@ class PdeState:
         return self.curve.values
 
 
-def _pde_stencil(rate: DivisionRate, tau: float, centers: np.ndarray,
-                 dx: float):
-    """Coefficients of the upwind finite-volume operator on ``centers``.
+def _pde_operator(rate: DivisionRate, tau: float, centers: np.ndarray,
+                  dx: float):
+    """The upwind finite-volume operator A on ``centers``, as a CSC matrix:
 
-    Returns (flux_coef, sink, src, src_idx, src_w) such that
+        (A n)_i = -(tau x_{i+1/2} n_i - tau x_{i-1/2} n_{i-1}) / dx
+                  + 2 B(2 x_i) ntilde(2 x_i) - B(x_i) n_i
 
-        (A n)_i = -(flux_coef_i n_i - flux_coef_{i-1} n_{i-1}) / dx
-                  + src_i ((1 - src_w_i) n_k + src_w_i n_{k+1}) - sink_i n_i
-
-    with k = src_idx_i: zero inflow at x = 0, free outflow at x_max, and the
-    doubled-argument source linearly interpolated onto the grid.  Where 2 x_i
-    falls beyond the grid the source vanishes (src_idx = -1, src = 0).
+    with zero inflow at x = 0, free outflow at x_max, and ntilde the
+    linear interpolation of n at the doubled argument.  Where 2 x_i falls
+    beyond the grid the gain vanishes.
     """
+    # scipy.sparse costs ~0.1 s to import; only the PDE needs it
+    from scipy.sparse import csc_matrix, diags
+
     m = centers.size
     flux_coef = tau * (np.arange(1, m + 1) * dx)
     sink = np.asarray(rate(centers))
     pos = (2.0 * centers - centers[0]) / dx
     k = np.floor(pos).astype(np.int64)
-    valid = k < m - 1
-    src = np.where(valid, 2.0 * np.asarray(rate(2.0 * centers)), 0.0)
-    src_idx = np.where(valid, k, -1)
-    src_w = np.where(valid, pos - k, 0.0)
-    return flux_coef, sink, src, src_idx, src_w
+    rows = np.flatnonzero(k < m - 1)
+    k = k[rows]
+    src = 2.0 * np.asarray(rate(2.0 * centers))[rows]
+    w = pos[rows] - k
+    gain = csc_matrix(
+        (np.concatenate([src * (1.0 - w), src * w]),
+         (np.concatenate([rows, rows]), np.concatenate([k, k + 1]))),
+        shape=(m, m))
+    return diags([-flux_coef / dx - sink, flux_coef[:-1] / dx], [0, -1],
+                 format="csc") + gain
 
 
 # Inverse iteration converges by the ratio of the two eigenvalues nearest 0
@@ -303,31 +302,17 @@ def _pde_stencil(rate: DivisionRate, tau: float, centers: np.ndarray,
 _INVERSE_ITERATIONS = 50
 
 
-def _pde_steady_state(stencil, n0: np.ndarray, dx: float):
-    """Perron eigenpair of the stencil's operator A by LU inverse iteration
-    at shift 0, from the unit-mass start ``n0``.
+def _pde_steady_state(a, n0: np.ndarray, dx: float):
+    """Perron eigenpair of the operator A by LU inverse iteration at shift
+    0, from the unit-mass start ``n0``.
 
     Returns (n, lam, l1_rate): the eigenvector clipped to n >= 0 with unit
     mass, lam = sum(A n) dx, and l1_rate = |(A - lam) n|_1 dx, the rate of
     change of the renormalised march evaluated at n.
     """
-    # scipy.sparse costs ~0.1 s to import; only this path needs it
-    from scipy.sparse import csc_matrix, diags
     from scipy.sparse.linalg import splu
 
-    flux_coef, sink, src, src_idx, src_w = stencil
-    m = n0.size
-    rows = np.flatnonzero(src_idx >= 0)
-    k = src_idx[rows]
-    gain = csc_matrix(
-        (np.concatenate([src[rows] * (1.0 - src_w[rows]),
-                         src[rows] * src_w[rows]]),
-         (np.concatenate([rows, rows]), np.concatenate([k, k + 1]))),
-        shape=(m, m))
-    a = diags([-flux_coef / dx - sink, flux_coef[:-1] / dx], [0, -1],
-              format="csc") + gain
     lu = splu(a)
-
     # lam < 0 makes A^-1 flip the sign of the iterate, so normalise by the
     # signed sum; clipping inside the loop would destroy the vector.  Stop
     # once the L1 change no longer shrinks: the iterate sits at rounding level
@@ -353,26 +338,25 @@ def _pde_steady_state(stencil, n0: np.ndarray, dx: float):
 
 def solve_conservative_pde(rate: DivisionRate, tau: float, x_max: float = 5.0,
                            dx: float = 2.5e-3, t_end: Optional[float] = None,
-                           cfl: float = 0.9, dt: Optional[float] = None,
-                           stop_rate: float = 1e-8,
-                           initial: Optional[np.ndarray] = None) -> PdeState:
+                           cfl: float = 0.9,
+                           stop_rate: float = 1e-8) -> PdeState:
     """Steady state (or a transient) of dn/dt + tau d(x n)/dx =
     2 B(2x) n(2x) - B(x) n(x), first-order upwind finite volumes on cell
-    centres (i + 1/2) dx (see ``_pde_stencil``).
+    centres (i + 1/2) dx (the operator A of ``_pde_operator``), from n
+    uniform on [0, x_max/2].
 
     With ``t_end=None`` the steady state is solved for directly: the march
     below renormalises mass every step, so its fixed point is the Perron
-    eigenvector of the discrete operator A, found by sparse LU inverse
-    iteration.  ``steps`` is then 0, ``time`` infinite, ``l1_rate`` the
-    march's rate of change at that vector and ``max_mass_drift_rate`` the
-    eigenvalue's magnitude.  Raises NoConvergence unless ``l1_rate`` falls
-    below ``stop_rate``.
+    eigenvector of A, found by sparse LU inverse iteration.  ``steps`` is
+    then 0, ``time`` infinite, ``l1_rate`` the march's rate of change at
+    that vector and ``max_mass_drift_rate`` the eigenvalue's magnitude.
+    Raises NoConvergence unless ``l1_rate`` falls below ``stop_rate``.
 
-    With a finite ``t_end`` the equation is marched explicitly from
-    ``initial`` (default: uniform on [0, x_max/2]) with time step ``dt``
-    (default: the CFL bound), renormalising mass every step and recording
-    the pre-normalisation drift; the march stops at ``t_end`` or when the
-    L1 rate of change falls below ``stop_rate``.
+    With a finite ``t_end`` the same matrix is marched explicitly,
+    n <- n + dt A n with dt = cfl dx / (tau x_max), clipping at 0,
+    renormalising mass every step and recording the pre-normalisation
+    drift; the march stops at ``t_end`` or when the L1 rate of change falls
+    below ``stop_rate``.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -380,36 +364,21 @@ def solve_conservative_pde(rate: DivisionRate, tau: float, x_max: float = 5.0,
         raise ValueError("cfl must lie in (0, 1]")
     m = int(round(x_max / dx))
     centers = (np.arange(m) + 0.5) * dx
-    if dt is None:
-        dt = cfl * dx / (tau * x_max)
-    elif tau * x_max * dt / dx > cfl:
-        raise CflViolation(
-            f"dt={dt} violates the step bound cfl*dx/(tau*x_max)")
-
-    if initial is None:
-        n0 = np.where(centers <= x_max / 2.0, 1.0, 0.0)
-    else:
-        n0 = np.asarray(initial, dtype=np.float64).copy()
-        if n0.size != m:
-            raise ValueError("initial profile size must match the grid")
+    n0 = np.where(centers <= x_max / 2.0, 1.0, 0.0)
     n0 /= np.sum(n0) * dx
-    stencil = _pde_stencil(rate, tau, centers, dx)
+    a = _pde_operator(rate, tau, centers, dx)
 
     if t_end is None:
-        n, lam, l1_rate = _pde_steady_state(stencil, n0, dx)
+        n, lam, l1_rate = _pde_steady_state(a, n0, dx)
         if not l1_rate < stop_rate:
             raise NoConvergence("PDE steady state misses stop_rate="
                                 f"{stop_rate:.3e}", l1_rate)
         return PdeState(CurveOnGrid(float(centers[0]), dx, n), math.inf,
                         float(np.sum(n)) * dx, 0, l1_rate, abs(lam), True)
 
-    flux_coef, sink, src, src_idx, src_w = stencil
-    max_steps = int(math.ceil(t_end / dt))
+    dt = cfl * dx / (tau * x_max)
     n, steps, l1_rate, drift = _hot.pde_run(
-        np.ascontiguousarray(n0), float(dt), np.ascontiguousarray(flux_coef),
-        np.ascontiguousarray(src), np.ascontiguousarray(sink),
-        np.ascontiguousarray(src_idx), np.ascontiguousarray(src_w),
-        float(dx), max_steps, float(stop_rate))
+        n0, dt, a, dx, math.ceil(t_end / dt), stop_rate)
     mass = float(np.sum(n)) * dx
     return PdeState(CurveOnGrid(float(centers[0]), dx, n), steps * dt, mass,
                     int(steps), float(l1_rate), float(drift),

@@ -217,19 +217,9 @@ class TabulatedRate:
 DivisionRate = Union[PowerLawRate, TabulatedRate]
 
 
-def eval_division_rate(rate: DivisionRate, x):
-    """B(x) for x >= 0."""
-    return rate(x)
-
-
 def cumulative_hazard(rate: DivisionRate, x, v, t):
     """F(x, v, t) = integral_0^t B(x e^{v s}) ds."""
     return rate.cumulative_hazard(x, v, t)
-
-
-def invert_hazard(rate: DivisionRate, x, v, e, t_max: float = DEFAULT_T_MAX):
-    """Smallest t with F(x, v, t) = e, to |F(t) - e| <= 1e-10 max(1, e)."""
-    return rate.invert_hazard(x, v, e, t_max=t_max)
 
 
 def sample_lifetimes_keyed(rate: DivisionRate, node_keys: np.ndarray,

@@ -80,7 +80,9 @@ class GenealogyTree:
             if n == 0 or (n + 1) & n:
                 raise ValueError("full scheme must hold exactly 2^(N+1)-1 records")
         elif scheme == "sparse":
-            if self.chain_bits is None or self.chain_bits.size != max(n - 1, 0):
+            if n == 0:
+                raise ValueError("sparse scheme must hold at least one record")
+            if self.chain_bits is None or self.chain_bits.size != n - 1:
                 raise ValueError("sparse scheme needs one child bit per division")
             if not np.all((self.chain_bits == 0) | (self.chain_bits == 1)):
                 raise ValueError("chain bits must be 0 or 1")
@@ -111,7 +113,7 @@ class GenealogyTree:
 
     @property
     def depth(self) -> int:
-        return int(self.positions(slice(-1, None))[0].max(initial=0))
+        return int(self.positions(slice(-1, None))[0][0])
 
 
 # ---------------------------------------------------------------------------

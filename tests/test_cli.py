@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gftree
@@ -365,8 +366,46 @@ def test_pde_check_no_convergence_is_runtime_error(tmp_path, monkeypatch):
                 "--no-timestamp"]) == 3
 
 
+def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
+    # --t-end marches the matrix that the steady-state route factors
+    codes, profiles = [], []
+    for extra in ([], ["--t-end", 300]):
+        out = tmp_path / f"run{len(codes)}"
+        codes.append(run(["pde-check", "--grid-dx", 1e-2, *extra,
+                          "--out", out, "--no-timestamp"]))
+        doc = json.loads((out / "pde_check.json").read_text())
+        assert doc["verdicts"]["pde_converged"]["pass"]
+        profiles.append(np.loadtxt(out / "pde_steady_state.tsv",
+                                   skiprows=1)[:, 1])
+    assert codes[0] == codes[1]
+    assert np.max(np.abs(profiles[0] - profiles[1])) <= 1e-8
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pde-check", "--cfl", 0, "--t-end", 1], "--cfl"),
+    (["pde-check", "--cfl", 1.5, "--t-end", 1], "--cfl"),
+    (["pde-check", "--tau", 0], "--tau"),
+    (["pde-check", "--tau", "nan"], "--tau"),
+    (["pde-check", "--grid-dx", 0], "--grid-dx"),
+    (["pde-check", "--grid-dx", -0.01], "--grid-dx"),
+    (["pde-check", "--grid-dx", 5], "--grid-dx"),
+    (["pde-check", "--grid-xmax", "inf"], "--grid-xmax"),
+    (["pde-check", "--t-end", "nan"], "--t-end"),
+    (["pde-check", "--t-end", -1], "--t-end"),
+    (["pde-check", "--b", "x^-1"], "--b"),
+    (["simulate", "--b", "x^-1", "--scheme", "full", "--generations", 2],
+     "--b"),
+])
+def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
+                                                       argv, flag):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy is imported lazily, by the PDE steady-state solve (scipy.sparse)
+    # scipy is imported lazily, by the PDE operator (scipy.sparse)
     # and the Gaussian growth kernel (scipy.special); loading either with
     # the CLI would add 0.1-0.3 s to every command's start-up.  The study
     # process pool is imported only when study runs with --workers > 1,
@@ -486,12 +525,6 @@ def _no_convergence(tmp_path, monkeypatch):
     return ["pde-check", "--grid-dx", 1e-2]
 
 
-def _cfl_violation(tmp_path, monkeypatch):
-    monkeypatch.setattr(gftree.cli, "solve_conservative_pde",
-                        functools.partial(solve_conservative_pde, dt=1.0))
-    return ["pde-check", "--grid-dx", 1e-2]
-
-
 def _degenerate_denominator(tmp_path, monkeypatch):
     # y = 12 lies beyond twice the grid's x_max = 5, where nu carries no mass
     return ["pde-check", "--grid-dx", 1e-2, "--check-hi", 12]
@@ -514,7 +547,6 @@ EXIT_CODES = {
     "EmptyAfterFiltering": (3, "no usable rows", _empty_after_filtering),
     "RejectionBudgetExceeded": (3, "no admissible growth rate",
                                 _rejection_budget_exceeded),
-    "CflViolation": (3, "violates the step bound", _cfl_violation),
 }
 
 

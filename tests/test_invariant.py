@@ -5,14 +5,13 @@ import pytest
 from scipy import integrate
 
 from gftree.curves import CurveOnGrid
-from gftree.invariant import (CflViolation, DegenerateDenominator,
-                              InvariantSolution, NoConvergence,
-                              QuadratureOverflow, TransitionEvaluator,
-                              flux_identity_error, invariant_fixed_point,
+from gftree.invariant import (DegenerateDenominator, InvariantSolution,
+                              NoConvergence, QuadratureOverflow,
+                              TransitionEvaluator, flux_identity_error,
+                              invariant_fixed_point,
                               reconstruct_division_rate,
                               solve_conservative_pde,
-                              steady_state_relation_error, transition_density,
-                              verify_drift)
+                              steady_state_relation_error, verify_drift)
 from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
                           GrowthBounds, PowerLawRate, TabulatedRate,
                           UniformIncrementGrowth, contraction_coefficient)
@@ -69,7 +68,7 @@ def test_joint_density_factorises(rng):
     bounds = GrowthBounds(0.2, 3.0)
     kernel = UniformIncrementGrowth(2.0, 0.5, bounds)
     ev = TransitionEvaluator(SQUARE, kernel, bounds)
-    val = transition_density(ev, 1.0, 1.5, 0.8, 1.7)
+    val = ev.density(1.0, 1.5, 0.8, 1.7)
     assert val == pytest.approx(
         ev.size_density(1.0, 1.5, 0.8) * ev.growth_density(1.5, 1.7),
         rel=1e-12)
@@ -255,11 +254,6 @@ def test_direct_steady_state_matches_march(rate):
 def test_steady_state_no_convergence_fails_fast():
     with pytest.raises(NoConvergence):
         solve_conservative_pde(SQUARE, 1.0, dx=1e-2, stop_rate=0.0)
-
-
-def test_cfl_violation_raises():
-    with pytest.raises(CflViolation):
-        solve_conservative_pde(SQUARE, 1.0, dx=2.5e-3, dt=1.0, t_end=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
                           PowerLawRate, RejectionBudgetExceeded,
                           TabulatedRate, UniformIncrementGrowth,
                           check_class_membership, contraction_coefficient,
-                          cumulative_hazard, eval_division_rate,
-                          invert_hazard, reference_model,
+                          cumulative_hazard, reference_model,
                           sample_growth_rates_keyed, sample_lifetimes_keyed,
                           sample_lifetimes_rejection)
 from gftree.streams import STREAM_GROWTH, child_keys, draw_uniform, run_key
@@ -42,17 +41,17 @@ def keyed_growth_rates(kernel, v_parent, n, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_power_law_vanishes_at_origin():
-    assert eval_division_rate(SQUARE, 0.0) == 0.0
+    assert SQUARE(0.0) == 0.0
 
 
 def test_power_law_is_exact():
-    assert eval_division_rate(SQUARE, 2.0) == 4.0
-    assert eval_division_rate(PowerLawRate(2.5, 1.0), 2.0) == 5.0
+    assert SQUARE(2.0) == 4.0
+    assert PowerLawRate(2.5, 1.0)(2.0) == 5.0
 
 
 def test_tabulated_interpolates_linearly():
     tab = TabulatedRate([1.0, 2.0], [1.0, 4.0])
-    assert eval_division_rate(tab, 1.5) == 2.5
+    assert tab(1.5) == 2.5
 
 
 def test_tabulated_clamps_outside_grid():
@@ -120,17 +119,17 @@ def test_power_law_closed_form_vs_quadrature_bulk(rng):
 
 def test_invert_recovers_example():
     e = (math.e - 1.0) / 2.0
-    assert invert_hazard(SQUARE, 1.0, 1.0, e) == pytest.approx(0.5, rel=1e-12)
+    assert SQUARE.invert_hazard(1.0, 1.0, e) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_invert_is_continuous_at_zero():
-    t = invert_hazard(SQUARE, 1.0, 1.0, 1e-12)
+    t = SQUARE.invert_hazard(1.0, 1.0, 1e-12)
     assert 0.0 < t < 1e-11
 
 
 def test_invert_flat_table_is_identity():
     tab = TabulatedRate([1.0, 2.0], [1.0, 1.0])  # B == 1 everywhere
-    assert invert_hazard(tab, 1.0, 1.0, 2.0) == pytest.approx(2.0, abs=1e-10)
+    assert tab.invert_hazard(1.0, 1.0, 2.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_invert_roundtrip_random_triples(rng):
@@ -140,7 +139,7 @@ def test_invert_roundtrip_random_triples(rng):
         v = rng.uniform(0.2, 3.0, 1000)
         t = rng.uniform(0.01, 2.0, 1000)
         e = cumulative_hazard(rate, x, v, t)
-        back = invert_hazard(rate, x, v, e)
+        back = rate.invert_hazard(x, v, e)
         assert np.allclose(back, t, rtol=1e-8, atol=1e-10)
 
 
@@ -154,7 +153,7 @@ def test_invert_raises_for_bounded_hazard():
     # B clamps to zero above the grid: total hazard is finite
     tab = TabulatedRate([0.5, 1.0], [1.0, 0.0])
     with pytest.raises(NonDivergentHazard):
-        invert_hazard(tab, 1.0, 1.0, 50.0, t_max=100.0)
+        tab.invert_hazard(1.0, 1.0, 50.0, t_max=100.0)
 
 
 # ---------------------------------------------------------------------------

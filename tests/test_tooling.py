@@ -45,3 +45,25 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), scope)
     assert len(scope["tree"]) == 2 ** 14 - 1
     assert scope["est"].n == 2 ** 14 - 1
+
+
+def test_pde_run_counter_reads_a_real_march():
+    # the tracer counts steps from result[1] and cells from args[0], so a
+    # reordered pde_run signature must fail here, not in a traced run
+    import numpy as np
+
+    from gftree import _hot
+    from gftree.invariant import _pde_operator
+    from gftree.model import PowerLawRate
+
+    m, dx = 200, 2.5e-2
+    centers = (np.arange(m) + 0.5) * dx
+    args = (np.full(m, 1.0 / (m * dx)), 1e-3,
+            _pde_operator(PowerLawRate(1.0, 2.0), 1.0, centers, dx), dx, 7,
+            0.0)
+    result = _hot.pde_run(*args)
+    names, counts = _tracing_module().LAYERS[("_hot", "pde_run")]
+    got = counts(_hot.pde_run, args, {}, result)
+    assert set(got) == set(names)
+    assert got == {"steps": result[1], "cell_steps": result[1] * m}
+    assert result[1] == 7

@@ -42,13 +42,13 @@ def test_full_tree_positions_equal_breadth_first_layout(depth):
         assert np.array_equal(got_index, index[rows])
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
 def test_lineage_positions_are_row_and_zero(n):
-    tree = tree_of("sparse", n, chain_bits=np.ones(max(n - 1, 0)))
+    tree = tree_of("sparse", n, chain_bits=np.ones(n - 1))
     gen, index = tree.positions()
     assert np.array_equal(gen, np.arange(n))
     assert np.array_equal(index, np.zeros(n, dtype=np.int64))
-    assert tree.depth == max(n - 1, 0)
+    assert tree.depth == n - 1
     assert np.array_equal(tree.positions(slice(2, 5))[0], np.arange(n)[2:5])
 
 
@@ -56,11 +56,12 @@ def test_lineage_positions_are_row_and_zero(n):
     (("full", 0), "full scheme must hold"),
     (("full", 2), "full scheme must hold"),
     (("full", 6), "full scheme must hold"),
+    (("sparse", 0, np.zeros(0)), "at least one record"),
     (("sparse", 3), "one child bit per division"),
     (("sparse", 3, np.ones(3)), "one child bit per division"),
     (("sparse", 3, np.array([0, 2])), "0 or 1"),
     (("binary", 3), "unknown scheme"),
-], ids=["full-empty", "full-2", "full-6", "sparse-no-bits",
+], ids=["full-empty", "full-2", "full-6", "sparse-empty", "sparse-no-bits",
         "sparse-too-many-bits", "sparse-non-binary-bit", "unknown-scheme"])
 def test_tree_constructor_refusals(args, message):
     with pytest.raises(ValueError, match=message):
