@@ -19,10 +19,10 @@ from .invariant import (DegenerateDenominator, DriftReport,
 from .model import (ClassParams, ClassReport, DiracGrowth, DivisionRate,
                     GaussianIncrementGrowth, GrowthBounds, GrowthKernel,
                     IndependentResampleGrowth, InitialDistribution, ModelSpec,
-                    NonDivergentHazard, PowerLawRate, RejectionBudgetExceeded,
-                    TabulatedRate, UniformIncrementGrowth,
-                    check_class_membership, contraction_coefficient,
-                    cumulative_hazard, reference_class_params, reference_model,
+                    NonDivergentHazard, PowerLawRate, TabulatedRate,
+                    UniformIncrementGrowth, check_class_membership,
+                    contraction_coefficient, cumulative_hazard,
+                    reference_class_params, reference_model,
                     sample_growth_rates_keyed, sample_lifetimes_keyed,
                     sample_lifetimes_rejection)
 from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,

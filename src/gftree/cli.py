@@ -373,11 +373,14 @@ def cmd_pde_check(args) -> int:
         raise UsageError("--t-end must be finite and >= 0")
     if not 0 < args.grid_dx < args.grid_xmax < np.inf:
         raise UsageError("need 0 < --grid-dx < --grid-xmax < inf")
+    lo, hi = args.check_lo, args.check_hi
+    if not (0 < lo and lo + args.grid_dx <= hi < np.inf):
+        raise UsageError("need 0 < --check-lo and --check-lo + --grid-dx "
+                         "<= --check-hi < inf")
     inv = invariant_fixed_point(rate, tau, x_max=args.grid_xmax,
                                 dx=args.grid_dx)
     recon = reconstruct_division_rate(
-        inv, tau, np.arange(args.check_lo, args.check_hi + args.grid_dx / 2,
-                            args.grid_dx))
+        inv, tau, np.arange(lo, hi + args.grid_dx / 2, args.grid_dx))
     closed_loop = float(np.max(np.abs(recon.values - rate(recon.x))
                                / rate(recon.x)))
     pde = solve_conservative_pde(rate, tau, x_max=args.grid_xmax,

@@ -470,7 +470,7 @@ def estimate_rows(size_birth: np.ndarray, growth_rate: np.ndarray,
     or, with ``pooled``, with each row's growth rates replaced by their
     mean in the denominator indicator and weight."""
     if pooled:
-        growth_rate = np.array([[np.mean(v)] for v in growth_rate])
+        growth_rate = np.array([[math.fsum(v) / v.size] for v in growth_rate])
     weight = np.broadcast_to(1.0 / growth_rate, size_birth.shape)
     return _assemble(size_birth, config, size_birth, weight,
                      size_birth * np.exp(growth_rate * lifetime), pooled)

@@ -12,8 +12,9 @@ substituted integral ``(1/v) * integral_x^{x e^{vt}} B(y)/y dy`` and a
 bisection/Newton inverse.
 
 Growth kernels describe how a child's exponential growth rate is drawn from
-its parent's; every draw is conditioned to stay inside the admissible band
-``[e_min, e_max]`` by rejection.
+its parent's, conditioned to stay inside the admissible band
+``[e_min, e_max]``; each kernel inverts that conditioned law, so a child's
+rate costs one uniform (none for a Dirac kernel).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import _hot, streams
 
 HAZARD_TOL = 1e-10
 DEFAULT_T_MAX = 1e4
-REJECTION_CAP = 10 ** 6
 
 
 class NonDivergentHazard(RuntimeError):
@@ -37,14 +37,6 @@ class NonDivergentHazard(RuntimeError):
 
     Signals a division rate too small at infinity for lifetimes to be
     almost-surely finite on the guarded range.
-    """
-
-
-class RejectionBudgetExceeded(RuntimeError):
-    """Growth-rate rejection sampling ran out of attempts.
-
-    Signals a kernel/bounds mismatch: the proposal mass inside
-    [e_min, e_max] is (nearly) zero for some parent rate.
     """
 
 
@@ -255,7 +247,7 @@ def sample_lifetimes_rejection(rate: DivisionRate, x: float, v: float,
 
     The division age has hazard lambda(t) = B(x e^{v t}).  On a window
     [t, t + w] the hazard is bounded by the maximum of B over the size range
-    the cell sweeps; candidate events are proposed from the homogeneous bound
+    the cell sweeps; candidate events are drawn from the homogeneous bound
     and accepted with probability lambda/bound.  Kept as an independent
     implementation for distributional cross-checks of the keyed inverse
     sampler, :func:`sample_lifetimes_keyed`.
@@ -318,13 +310,13 @@ class DiracGrowth:
     value: float
     bounds: GrowthBounds
 
-    uniforms_per_attempt = 0
+    uniforms_per_attempt = 0  # uniforms per rate; perfbench/tracing.py reads it
 
     def __post_init__(self):
         if not self.bounds.contains(self.value):
             raise ValueError("Dirac growth value must lie in [e_min, e_max]")
 
-    def propose(self, v_parent, u):
+    def quantile(self, v_parent, u):
         return np.full(np.shape(v_parent), self.value, dtype=np.float64)
 
     def to_json_dict(self):
@@ -346,11 +338,11 @@ class UniformIncrementGrowth:
     rms: float = 0.5
     bounds: GrowthBounds = field(default=None)  # type: ignore[assignment]
 
-    uniforms_per_attempt = 1
+    uniforms_per_attempt = 1  # read by perfbench/tracing.py
 
     def __post_init__(self):
         if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 so rejection can terminate")
+            raise ValueError("alpha must exceed 1 so a step can move down")
         if self.rms <= 0:
             raise ValueError("rms must be positive")
         if self.bounds is None:
@@ -366,9 +358,11 @@ class UniformIncrementGrowth:
         c = self.scale
         return c * (1.0 - self.alpha), c * (1.0 + self.alpha)
 
-    def propose(self, v_parent, u):
+    def quantile(self, v_parent, u):
         lo, hi = self.step_support()
-        return np.asarray(v_parent) + lo + (hi - lo) * u
+        left = np.maximum(self.bounds.e_min, np.asarray(v_parent) + lo)
+        right = np.minimum(self.bounds.e_max, np.asarray(v_parent) + hi)
+        return np.minimum(left + (right - left) * u, right)
 
     def step_density(self, w) -> np.ndarray:
         lo, hi = self.step_support()
@@ -398,7 +392,7 @@ class GaussianIncrementGrowth:
     std: float
     bounds: GrowthBounds
 
-    uniforms_per_attempt = 1
+    uniforms_per_attempt = 1  # read by perfbench/tracing.py
 
     def __post_init__(self):
         if self.std <= 0:
@@ -406,9 +400,17 @@ class GaussianIncrementGrowth:
         if self.bounds.e_min == self.bounds.e_max:  # hit with probability 0
             raise ValueError("a continuous increment needs e_min < e_max")
 
-    def propose(self, v_parent, u):
-        from scipy.special import ndtri  # lazy: ~0.3 s of CLI start-up
-        return np.asarray(v_parent) + self.std * ndtri(u)
+    def quantile(self, v_parent, u):
+        """The truncated normal inverted in the tail that holds ``u``: ndtr
+        below 1/2, else ndtr(-.) on the mirrored band at the exact 1 - u;
+        the clip only absorbs rounding and the top level u = 1."""
+        from scipy.special import ndtr, ndtri  # lazy: ~0.3 s of CLI start-up
+        b, v = self.bounds, v_parent
+        lo, hi = (b.e_min - v) / self.std, (b.e_max - v) / self.std
+        lower = u < 0.5
+        p_lo, p_hi = ndtr(np.where(lower, [lo, hi], [-hi, -lo]))
+        z = ndtri(p_lo + np.where(lower, u, 1.0 - u) * (p_hi - p_lo))
+        return np.clip(v + self.std * np.where(lower, z, -z), b.e_min, b.e_max)
 
     def conditioned_density(self, v, w_child) -> np.ndarray:
         from scipy.special import ndtr
@@ -433,7 +435,7 @@ class IndependentResampleGrowth:
     density: np.ndarray
     bounds: GrowthBounds = field(default=None)  # type: ignore[assignment]
 
-    uniforms_per_attempt = 2
+    uniforms_per_attempt = 1  # read by perfbench/tracing.py
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -445,29 +447,39 @@ class IndependentResampleGrowth:
         if self.bounds is None:
             raise ValueError("bounds are required")
         b = self.bounds
-        if b.e_min == b.e_max:
+        if b.e_min == b.e_max:  # every child rate is e_min
             inside = np.interp(b.e_min, grid, dens, left=0.0, right=0.0)
         else:  # exact when piecewise linear; <= 0 if the band misses the grid
             lo, hi = max(b.e_min, grid[0]), min(b.e_max, grid[-1])
             nodes = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
-            inside = np.trapezoid(np.interp(nodes, grid, dens), nodes)
-        if not inside > 0:  # rejection would never accept a rate
+            at = np.interp(nodes, grid, dens)
+            seg = np.diff(nodes) * (at[:-1] + at[1:]) / 2.0
+            inside, keep = seg.sum(), seg > 0
+            # per positive-mass segment: start, density, slope, CDF at start
+            object.__setattr__(self, "_knots", (
+                nodes[:-1][keep], at[:-1][keep],
+                np.diff(at)[keep] / np.diff(nodes)[keep],
+                np.concatenate(([0.0], np.cumsum(seg)[keep][:-1])), inside))
+        if not inside > 0:  # no child rate could be drawn
             raise ValueError("the resample density has no mass in the band")
-        mass = np.trapezoid(dens, grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", dens / mass)
+        object.__setattr__(self, "density", dens / np.trapezoid(dens, grid))
 
     def _density_at(self, v):
         return np.interp(v, self.grid, self.density, left=0.0, right=0.0)
 
-    def propose(self, v_parent, u):
-        # u carries two uniforms per lane: location proposal and accept level.
-        u_loc, u_acc = u
-        b = self.bounds
-        cand = b.e_min + (b.e_max - b.e_min) * u_loc
-        top = float(np.max(self.density))
-        ok = u_acc * top <= self._density_at(cand)
-        return np.where(ok, cand, np.nan)  # nan = retry (outside-band reject)
+    def quantile(self, v_parent, u):
+        """The piecewise-quadratic band CDF inverted: the segment holding
+        level ``u``, then the root of f0 t + slope t^2 / 2 = r, stably."""
+        if self.bounds.e_min == self.bounds.e_max:
+            return np.full(np.shape(u), self.bounds.e_min)
+        x0, f0, slope, start, total = self._knots
+        target = u * total
+        i = np.searchsorted(start, target, side="right") - 1
+        r, f = target - start[i], f0[i]
+        den = f + np.sqrt(np.maximum(f * f + 2.0 * slope[i] * r, 0.0))
+        t = np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
+        return np.clip(x0[i] + t, self.bounds.e_min, self.bounds.e_max)
 
     def conditioned_density(self, v, w_child) -> np.ndarray:
         b = self.bounds
@@ -485,49 +497,14 @@ GrowthKernel = Union[DiracGrowth, UniformIncrementGrowth,
                      GaussianIncrementGrowth, IndependentResampleGrowth]
 
 
-def _accept_mask(kernel: GrowthKernel, proposal: np.ndarray) -> np.ndarray:
-    return kernel.bounds.contains(proposal) & ~np.isnan(proposal)
-
-
 def sample_growth_rates_keyed(kernel: GrowthKernel, v_parent: np.ndarray,
-                              node_keys: np.ndarray, stream: int,
-                              cap: int = REJECTION_CAP) -> np.ndarray:
+                              node_keys: np.ndarray, stream: int) -> np.ndarray:
     """Child growth rates from kernel(v_parent, .) conditioned to the band,
-    by rejection with a hard attempt cap: attempt j of node i draws from
-    the hash stream (node_keys[i], stream, j).
-
-    Only the pending lanes are carried from round to round, as the
-    compacted columns (flat index, node key, parent rate), so a round costs
-    in proportion to the lanes it still draws for."""
-    v = np.asarray(v_parent, dtype=np.float64)
-    if isinstance(kernel, DiracGrowth):
-        return kernel.propose(v, None)
-
-    out = np.full(v.size, np.nan)
-    lane, keys, parent = np.arange(v.size), np.ravel(node_keys), v.ravel()
-    per = kernel.uniforms_per_attempt
-    counter = 0
-    for _ in range(cap):
-        if not lane.size:
-            break
-        if per == 1:
-            u = streams.draw_uniform(keys, stream, counter)
-        else:
-            u = (streams.draw_uniform(keys, stream, counter),
-                 streams.draw_uniform(keys, stream, counter + 1))
-        prop = kernel.propose(parent, u)
-        ok = _accept_mask(kernel, prop)
-        # integer positions: a boolean mask this random indexes ~3x slower
-        accept, pending = np.flatnonzero(ok), np.flatnonzero(~ok)
-        out[lane[accept]] = prop[accept]
-        lane, keys, parent = lane[pending], keys[pending], parent[pending]
-        counter += per
-    if lane.size:
-        b = kernel.bounds
-        raise RejectionBudgetExceeded(
-            f"no admissible growth rate in [{b.e_min}, {b.e_max}] within "
-            f"{cap} attempts for parent rate {float(parent[0])}")
-    return out.reshape(v.shape)
+    by inversion: node i's rate is the kernel's conditioned quantile at the
+    uniform (node_keys[i], stream, 0).  A Dirac kernel draws nothing."""
+    u = (streams.draw_uniform(node_keys, stream, 0)
+         if kernel.uniforms_per_attempt else None)
+    return kernel.quantile(np.asarray(v_parent, dtype=np.float64), u)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ hash along its path: the root key is derived from the run seed, and a child's
 key is ``combine(parent_key, child_bit)``.  A cell's draws then come from
 ``combine(combine(node_key, stream), counter)``, so each draw depends only on
 the run seed and the cell's path -- never on traversal order, batching, or
-worker count -- and rejection loops simply advance the counter.
+worker count.  Each sampler takes one draw per node and stream (counter 0).
 
 All integer arithmetic is exact 64-bit wraparound (numpy uint64 arrays), so
-accept/reject decisions and tree topology are identical on every backend.
-The uniform mapping ``((h >> 11) + 0.5) * 2**-53`` is exact dyadic arithmetic
-with values in the open interval (0, 1).
+draws and tree topology are identical on every backend.  The uniform
+mapping ``((h >> 11) + 0.5) * 2**-53`` is dyadic, with values in (0, 1]:
+from 2**52 up the ``+ 0.5`` rounds to even, and the top word maps to 1.
 
 Every function here returns a fresh array and never writes to its
 arguments, so callers may pass views (``run_keys[lo:hi]``), broadcast
@@ -83,7 +83,7 @@ def draw_hash(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
 
 
 def draw_uniform(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
-    """One uniform in the open interval (0, 1) per node key."""
+    """One uniform in (0, 1] per node key; 1 has probability 2**-53."""
     h = draw_hash(node_keys, stream, counter)
     h >>= _S11
     u = h.astype(np.float64)

@@ -12,8 +12,7 @@ import pytest
 import gftree
 from gftree.cli import main, make_parser, parse_rate, parse_size_range
 from gftree.invariant import solve_conservative_pde
-from gftree.model import (PowerLawRate, reference_model,
-                          sample_growth_rates_keyed)
+from gftree.model import PowerLawRate, reference_model
 
 
 def run(args, **kwargs):
@@ -299,8 +298,8 @@ def test_verify_many_to_one_bad_input_is_usage_error(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("rho", ["uniform-increment:2.0,0.5", "gaussian:0.5"])
 def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
-    # a continuous increment never lands on a single point: without the
-    # check this ran 10^6 rejection rounds (~44 s) and exited 3
+    # a continuous increment has no law on a single point: the model is
+    # refused before anything is simulated
     out = tmp_path / "out"
     start = time.perf_counter()
     assert run(["simulate", "--scheme", "full", "--generations", 3,
@@ -315,7 +314,7 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
     (lambda doc: doc["division_rate"].update(form="cubic"),
      "unknown division rate form"),
     (lambda doc: doc.pop("bounds"), "bounds"),
-    # without the check rejection ran out its budget (77 s) and exited 3
+    # a density without mass in the band has no quantile to invert
     (lambda doc: doc.update(growth_kernel={
         "form": "independent_resample", "grid": [5.0, 6.0],
         "density": [1.0, 1.0]}), "no mass in the band"),
@@ -395,6 +394,10 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     (["pde-check", "--b", "x^-1"], "--b"),
     (["simulate", "--b", "x^-1", "--scheme", "full", "--generations", 2],
      "--b"),
+    (["pde-check", "--check-lo", 3, "--check-hi", 1], "--check-hi"),
+    (["pde-check", "--check-lo", 2, "--check-hi", 2], "--check-hi"),
+    (["pde-check", "--check-lo", "nan"], "--check-lo"),
+    (["pde-check", "--check-lo", -1], "--check-lo"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):
@@ -512,12 +515,6 @@ def _non_divergent_hazard(tmp_path, monkeypatch):
             "--generations", 2]
 
 
-def _rejection_budget_exceeded(tmp_path, monkeypatch):
-    monkeypatch.setattr(gftree.trees, "sample_growth_rates_keyed",
-                        functools.partial(sample_growth_rates_keyed, cap=1))
-    return ["simulate", "--scheme", "full", "--generations", 6]
-
-
 def _no_convergence(tmp_path, monkeypatch):
     monkeypatch.setattr(gftree.cli, "solve_conservative_pde",
                         functools.partial(solve_conservative_pde,
@@ -545,8 +542,6 @@ EXIT_CODES = {
                               _degenerate_denominator),
     "EmptyConditioningSet": (3, "n = 32", _empty_conditioning_set),
     "EmptyAfterFiltering": (3, "no usable rows", _empty_after_filtering),
-    "RejectionBudgetExceeded": (3, "no admissible growth rate",
-                                _rejection_budget_exceeded),
 }
 
 

@@ -170,9 +170,9 @@ def sha256_of(path) -> str:
 
 @pytest.mark.parametrize("make, digest", [
     (lambda s: simulate_full_tree(s, 6, seed=20),
-     "0abdc22b27d58da01984284f2c398fe89ae236bebcaed658007a89979ea91381"),
+     "c524dfef9a369b696b1acf064d48e65b441a1110c2db51f9e3a4d7c2379fb84d"),
     (lambda s: simulate_sparse_lineage(s, 64, seed=21),
-     "f97049b988970d9ff4114b239cfacc952f6cace8ceb808b3ffc263b3b5183579"),
+     "7e102e774c6fd1b8480b6fcb2914ca2b6353bd788728cc3ac8637575add45b0a"),
 ], ids=["full-g6", "sparse-n64"])
 def test_writer_matches_recorded_digest(tmp_path, variability_spec, make,
                                         digest):

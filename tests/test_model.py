@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,13 +8,12 @@ from scipy import integrate, stats
 from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
                           GrowthBounds, IndependentResampleGrowth,
                           InitialDistribution, ModelSpec, NonDivergentHazard,
-                          PowerLawRate, RejectionBudgetExceeded,
-                          TabulatedRate, UniformIncrementGrowth,
+                          PowerLawRate, TabulatedRate, UniformIncrementGrowth,
                           check_class_membership, contraction_coefficient,
                           cumulative_hazard, reference_model,
                           sample_growth_rates_keyed, sample_lifetimes_keyed,
                           sample_lifetimes_rejection)
-from gftree.streams import STREAM_GROWTH, child_keys, draw_uniform, run_key
+from gftree.streams import STREAM_GROWTH, child_keys, run_key
 
 SQUARE = PowerLawRate(1.0, 2.0)
 BOUNDS = GrowthBounds(0.2, 3.0)
@@ -31,9 +29,9 @@ def keyed_lifetimes(rate, x, v, n):
                                   np.full(n, v))
 
 
-def keyed_growth_rates(kernel, v_parent, n, **kwargs):
+def keyed_growth_rates(kernel, v_parent, n):
     return sample_growth_rates_keyed(kernel, np.full(n, v_parent),
-                                     node_keys(n), STREAM_GROWTH, **kwargs)
+                                     node_keys(n), STREAM_GROWTH)
 
 
 # ---------------------------------------------------------------------------
@@ -234,43 +232,14 @@ def test_independent_resample_follows_density():
 
 
 def test_rejection_budget_raises():
-    # nearly all proposal mass misses the spike, so a tiny cap trips
+    # A 4e-3-wide spike holds all the density: each lane takes one draw
+    # and lands in the spike.
     grid = np.linspace(0.2, 3.0, 2901)
     dens = np.where(np.abs(grid - 1.0) < 2e-3, 1.0, 0.0)
     kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
-    with pytest.raises(RejectionBudgetExceeded,
-                       match=r"in \[0\.2, 3\.0\] .* parent rate 1\.0$"):
-        keyed_growth_rates(kernel, 1.0, 64, cap=3)
-
-
-def masked_growth_rates(kernel, v_parent, node_keys, stream, cap):
-    """The masked rejection loop that the compacted one replaced, kept as
-    its oracle: each round scans the full-size mask of pending lanes and
-    gathers their keys and parent rates.  1-d inputs only."""
-    v = np.asarray(v_parent, dtype=np.float64)
-    if isinstance(kernel, DiracGrowth):
-        return kernel.propose(v, None)
-    out = np.full(v.shape, np.nan)
-    active = np.ones(v.shape, dtype=bool)
-    per = kernel.uniforms_per_attempt
-    counter = 0
-    for _ in range(cap):
-        if not active.any():
-            break
-        sel = np.flatnonzero(active)
-        if per == 1:
-            u = draw_uniform(node_keys[sel], stream, counter)
-        else:
-            u = (draw_uniform(node_keys[sel], stream, counter),
-                 draw_uniform(node_keys[sel], stream, counter + 1))
-        prop = kernel.propose(v[sel], u)
-        ok = kernel.bounds.contains(prop) & ~np.isnan(prop)
-        out[sel[ok]] = prop[ok]
-        active[sel[ok]] = False
-        counter += per
-    if active.any():
-        raise RejectionBudgetExceeded(float(v[active][0]))
-    return out
+    draws = keyed_growth_rates(kernel, 1.0, 4096)
+    assert np.all(np.abs(draws - 1.0) <= 3e-3)
+    assert draws.min() < 1.0 < draws.max()
 
 
 def growth_kernels():
@@ -279,6 +248,7 @@ def growth_kernels():
     return {"dirac": DiracGrowth(1.0, BOUNDS),
             "uniform": UniformIncrementGrowth(2.0, 0.5, BOUNDS),
             "gaussian": GaussianIncrementGrowth(0.3, BOUNDS),
+            "narrow-gaussian": GaussianIncrementGrowth(0.05, BOUNDS),
             "resample": IndependentResampleGrowth(grid, bumpy, BOUNDS)}
 
 
@@ -289,17 +259,95 @@ def band_edge_parents(n):
                            np.full(n // 3, 3.0)])
 
 
-@pytest.mark.parametrize("name", ["dirac", "uniform", "gaussian",
+def conditioned_cdf(kernel, v_parent, points=20_001):
+    """The CDF of ``conditioned_density`` by the trapezoid rule on a fine
+    grid of the band, as a callable for ``stats.kstest``."""
+    w = np.linspace(BOUNDS.e_min, BOUNDS.e_max, points)
+    dens = kernel.conditioned_density(v_parent, w)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(w)
+                                           * (dens[1:] + dens[:-1]) / 2.0)))
+    return lambda x: np.interp(x, w, cdf / cdf[-1])
+
+
+@pytest.mark.parametrize("v_parent", [0.2, 1.3, 3.0])
+@pytest.mark.parametrize("name", ["uniform", "gaussian", "narrow-gaussian",
                                   "resample"])
-def test_compacted_rejection_matches_masked_loop(name):
+def test_growth_rates_follow_the_conditioned_law(name, v_parent):
     kernel = growth_kernels()[name]
-    n = 12_000
-    v, keys = band_edge_parents(n), node_keys(n)
-    fast = sample_growth_rates_keyed(kernel, v, keys, STREAM_GROWTH)
-    slow = masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 10 ** 6)
-    assert fast.shape == (n,)
-    assert np.array_equal(fast, slow, equal_nan=True)
-    assert np.all(kernel.bounds.contains(fast))
+    draws = keyed_growth_rates(kernel, v_parent, 50_000)
+    assert np.all(BOUNDS.contains(draws))
+    cdf = conditioned_cdf(kernel, v_parent)
+    assert stats.kstest(draws, cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("name", ["uniform", "gaussian", "narrow-gaussian",
+                                  "resample"])
+def test_quantile_at_extreme_levels_stays_in_band(name):
+    # draw_uniform's extremes: 2^-54, and 1 (1 - 2^-54 rounds to 1)
+    kernel = growth_kernels()[name]
+    u = np.array([2.0 ** -54, 0.5, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -54])
+    for v_parent in (BOUNDS.e_min, BOUNDS.e_max):
+        w = kernel.quantile(np.full(u.size, v_parent), u)
+        assert np.all(np.isfinite(w)) and np.all(BOUNDS.contains(w))
+        assert np.all(np.diff(w) >= 0)  # a quantile is monotone
+
+
+@pytest.mark.parametrize("std", [0.05, 0.3])
+def test_gaussian_quantile_keeps_both_tails_in_reach(std):
+    # The largest level below 1 lies ~8.2 std above the parent.  Inverted
+    # through the lower tail alone, it would round to ndtr = 1 and land on
+    # e_max, however far the band edge is.
+    kernel = GaussianIncrementGrowth(std, BOUNDS)
+    u = np.array([2.0 ** -54, np.nextafter(1.0, 0.0)])
+    for v_parent in (BOUNDS.e_min, 1.3, BOUNDS.e_max):
+        w = kernel.quantile(np.full(u.size, v_parent), u)
+        assert np.all(np.abs(w - v_parent) <= 9.0 * std)
+
+
+GAPPED = np.linspace(0.0, 4.0, 41)
+
+
+@pytest.mark.parametrize("kernel", [
+    growth_kernels()["resample"],
+    # wider than the band, with zero stretches inside it
+    IndependentResampleGrowth(GAPPED, np.maximum(np.sin(3.0 * GAPPED), 0.0),
+                              BOUNDS),
+], ids=["bumpy", "gapped"])
+def test_resample_quantile_inverts_the_band_cdf(kernel):
+    dens = lambda w: kernel.conditioned_density(0.0, w)
+    breaks = lambda hi: [g for g in kernel.grid if BOUNDS.e_min < g < hi]
+    mass, _ = integrate.quad(dens, BOUNDS.e_min, BOUNDS.e_max,
+                             points=breaks(BOUNDS.e_max), limit=200)
+    u = np.concatenate(([2.0 ** -54], np.linspace(0.01, 0.99, 25),
+                        [np.nextafter(1.0, 0.0)]))
+    w = kernel.quantile(np.zeros(u.size), u)
+    for level, value in zip(u, w):
+        below, _ = integrate.quad(dens, BOUNDS.e_min, value,
+                                  points=breaks(value) or None, limit=200)
+        assert below / mass == pytest.approx(level, abs=1e-9)
+
+
+def test_resample_quantile_stays_on_the_support():
+    # zero density at both ends of the band and in a gap inside it; the
+    # humps hold masses 0.9 and 0.45, so u = 2/3 falls on the gap
+    grid = np.array([0.2, 0.5, 0.8, 1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 2.9, 3.2])
+    dens = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0])
+    kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
+    u = np.array([2.0 ** -54, 0.3, 2.0 / 3.0, 0.9, np.nextafter(1.0, 0.0),
+                  1.0])
+    w = kernel.quantile(np.zeros(u.size), u)
+    on = lambda lo, hi: (w >= lo - 1e-12) & (w <= hi + 1e-12)
+    assert np.all(on(0.5, 1.4) | on(1.7, 2.6))
+    assert w[0] == pytest.approx(0.5, abs=1e-6)
+    assert w[-1] == pytest.approx(2.6, abs=1e-12)
+
+
+def test_point_band_resample_yields_e_min():
+    point = GrowthBounds(1.0, 1.0)
+    kernel = IndependentResampleGrowth(np.array([0.5, 2.0]),
+                                       np.array([1.0, 1.0]), point)
+    draws = keyed_growth_rates(kernel, 1.0, 1000)
+    assert draws.tolist() == [1.0] * 1000
 
 
 @pytest.mark.parametrize("name", ["dirac", "uniform", "gaussian",
@@ -309,29 +357,14 @@ def test_compacted_rejection_keeps_shape(name):
     empty = sample_growth_rates_keyed(kernel, np.empty(0), node_keys(0),
                                       STREAM_GROWTH)
     assert empty.shape == (0,) and empty.dtype == np.float64
-    # the masked loop indexed 2-d inputs by flat positions; the compacted
-    # one draws lane i from its i-th key in C order and keeps the shape
+    # lane i draws from its i-th key in C order, whatever the shape
     v, keys = band_edge_parents(600), node_keys(600)
     grid = sample_growth_rates_keyed(kernel, v.reshape(20, 30),
                                      keys.reshape(20, 30), STREAM_GROWTH)
-    flat = masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 10 ** 6)
+    flat = sample_growth_rates_keyed(kernel, v, keys, STREAM_GROWTH)
     assert grid.shape == (20, 30)
-    assert np.array_equal(grid.ravel(), flat, equal_nan=True)
-
-
-def test_rejection_cap_names_band_and_first_pending_parent():
-    kernel = growth_kernels()["uniform"]
-    n = 12_000
-    v, keys = band_edge_parents(n), node_keys(n)
-    prop = kernel.propose(v, draw_uniform(keys, STREAM_GROWTH, 0))
-    first = v[~kernel.bounds.contains(prop)][0]
-    with pytest.raises(RejectionBudgetExceeded) as oracle:
-        masked_growth_rates(kernel, v, keys, STREAM_GROWTH, 1)
-    assert oracle.value.args == (first,)
-    with pytest.raises(RejectionBudgetExceeded,
-                       match=r"in \[0\.2, 3\.0\] within 1 attempts for "
-                       rf"parent rate {re.escape(str(first))}$"):
-        sample_growth_rates_keyed(kernel, v, keys, STREAM_GROWTH, cap=1)
+    assert np.array_equal(grid.ravel(), flat)
+    assert np.all(kernel.bounds.contains(flat))
 
 
 def test_growth_bounds_validation():

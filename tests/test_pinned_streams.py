@@ -38,36 +38,31 @@ def test_sparse_chain_bits_are_pinned(variability_spec):
 
 
 FULL_SEED27 = {
-    "size_birth": [2.578405574612679, 1.3307422051936317,
-                   1.3307422051936317, 0.7812712453868738,
-                   0.7812712453868738, 1.2625822806205305,
-                   1.2625822806205305],
-    "growth_rate": [2.1640160429793114, 2.0417165271017073,
-                    2.3768718788156065, 2.131512925527399,
-                    2.1849955944966046, 1.7841016199732445,
-                    2.86238988301099],
+    "size_birth": [2.578405574612679, 1.3307422051936317, 1.3307422051936317,
+                   0.7797841214680128, 0.7797841214680128, 1.2545271513628586,
+                   1.2545271513628586],
+    "growth_rate": [2.1640160429793114, 2.013447180888053, 2.335016051868868,
+                    2.103243579313745, 2.1567262482829506, 1.7105647394109942,
+                    2.6382869805132554],
     "birth_time": [0.0, 0.014654606051867447, 0.014654606051867447,
-                   0.09330287020723904, 0.09330287020723904,
-                   0.28415562690269286, 0.28415562690269286],
-    "lifetime": [0.014654606051867447, 0.0786482641553716,
-                 0.2695010208508254, 0.2309290806110164,
-                 0.41729224488232275, 0.35932846230485493,
-                 0.29014910594881527],
+                   0.0934608352451393, 0.0934608352451393, 0.2862454904988428,
+                   0.2862454904988428],
+    "lifetime": [0.014654606051867447, 0.07880622919327186,
+                 0.2715908844469753, 0.23261485021652123, 0.4209724406870315,
+                 0.36861479929538415, 0.30431409889479116],
 }
 
 CHAIN_SEED28 = {
     "size_birth": [0.9872757610490657, 0.6217370216340016,
-                   0.3364612146772377, 1.3264434099710463,
-                   1.0236223244187506, 0.6251894663550992],
-    "growth_rate": [0.3645060647906127, 0.3411559034819311,
-                    1.165137423617537, 1.5679048323575597,
-                    1.4297003962075239, 0.8063899496370331],
-    "birth_time": [0.0, 0.6329524192072519, 0.864848900170098,
-                   2.6371040597404902, 2.9139024813367587,
-                   3.0538611868798013],
-    "lifetime": [0.6329524192072519, 0.23189648096284607,
-                 1.7722551595703921, 0.2767984215962686,
-                 0.13995870554304285, 1.2916146097790193],
+                   0.35093879790332544, 0.7348768538068456,
+                   0.7075381246222114, 0.44932933398469094],
+    "growth_rate": [0.3645060647906127, 0.5460912050149549,
+                    0.34274976370870425, 0.9428974877590379,
+                    0.8511390385500646, 0.3771710710445369],
+    "birth_time": [0.0, 0.6329524192072519, 0.8549699397709614,
+                   5.033640294149008, 5.7285575722087705, 6.009489073890183],
+    "lifetime": [0.6329524192072519, 0.22201752056370944, 4.178670354378047,
+                 0.6949172780597624, 0.2809315016814125, 2.6469862326171834],
 }
 
 
@@ -90,12 +85,12 @@ def test_chain_columns_are_pinned(variability_spec):
 
 BATTERY_SEED32 = [
     ("one", 1.0, 1.0),
-    ("ind[0.5,1.5]", 0.619, 0.6016875),
-    ("x*ind[x<=2]", 0.9643312218035544, 0.9621606015400673),
-    ("x^2*ind[x<=3]", 1.908333522231141, 1.9658912143398284),
-    ("v*ind[x<=2]", 1.2371378741255166, 1.2280196928402187),
-    ("w*ind[x<=2]", 0.9987941092869059, 0.9968003754133026),
-    ("(x-1)^2*ind[x<=2.5]", 0.2948398439401666, 0.3089209546405637),
+    ("ind[0.5,1.5]", 0.622, 0.60684375),
+    ("x*ind[x<=2]", 0.9862038823028536, 0.9569320878950528),
+    ("x^2*ind[x<=3]", 1.8861213600742552, 1.969425097744956),
+    ("v*ind[x<=2]", 1.2647615513579804, 1.222258061592489),
+    ("w*ind[x<=2]", 1.0249104024093134, 0.9919744984270495),
+    ("(x-1)^2*ind[x<=2.5]", 0.2859357018797557, 0.3102300520764301),
 ]
 
 
@@ -109,20 +104,19 @@ def test_many_to_one_means_are_pinned(variability_spec):
 
 
 TAGGED_SEED23 = {
-    "birth_times": [0.0, 0.5851113842112308, 0.7107412650489267,
-                    1.3101180228868445, 2.022999555730055,
-                    2.1715670618933065, 2.363620631102522,
-                    2.859175207997714, 2.99250737208431],
-    "sizes": [0.5454407986417953, 1.0780013435799505, 0.680618818412215,
-              0.6988777929885853, 1.4858343708741277, 1.0543859758535827,
-              0.8643008884728847, 1.7273216416378012, 1.2449860751435355],
-    "rates": [2.348983360903695, 1.856927608272723, 1.2006148978444637,
-              2.030355644646396, 2.35670163220715, 2.5740436809167244,
-              2.7959655509728623, 2.7427703096670077, 2.102665665537992],
-    "cum_growth_at_birth": [0.0, 1.37441690578751, 1.6077024999390397,
-                            2.3273231648209576, 3.7747262089933447,
-                            4.124855493261226, 4.619209769481709,
-                            6.004763295107599, 6.370462796087964],
+    "birth_times": [0.0, 0.5851113842112308, 0.7114034173058066,
+                    1.3256060404676446, 2.058157028086291, 2.2102649893243673,
+                    2.4102015410915096, 2.9626917620730278],
+    "sizes": [0.5454407986417953, 1.0780013435799505, 0.6773038300318803,
+              0.6872297758340524, 1.4676357795972201, 1.0424954269421487,
+              0.8417247697011871, 1.616773026399208],
+    "rates": [2.348983360903695, 1.8085316879405346, 1.152218977512275,
+              1.9819597243142075, 2.3083057118749615, 2.396898882441393,
+              2.4360278754375133, 2.992753194880268],
+    "cum_growth_at_birth": [0.0, 1.37441690578751, 1.602820049573485,
+                            2.3105159680183753, 3.7624025214851278,
+                            4.113514197232634, 4.592741894722483,
+                            5.938623473940092],
 }
 
 

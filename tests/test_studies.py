@@ -168,8 +168,8 @@ def test_full_batches_are_unchanged():
 
 
 def test_wide_sparse_batch_equals_single_lineages(variability_spec):
-    # growth-rate rejection draws differ per lineage, so a wide batch
-    # carries pending lanes of several lineages at once
+    # a wide batch steps the lanes of several lineages at once, and each
+    # lineage must come out as if grown alone
     (k, reps), *_ = _batches([9], 5, "sparse")
     assert list(reps) == list(range(5))
     batch = grow_replicates(variability_spec, "sparse", 2 ** k,

@@ -67,3 +67,42 @@ def test_pde_run_counter_reads_a_real_march():
     assert set(got) == set(names)
     assert got == {"steps": result[1], "cell_steps": result[1] * m}
     assert result[1] == 7
+
+
+def test_growth_kernels_declare_the_uniforms_the_tracer_counts(monkeypatch):
+    # the tracer divides the draw_uniform values made inside
+    # sample_growth_rates_keyed by uniforms_per_attempt; a kernel without
+    # it, or drawing another number, breaks only a traced run
+    import typing
+
+    import numpy as np
+
+    from gftree import model, streams
+
+    bounds = model.GrowthBounds(0.2, 3.0)
+    kernels = [model.DiracGrowth(1.0, bounds),
+               model.UniformIncrementGrowth(2.0, 0.5, bounds),
+               model.GaussianIncrementGrowth(0.3, bounds),
+               model.IndependentResampleGrowth(np.array([0.2, 1.0, 3.0]),
+                                               np.array([0.0, 1.0, 0.5]),
+                                               bounds)]
+    assert {type(k) for k in kernels} == set(typing.get_args(
+        model.GrowthKernel))
+    draws, draw_uniform = [], streams.draw_uniform
+
+    def counting(keys, stream, counter):
+        u = draw_uniform(keys, stream, counter)
+        draws.append(u.size)
+        return u
+
+    monkeypatch.setattr(streams, "draw_uniform", counting)
+    n = 257
+    keys = streams.child_keys(streams.run_key(5),
+                              np.arange(n, dtype=np.uint64))
+    for kernel in kernels:
+        assert "uniforms_per_attempt" in vars(type(kernel)), type(kernel)
+        draws.clear()
+        rates = model.sample_growth_rates_keyed(
+            kernel, np.full(n, 1.0), keys, streams.STREAM_GROWTH)
+        assert rates.shape == (n,)
+        assert sum(draws) == n * kernel.uniforms_per_attempt, type(kernel)
