@@ -85,7 +85,7 @@ def parse_growth_kernel(text: str, bounds: GrowthBounds):
         if kind == "gaussian":
             return GaussianIncrementGrowth(float(rest or 0.5), bounds)
     except ValueError as exc:
-        raise UsageError(f"bad growth kernel {text!r}: {exc}") from exc
+        raise UsageError(f"bad --rho {text!r}: {exc}") from exc
     raise UsageError(f"unknown growth kernel kind {kind!r}")
 
 

@@ -68,11 +68,7 @@ class QuadratureOverflow(RuntimeError):
 def _halved_rate_over_x_antiderivative(rate: DivisionRate, y: np.ndarray,
                                        v: float) -> np.ndarray:
     """Phi(y) = integral^y B(2s)/(v s) ds (additive constant irrelevant)."""
-    y = np.asarray(y, dtype=np.float64)
-    if isinstance(rate, PowerLawRate):
-        lam = rate.exponent
-        return rate.coefficient * 2.0 ** lam * y ** lam / (v * lam)
-    return rate._log_weighted_antiderivative(2.0 * y) / v
+    return rate.log_antiderivative(2.0 * np.asarray(y, dtype=np.float64)) / v
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ A cell of size ``x`` growing exponentially at rate ``v`` divides with hazard
     F(x, v, t) = integral_0^t B(x e^{v s}) ds
 
 drives every sampler: a lifetime is ``F^{-1}`` applied to a unit exponential.
-For a power-law rate ``B(x) = c x^p`` both the hazard and its inverse are in
-closed form; tabulated rates use exact piecewise-segment integration of the
-substituted integral ``(1/v) * integral_x^{x e^{vt}} B(y)/y dy`` and a
-bisection/Newton inverse.
+With ``A(y) = integral^y B(s)/s ds``, ``F(x, v, t) = (A(x e^{vt}) - A(x)) / v``.
+A power-law rate ``B(x) = c x^p`` has F and its inverse in closed form; a
+tabulated rate integrates each linear segment exactly and inverts A segment
+by segment (Devroye 1986, ch. 2).
 
 Growth kernels describe how a child's exponential growth rate is drawn from
 its parent's, conditioned to stay inside the admissible band
@@ -33,10 +33,10 @@ DEFAULT_T_MAX = 1e4
 
 
 class NonDivergentHazard(RuntimeError):
-    """The cumulative hazard failed to reach the target within t_max.
+    """The cumulative hazard cannot reach the target.
 
     Signals a division rate too small at infinity for lifetimes to be
-    almost-surely finite on the guarded range.
+    almost-surely finite, such as a table vanishing beyond its grid.
     """
 
 
@@ -52,13 +52,18 @@ class PowerLawRate:
     exponent: float
 
     def __post_init__(self):
-        if self.coefficient <= 0 or self.exponent <= 0:
-            raise ValueError("power-law rate needs positive coefficient and exponent")
+        if not (0 < self.coefficient < math.inf and 0 < self.exponent < math.inf):
+            raise ValueError("power-law coefficient and exponent must be finite, > 0")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = self.coefficient * np.power(x, self.exponent)
         return out if out.ndim else float(out)
+
+    def log_antiderivative(self, y):
+        """A(y) = integral_0^y B(s)/s ds = c y^p / p."""
+        y = np.asarray(y, dtype=np.float64)
+        return self.coefficient * y ** self.exponent / self.exponent
 
     def cumulative_hazard(self, x, v, t):
         # integral_0^t c (x e^{vs})^p ds = c x^p (e^{pvt} - 1) / (pv)
@@ -69,7 +74,7 @@ class PowerLawRate:
         out = self.coefficient * np.power(x, p) * np.expm1(p * v * t) / (p * v)
         return out if out.ndim else float(out)
 
-    def invert_hazard(self, x, v, e, t_max=DEFAULT_T_MAX):
+    def invert_hazard(self, x, v, e):
         x = np.asarray(x, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         e = np.asarray(e, dtype=np.float64)
@@ -80,6 +85,13 @@ class PowerLawRate:
     def to_json_dict(self):
         return {"form": "power_law", "coefficient": self.coefficient,
                 "exponent": self.exponent}
+
+
+def _linear_mass_root(f, slope, r):
+    """The s >= 0 at which a linear density f + slope s has mass r on
+    [0, s]: the root of f s + slope s^2 / 2 = r, without cancellation."""
+    den = f + np.sqrt(np.maximum(f * f + 2.0 * slope * r, 0.0))
+    return np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
 
 
 @dataclass(frozen=True)
@@ -98,108 +110,86 @@ class TabulatedRate:
         values = np.asarray(self.values, dtype=np.float64)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("tabulated rate needs at least two grid points")
-        if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-            raise ValueError("grid must be strictly increasing and positive")
-        if values.shape != grid.shape or np.any(values < 0):
-            raise ValueError("values must be nonnegative, one per grid point")
+        if not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < math.inf):
+            raise ValueError("grid must be finite, strictly increasing and positive")
+        if values.shape != grid.shape or not np.all((values >= 0) & (values < math.inf)):
+            raise ValueError("values must be finite, nonnegative, one per grid point")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        # (nodes, B there, a, b, knots[j] = A(nodes[j])) of the segments where
+        # B(s) = a + b s: the grid, each segment wider than a factor 2 cut
+        # geometrically so that Newton in invert_hazard starts close enough.
+        cuts = np.ceil(np.log2(grid[1:] / grid[:-1])).astype(np.int64)
+        seg = np.repeat(np.arange(grid.size - 1), cuts)
+        k = np.arange(seg.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+        nodes = np.append(grid[seg] * (grid[seg + 1] / grid[seg]) ** (k / cuts[seg]),
+                          grid[-1])
+        b = (np.diff(values) / np.diff(grid))[seg]
+        a = values[seg] - b * grid[seg]
+        knots = np.concatenate([[0.0], np.cumsum(
+            a * np.log(nodes[1:] / nodes[:-1]) + b * np.diff(nodes))])
+        object.__setattr__(self, "_segments", (
+            nodes, np.interp(nodes, grid, values), a, b, knots))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = np.interp(x, self.grid, self.values)  # np.interp clamps
         return out if out.ndim else float(out)
 
-    def _log_weighted_antiderivative(self, y):
-        """A(y) = integral_{grid[0]}^{y} B(s)/s ds, exact per linear segment.
-
-        On a segment where B(s) = a + b s the antiderivative is
-        a log s + b s; outside the grid B is the clamped constant.
-        """
-        g, val = self.grid, self.values
-        seg_b = np.diff(val) / np.diff(g)
-        seg_a = val[:-1] - seg_b * g[:-1]
-        # knots[i] = A(g[i])
-        seg_full = (seg_a * np.log(g[1:] / g[:-1]) + seg_b * np.diff(g))
-        knots = np.concatenate([[0.0], np.cumsum(seg_full)])
-
+    def log_antiderivative(self, y):
+        """A(y) = integral_{grid[0]}^{y} B(s)/s ds: a log s + b s where
+        B(s) = a + b s, and the clamped constant times log s off the grid."""
+        nodes, val, a, b, knots = self._segments
         y = np.asarray(y, dtype=np.float64)
-        idx = np.clip(np.searchsorted(g, y, side="right") - 1, 0, g.size - 2)
-        below = y < g[0]
-        above = y >= g[-1]
-        mid = ~(below | above)
-
-        out = np.empty_like(y)
-        if np.any(mid):
-            i = idx[mid]
-            out[mid] = knots[i] + seg_a[i] * np.log(y[mid] / g[i]) \
-                + seg_b[i] * (y[mid] - g[i])
-        if np.any(below):
-            with np.errstate(divide="ignore"):
-                out[below] = val[0] * np.log(y[below] / g[0])
-        if np.any(above):
-            out[above] = knots[-1] + val[-1] * np.log(y[above] / g[-1])
-        return out
+        i = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, nodes.size - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = knots[i] + a[i] * np.log(y / nodes[i]) + b[i] * (y - nodes[i])
+            below = val[0] * np.log(y / nodes[0]) if val[0] > 0 else 0.0
+            above = knots[-1] + val[-1] * np.log(y / nodes[-1])
+        return np.where(y < nodes[0], below, np.where(y >= nodes[-1], above, inside))
 
     def cumulative_hazard(self, x, v, t):
-        x, v, t = np.broadcast_arrays(
-            np.asarray(x, dtype=np.float64),
-            np.asarray(v, dtype=np.float64),
-            np.asarray(t, dtype=np.float64))
-        scalar = x.ndim == 0
-        x, v, t = np.atleast_1d(x), np.atleast_1d(v), np.atleast_1d(t)
-        # compute the grown size in log form: it would overflow for the
-        # large bracketing times the inverse probes
-        log_top = np.log(x) + v * t
-        g_hi = self.grid[-1]
-        above = log_top > np.log(g_hi)
-        top = np.exp(np.where(above, 0.0, log_top))
-        anti_top = np.where(
-            above,
-            self._log_weighted_antiderivative(np.full_like(top, g_hi))
-            + self.values[-1] * (log_top - np.log(g_hi)),
-            self._log_weighted_antiderivative(top))
-        out = (anti_top - self._log_weighted_antiderivative(x)) / v
+        x, v, t = (np.asarray(a, dtype=np.float64) for a in (x, v, t))
+        # past the grid A grows as B(g_last) log y: add that tail in log
+        # form, since the grown size overflows for long ages
+        with np.errstate(over="ignore"):
+            top = np.minimum(x * np.exp(v * t), self.grid[-1])
+        tail = self.values[-1] * np.maximum(np.log(x / self.grid[-1]) + v * t, 0.0)
+        out = (self.log_antiderivative(top) + tail - self.log_antiderivative(x)) / v
         out = np.where(t <= 0, 0.0, out)
-        return float(out[0]) if scalar else out
+        return out if out.ndim else float(out)
 
-    def invert_hazard(self, x, v, e, t_max=DEFAULT_T_MAX):
-        x, v, e = np.broadcast_arrays(
-            np.asarray(x, dtype=np.float64),
-            np.asarray(v, dtype=np.float64),
-            np.asarray(e, dtype=np.float64))
-        scalar = x.ndim == 0
-        x, v, e = np.atleast_1d(x), np.atleast_1d(v), np.atleast_1d(e)
-
-        # Bracket by doubling, then bisect; polish with guarded Newton.
-        hi = np.full(x.shape, 1.0)
-        for _ in range(64):
-            short = self.cumulative_hazard(x, v, hi) < e
-            if not np.any(short):
-                break
-            hi = np.where(short & (hi < t_max), np.minimum(hi * 2.0, t_max), hi)
-            if np.all(hi >= t_max):
-                break
-        if np.any(self.cumulative_hazard(x, v, np.full(x.shape, t_max)) < e):
-            raise NonDivergentHazard(
-                f"cumulative hazard below target within t_max={t_max}")
-
-        lo = np.zeros_like(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            under = self.cumulative_hazard(x, v, mid) < e
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        t = 0.5 * (lo + hi)
-        for _ in range(4):
-            f = self.cumulative_hazard(x, v, t) - e
-            slope = self(x * np.exp(v * t))
-            step = np.where(slope > 0, f / np.where(slope > 0, slope, 1.0), 0.0)
-            t = np.clip(t - step, lo, hi)
+    def invert_hazard(self, x, v, e):
+        """The age t at which F(x, v, t) = e, by solving
+        A(x e^{vt}) = A(x) + v e for the division size y = x e^{vt}."""
+        x, v, e = (np.asarray(a, dtype=np.float64) for a in (x, v, e))
+        nodes, val, a, b, knots = self._segments
+        target = self.log_antiderivative(x) + v * e
+        if val[-1] == 0 and np.any(target >= knots[-1]):
+            raise NonDivergentHazard("cumulative hazard stays below the "
+                                     "target: B vanishes beyond the grid")
+        # Newton on the mass w = integral_{y_j}^y B past node y_j: A is concave
+        # in w with slope 1/y, so from w = r y_j the iterates rise to the root.
+        j = np.clip(np.searchsorted(knots, target, "right") - 1, 0, nodes.size - 2)
+        y_j, f_j, a, b = nodes[j], val[j], a[j], b[j]
+        r = np.clip(target - knots[j], 0.0, knots[j + 1] - knots[j])
+        w = r * y_j
+        for _ in range(6):
+            y = y_j + _linear_mass_root(f_j, b, w)
+            w = w + (r - a * np.log(y / y_j) - b * (y - y_j)) * y
+        y = y_j + _linear_mass_root(f_j, b, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_y = np.where(  # the clamped tails in closed form
+                target < 0, np.log(nodes[0]) + target / val[0],
+                np.where(target >= knots[-1],
+                         np.log(nodes[-1]) + (target - knots[-1]) / val[-1],
+                         np.log(y)))
+        # rounding in A can leave y a hair below x when v e is tiny
+        t = np.maximum(log_y - np.log(x), 0.0) / v
         if np.any(np.abs(self.cumulative_hazard(x, v, t) - e)
                   > HAZARD_TOL * np.maximum(1.0, e)):
             raise NonDivergentHazard("hazard inversion did not meet tolerance")
-        return float(t[0]) if scalar else t
+        return t if t.ndim else float(t)
 
     def to_json_dict(self):
         return {"form": "tabulated", "grid": self.grid.tolist(),
@@ -219,7 +209,8 @@ def sample_lifetimes_keyed(rate: DivisionRate, node_keys: np.ndarray,
     """One lifetime per node: the inverse hazard of the unit exponential
     ``-log(u)``, with ``u`` from the node's lifetime stream.
 
-    Closed form for power-law rates; bisection/Newton otherwise.
+    Closed form for power-law rates; segment-wise inversion of the
+    tabulated antiderivative otherwise.
     """
     u = streams.draw_uniform(node_keys, streams.STREAM_LIFETIME, 0)
     if isinstance(rate, PowerLawRate):
@@ -295,8 +286,8 @@ class GrowthBounds:
     e_max: float
 
     def __post_init__(self):
-        if not (0 < self.e_min <= self.e_max):
-            raise ValueError("need 0 < e_min <= e_max")
+        if not (0 < self.e_min <= self.e_max < math.inf):
+            raise ValueError("need 0 < e_min <= e_max < inf")
 
     def contains(self, v) -> np.ndarray:
         v = np.asarray(v)
@@ -341,10 +332,10 @@ class UniformIncrementGrowth:
     uniforms_per_attempt = 1  # read by perfbench/tracing.py
 
     def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 so a step can move down")
-        if self.rms <= 0:
-            raise ValueError("rms must be positive")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 1 so a step can move down")
+        if not 0 < self.rms < math.inf:
+            raise ValueError("rms must be finite and positive")
         if self.bounds is None:
             raise ValueError("bounds are required")
         if self.bounds.e_min == self.bounds.e_max:  # hit with probability 0
@@ -395,8 +386,8 @@ class GaussianIncrementGrowth:
     uniforms_per_attempt = 1  # read by perfbench/tracing.py
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not 0 < self.std < math.inf:
+            raise ValueError("std must be finite and positive")
         if self.bounds.e_min == self.bounds.e_max:  # hit with probability 0
             raise ValueError("a continuous increment needs e_min < e_max")
 
@@ -440,10 +431,11 @@ class IndependentResampleGrowth:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
         dens = np.asarray(self.density, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("density grid must be increasing")
-        if np.any(dens < 0) or not np.any(dens > 0):
-            raise ValueError("density must be nonnegative with positive mass")
+        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) \
+                or not np.all(np.isfinite(grid)):
+            raise ValueError("density grid must be finite and increasing")
+        if not np.all((dens >= 0) & (dens < math.inf)) or not np.any(dens > 0):
+            raise ValueError("density must be finite, nonnegative and not all zero")
         if self.bounds is None:
             raise ValueError("bounds are required")
         b = self.bounds
@@ -462,11 +454,10 @@ class IndependentResampleGrowth:
                 np.concatenate(([0.0], np.cumsum(seg)[keep][:-1])), inside))
         if not inside > 0:  # no child rate could be drawn
             raise ValueError("the resample density has no mass in the band")
+        norm = np.trapezoid(dens, grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", dens / np.trapezoid(dens, grid))
-
-    def _density_at(self, v):
-        return np.interp(v, self.grid, self.density, left=0.0, right=0.0)
+        object.__setattr__(self, "density", dens / norm)
+        object.__setattr__(self, "_band_mass", inside / norm)
 
     def quantile(self, v_parent, u):
         """The piecewise-quadratic band CDF inverted: the segment holding
@@ -476,17 +467,13 @@ class IndependentResampleGrowth:
         x0, f0, slope, start, total = self._knots
         target = u * total
         i = np.searchsorted(start, target, side="right") - 1
-        r, f = target - start[i], f0[i]
-        den = f + np.sqrt(np.maximum(f * f + 2.0 * slope[i] * r, 0.0))
-        t = np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
+        t = _linear_mass_root(f0[i], slope[i], target - start[i])
         return np.clip(x0[i] + t, self.bounds.e_min, self.bounds.e_max)
 
     def conditioned_density(self, v, w_child) -> np.ndarray:
-        b = self.bounds
-        gg = np.linspace(b.e_min, b.e_max, 2001)
-        mass = np.trapezoid(self._density_at(gg), gg)
-        inside = GrowthBounds.contains(b, w_child)
-        return np.where(inside, self._density_at(w_child), 0.0) / mass
+        inside = GrowthBounds.contains(self.bounds, w_child)
+        dens = np.interp(w_child, self.grid, self.density, left=0.0, right=0.0)
+        return np.where(inside, dens, 0.0) / self._band_mass
 
     def to_json_dict(self):
         return {"form": "independent_resample", "grid": self.grid.tolist(),
@@ -523,8 +510,8 @@ class InitialDistribution:
     growth_value: Optional[float] = None
 
     def __post_init__(self):
-        if not (0 < self.size_low <= self.size_high):
-            raise ValueError("initial sizes must satisfy 0 < low <= high")
+        if not (0 < self.size_low <= self.size_high < math.inf):
+            raise ValueError("initial sizes must satisfy 0 < low <= high < inf")
         point = self.growth_value is not None
         band = self.growth_low is not None or self.growth_high is not None
         if point and band:
@@ -672,20 +659,8 @@ def contraction_coefficient(params: ClassParams, bounds: GrowthBounds) -> float:
 
 
 def _halved_rate_log_integral(rate: DivisionRate, a: float, b: float) -> float:
-    """integral_a^b x^-1 B(2x) dx, exact for both rate forms."""
-    if isinstance(rate, PowerLawRate):
-        # c 2^lam integral x^{lam-1} = c 2^lam (b^lam - a^lam)/lam
-        lam = rate.exponent
-        return rate.coefficient * 2.0 ** lam * (b ** lam - a ** lam) / lam
-    # substitute u = 2x: integral_{2a}^{2b} B(u)/u du
-    anti = rate._log_weighted_antiderivative
-    if a == 0.0:
-        if rate.values[0] > 0:
-            return math.inf
-        a = rate.grid[0] / 2.0  # B vanishes below the first knot
-        if b <= a:
-            return 0.0
-    return float((anti(np.asarray([2.0 * b])) - anti(np.asarray([2.0 * a])))[0])
+    """integral_a^b x^-1 B(2x) dx = A(2b) - A(2a), exact for both rate forms."""
+    return float(rate.log_antiderivative(2.0 * b) - rate.log_antiderivative(2.0 * a))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,7 +288,9 @@ def test_verify_without_flags_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--replicates", 0), ("--replicates", 1), ("--replicates", -5),
-    ("--t", -1), ("--t", "nan")])
+    ("--t", -1), ("--t", "nan"),
+    ("--rho", "uniform-increment:nan,0.5"), ("--rho", "uniform-increment:2.0,inf"),
+    ("--rho", "gaussian:nan"), ("--rho", "gaussian:inf")])
 def test_verify_many_to_one_bad_input_is_usage_error(tmp_path, capsys, flag,
                                                      value):
     out = tmp_path / "out"
@@ -318,8 +321,21 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
     (lambda doc: doc.update(growth_kernel={
         "form": "independent_resample", "grid": [5.0, 6.0],
         "density": [1.0, 1.0]}), "no mass in the band"),
+    # a non-finite parameter would write nan lifetimes or rates
+    (lambda doc: doc["division_rate"].update(coefficient=math.nan), "finite"),
+    (lambda doc: doc["division_rate"].update(exponent=math.inf), "finite"),
+    (lambda doc: doc.update(division_rate={
+        "form": "tabulated", "grid": [0.5, math.nan], "values": [1.0, 1.0]}),
+     "grid must be finite"),
+    (lambda doc: doc.update(division_rate={
+        "form": "tabulated", "grid": [0.5, 4.0], "values": [1.0, math.inf]}),
+     "values must be finite"),
+    (lambda doc: doc.update(growth_kernel={
+        "form": "independent_resample", "grid": [0.2, 3.0],
+        "density": [1.0, math.nan]}), "density must be finite"),
 ], ids=["point-band", "unknown-rate", "missing-field",
-        "resample-density-off-band"])
+        "resample-density-off-band", "nan-coefficient", "inf-exponent",
+        "nan-grid", "inf-values", "nan-density"])
 def test_bad_model_file_is_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(reference_model().to_json())
     edit(doc)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gftree.model import (ClassParams, DiracGrowth, GaussianIncrementGrowth,
+from gftree.model import (DEFAULT_T_MAX, HAZARD_TOL, ClassParams,
+                          DiracGrowth, GaussianIncrementGrowth,
                           GrowthBounds, IndependentResampleGrowth,
                           InitialDistribution, ModelSpec, NonDivergentHazard,
                           PowerLawRate, TabulatedRate, UniformIncrementGrowth,
@@ -151,7 +152,67 @@ def test_invert_raises_for_bounded_hazard():
     # B clamps to zero above the grid: total hazard is finite
     tab = TabulatedRate([0.5, 1.0], [1.0, 0.0])
     with pytest.raises(NonDivergentHazard):
-        tab.invert_hazard(1.0, 1.0, 50.0, t_max=100.0)
+        tab.invert_hazard(1.0, 1.0, 50.0)
+    with pytest.raises(NonDivergentHazard):
+        bisection_inverse(tab, 1.0, 1.0, 50.0, t_max=100.0)
+
+
+def bisection_inverse(rate, x, v, e, t_max=DEFAULT_T_MAX):
+    """The inverse hazard by a generic root finder, the reference for the
+    segment-wise inverse: bracket by doubling, bisect, polish with guarded
+    Newton, all through ``cumulative_hazard``."""
+    x, v, e = (np.asarray(a, dtype=np.float64) for a in (x, v, e))
+    hi = np.full(x.shape, 1.0)
+    for _ in range(64):
+        short = rate.cumulative_hazard(x, v, hi) < e
+        if not np.any(short):
+            break
+        hi = np.where(short & (hi < t_max), np.minimum(hi * 2.0, t_max), hi)
+        if np.all(hi >= t_max):
+            break
+    if np.any(rate.cumulative_hazard(x, v, np.full(x.shape, t_max)) < e):
+        raise NonDivergentHazard(
+            f"cumulative hazard below target within t_max={t_max}")
+    lo = np.zeros_like(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        under = rate.cumulative_hazard(x, v, mid) < e
+        lo = np.where(under, mid, lo)
+        hi = np.where(under, hi, mid)
+    t = 0.5 * (lo + hi)
+    for _ in range(4):
+        f = rate.cumulative_hazard(x, v, t) - e
+        slope = rate(x * np.exp(v * t))
+        step = np.where(slope > 0, f / np.where(slope > 0, slope, 1.0), 0.0)
+        t = np.clip(t - step, lo, hi)
+    return t
+
+
+X2_GRID = np.linspace(0.05, 8.0, 800)
+
+
+@pytest.mark.parametrize("grid, values", [
+    ([0.5, 1.0, 2.0, 4.0], [0.2, 1.0, 3.0, 3.5]),
+    (X2_GRID, X2_GRID ** 2),
+    ([0.5, 1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 0.0, 1.0, 2.0]),  # B = 0 on [1, 2]
+    ([0.5, 1.0, 2.0], [0.0, 1.0, 3.0]),  # B = 0 below the grid
+    ([0.01, 100.0], [0.0, 5.0]),  # one segment over four decades
+], ids=["coarse", "x2-800", "zero-plateau", "zero-head", "wide-segment"])
+def test_invert_agrees_with_bisection(rng, grid, values):
+    # x spans below, inside and above the grid; e is a unit exponential
+    rate = TabulatedRate(grid, values)
+    n = 3000
+    x = np.exp(rng.uniform(math.log(rate.grid[0] / 4.0),
+                           math.log(rate.grid[-1] * 2.0), n))
+    assert np.all([np.any(x < rate.grid[0]), np.any(x > rate.grid[-1]),
+                   np.any((x > rate.grid[0]) & (x < rate.grid[-1]))])
+    v = rng.uniform(0.2, 3.0, n)
+    e = rng.standard_exponential(n)
+    t = rate.invert_hazard(x, v, e)
+    assert np.all(np.abs(t - bisection_inverse(rate, x, v, e))
+                  <= 1e-13 * np.maximum(1.0, t))
+    assert np.all(np.abs(rate.cumulative_hazard(x, v, t) - e)
+                  <= HAZARD_TOL * np.maximum(1.0, e))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +292,15 @@ def test_independent_resample_follows_density():
     assert abs(draws.mean() - target_mean) < 4.0 * se
 
 
+SPIKE_GRID = np.linspace(0.2, 3.0, 2901)
+# a 4e-3-wide spike holds all the density
+SPIKE = IndependentResampleGrowth(
+    SPIKE_GRID, np.where(np.abs(SPIKE_GRID - 1.0) < 2e-3, 1.0, 0.0), BOUNDS)
+
+
 def test_rejection_budget_raises():
-    # A 4e-3-wide spike holds all the density: each lane takes one draw
-    # and lands in the spike.
-    grid = np.linspace(0.2, 3.0, 2901)
-    dens = np.where(np.abs(grid - 1.0) < 2e-3, 1.0, 0.0)
-    kernel = IndependentResampleGrowth(grid, dens, BOUNDS)
-    draws = keyed_growth_rates(kernel, 1.0, 4096)
+    # each lane takes one draw and lands in the spike
+    draws = keyed_growth_rates(SPIKE, 1.0, 4096)
     assert np.all(np.abs(draws - 1.0) <= 3e-3)
     assert draws.min() < 1.0 < draws.max()
 
@@ -312,12 +375,16 @@ GAPPED = np.linspace(0.0, 4.0, 41)
     # wider than the band, with zero stretches inside it
     IndependentResampleGrowth(GAPPED, np.maximum(np.sin(3.0 * GAPPED), 0.0),
                               BOUNDS),
-], ids=["bumpy", "gapped"])
+    SPIKE,
+], ids=["bumpy", "gapped", "spike"])
 def test_resample_quantile_inverts_the_band_cdf(kernel):
     dens = lambda w: kernel.conditioned_density(0.0, w)
-    breaks = lambda hi: [g for g in kernel.grid if BOUNDS.e_min < g < hi]
+    # quad breaks at the density's kinks
+    kinks = kernel.grid[1:-1][np.diff(kernel.density, 2) != 0]
+    breaks = lambda hi: [g for g in kinks if BOUNDS.e_min < g < hi]
     mass, _ = integrate.quad(dens, BOUNDS.e_min, BOUNDS.e_max,
                              points=breaks(BOUNDS.e_max), limit=200)
+    assert mass == pytest.approx(1.0, abs=1e-9)
     u = np.concatenate(([2.0 ** -54], np.linspace(0.01, 0.99, 25),
                         [np.nextafter(1.0, 0.0)]))
     w = kernel.quantile(np.zeros(u.size), u)

@@ -106,3 +106,31 @@ def test_growth_kernels_declare_the_uniforms_the_tracer_counts(monkeypatch):
             kernel, np.full(n, 1.0), keys, streams.STREAM_GROWTH)
         assert rates.shape == (n,)
         assert sum(draws) == n * kernel.uniforms_per_attempt, type(kernel)
+
+
+def test_tabulated_inverse_makes_a_fixed_number_of_passes(monkeypatch):
+    # invert_hazard searches the antiderivative's knots once and runs a
+    # bounded Newton inside the segment: the passes over its lanes do not
+    # depend on the target, as a bracketing or bisection loop's would
+    import numpy as np
+
+    from gftree import model
+
+    grid = np.linspace(0.05, 8.0, 800)
+    rate = model.TabulatedRate(grid, grid ** 2)
+    passes, antiderivative = [], model.TabulatedRate.log_antiderivative
+
+    def counting(self, y):
+        passes.append(np.size(y))
+        return antiderivative(self, y)
+
+    monkeypatch.setattr(model.TabulatedRate, "log_antiderivative", counting)
+    n = 4096
+    rng = np.random.default_rng(5)
+    x, v = rng.uniform(0.01, 10.0, n), rng.uniform(0.2, 3.0, n)
+    counts = set()
+    for e in (1e-12, 1.0, 50.0):
+        passes.clear()
+        rate.invert_hazard(x, v, np.full(n, e))
+        counts.add(len(passes))
+    assert len(counts) == 1 and counts.pop() <= 3

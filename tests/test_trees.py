@@ -277,7 +277,7 @@ def test_parent_child_arrays(variability_spec):
 
 
 def test_simulation_with_tabulated_rate():
-    """The generic bisection lifetime path drives whole-tree simulation."""
+    """The segment-wise tabulated inverse drives whole-tree simulation."""
     from gftree.model import TabulatedRate, UniformIncrementGrowth
 
     bounds = GrowthBounds(0.2, 3.0)
