@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -94,6 +94,30 @@ def _linear_mass_root(f, slope, r):
     return np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
 
 
+def _linear_log_mass(f, bg, q):
+    """integral_g^{g (1 + q)} B(s)/s ds for B linear there, B(g) = f with
+    slope b and bg = b g: f log1p(q) + b g (q - log1p(q)), the difference
+    by its series q^2 (1/2 - q/3 + ...) for q < 1e-2, so that nothing
+    cancels on narrow, steep segments far from the origin."""
+    log1p = np.log1p(q)
+    terms = [(-1.0) ** j / (j + 2) for j in range(8, -1, -1)]  # to q^10
+    return f * log1p + bg * np.where(q < 1e-2, q * q * np.polyval(terms, q),
+                                     q - log1p)
+
+
+def _by_value(cls):
+    """``==`` and hash by value for a frozen dataclass with ndarray fields,
+    whose generated ones would compare or hash the arrays themselves."""
+    def key(self):
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+    cls.__eq__ = lambda self, other: (key(self) == key(other) if type(other)
+                                      is type(self) else NotImplemented)
+    cls.__hash__ = lambda self: hash(key(self))
+    return cls
+
+
+@_by_value
 @dataclass(frozen=True)
 class TabulatedRate:
     """Piecewise-linear division rate on an increasing grid.
@@ -116,20 +140,20 @@ class TabulatedRate:
             raise ValueError("values must be finite, nonnegative, one per grid point")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        # (nodes, B there, a, b, knots[j] = A(nodes[j])) of the segments where
-        # B(s) = a + b s: the grid, each segment wider than a factor 2 cut
-        # geometrically so that Newton in invert_hazard starts close enough.
+        # (nodes, B there, slope b, b times the node, knots[j] = A(nodes[j]))
+        # of the linear segments: the grid, each segment wider than a factor
+        # 2 cut geometrically so that Newton in invert_hazard starts close.
         cuts = np.ceil(np.log2(grid[1:] / grid[:-1])).astype(np.int64)
         seg = np.repeat(np.arange(grid.size - 1), cuts)
         k = np.arange(seg.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)
         nodes = np.append(grid[seg] * (grid[seg + 1] / grid[seg]) ** (k / cuts[seg]),
                           grid[-1])
+        val = np.interp(nodes, grid, values)
         b = (np.diff(values) / np.diff(grid))[seg]
-        a = values[seg] - b * grid[seg]
-        knots = np.concatenate([[0.0], np.cumsum(
-            a * np.log(nodes[1:] / nodes[:-1]) + b * np.diff(nodes))])
-        object.__setattr__(self, "_segments", (
-            nodes, np.interp(nodes, grid, values), a, b, knots))
+        bg = b * nodes[:-1]
+        knots = np.concatenate([[0.0], np.cumsum(_linear_log_mass(
+            val[:-1], bg, np.diff(nodes) / nodes[:-1]))])
+        object.__setattr__(self, "_segments", (nodes, val, b, bg, knots))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -137,13 +161,15 @@ class TabulatedRate:
         return out if out.ndim else float(out)
 
     def log_antiderivative(self, y):
-        """A(y) = integral_{grid[0]}^{y} B(s)/s ds: a log s + b s where
-        B(s) = a + b s, and the clamped constant times log s off the grid."""
-        nodes, val, a, b, knots = self._segments
+        """A(y) = integral_{grid[0]}^{y} B(s)/s ds: the knot below y plus
+        the segment's :func:`_linear_log_mass`, and the clamped constant
+        times log s off the grid."""
+        nodes, val, _, bg, knots = self._segments
         y = np.asarray(y, dtype=np.float64)
         i = np.clip(np.searchsorted(nodes, y, side="right") - 1, 0, nodes.size - 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inside = knots[i] + a[i] * np.log(y / nodes[i]) + b[i] * (y - nodes[i])
+            inside = knots[i] + _linear_log_mass(val[i], bg[i],
+                                                 (y - nodes[i]) / nodes[i])
             below = val[0] * np.log(y / nodes[0]) if val[0] > 0 else 0.0
             above = knots[-1] + val[-1] * np.log(y / nodes[-1])
         return np.where(y < nodes[0], below, np.where(y >= nodes[-1], above, inside))
@@ -163,7 +189,7 @@ class TabulatedRate:
         """The age t at which F(x, v, t) = e, by solving
         A(x e^{vt}) = A(x) + v e for the division size y = x e^{vt}."""
         x, v, e = (np.asarray(a, dtype=np.float64) for a in (x, v, e))
-        nodes, val, a, b, knots = self._segments
+        nodes, val, b, bg, knots = self._segments
         target = self.log_antiderivative(x) + v * e
         if val[-1] == 0 and np.any(target >= knots[-1]):
             raise NonDivergentHazard("cumulative hazard stays below the "
@@ -171,12 +197,12 @@ class TabulatedRate:
         # Newton on the mass w = integral_{y_j}^y B past node y_j: A is concave
         # in w with slope 1/y, so from w = r y_j the iterates rise to the root.
         j = np.clip(np.searchsorted(knots, target, "right") - 1, 0, nodes.size - 2)
-        y_j, f_j, a, b = nodes[j], val[j], a[j], b[j]
+        y_j, f_j, b, bg = nodes[j], val[j], b[j], bg[j]
         r = np.clip(target - knots[j], 0.0, knots[j + 1] - knots[j])
         w = r * y_j
         for _ in range(6):
             y = y_j + _linear_mass_root(f_j, b, w)
-            w = w + (r - a * np.log(y / y_j) - b * (y - y_j)) * y
+            w = w + (r - _linear_log_mass(f_j, bg, (y - y_j) / y_j)) * y
         y = y_j + _linear_mass_root(f_j, b, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_y = np.where(  # the clamped tails in closed form
@@ -417,6 +443,7 @@ class GaussianIncrementGrowth:
         return {"form": "gaussian_increment", "std": self.std}
 
 
+@_by_value
 @dataclass(frozen=True)
 class IndependentResampleGrowth:
     """Child rate drawn afresh from a tabulated density on the band,

@@ -4,13 +4,14 @@ and ingestion of experimental lineage data.
 A study draws M independent genealogies per target size, estimates the
 division rate on each, and scores the conditioned relative L2 error against
 the true rate.  Replicate seeds are hash-derived from (run seed, size,
-replicate index), so results are identical for any worker count.  The
-replicates of a size are grown in batches, one forest per batch; a batch is
-the unit of work a worker runs.  A full-tree batch stores at most
-``_FOREST_CELLS`` cells.  A sparse forest steps one live cell per lineage,
-so its cost is its number of levels rather than its width, and a sparse
-batch stores up to ``_SPARSE_CELLS`` cells.  A batch's replicates are
-estimated together, as rows, ``_FOREST_CELLS`` cells per pass.
+replicate index), so results are identical for any worker count.
+Replicates are grown in batches, one forest per batch, the unit of work a
+worker runs.  A full-tree batch holds one size and ``_FOREST_CELLS`` cells.
+A sparse forest steps one live cell per lineage, so its cost is its levels,
+not its width: a sparse batch holds replicates of every size, longest
+first, up to ``_SPARSE_CELLS`` cells, and takes as many levels as its
+longest lineage.  Each size is estimated as soon as its lineages end, as
+rows, ``_FOREST_CELLS`` cells per pass, and its storage is then freed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import DivisionRate, ModelSpec
 from .trees import grow_replicates
 
 _FOREST_CELLS = 1 << 14  # cells stored per batch of full-tree replicates
-_SPARSE_CELLS = 1 << 16  # cells stored per batch of sparse lineages
+_SPARSE_CELLS = 1 << 22  # cells stored per batch of sparse lineages
 
 
 class EmptyConditioningSet(RuntimeError):
@@ -135,33 +136,37 @@ class ConvergenceStudy:
 
 
 def _batches(sizes_log2: Sequence[int], replicates: int, scheme: str):
-    """(log2 size, replicate range) per batch, sizes in the given order;
-    a batch of ``scheme`` replicates stores at most its scheme's cap of
-    cells, or one replicate when a single one exceeds it."""
-    cap = _SPARSE_CELLS if scheme == "sparse" else _FOREST_CELLS
-    out = []
-    for k in sizes_log2:
-        step = max(1, cap >> k)
-        out += [(k, range(a, min(a + step, replicates)))
+    """(log2 sizes, replicate range) per batch, each of at least one
+    replicate: one size per full-tree batch, in the given order, of at most
+    ``_FOREST_CELLS`` cells; every size, longest first, per sparse batch,
+    whose lineages hold at most ``_SPARSE_CELLS`` cells."""
+    if scheme == "sparse":
+        sizes = tuple(sorted(sizes_log2, reverse=True))
+        step = max(1, _SPARSE_CELLS // sum(2 ** k for k in sizes))
+        return [(sizes, range(a, min(a + step, replicates)))
                 for a in range(0, replicates, step)]
-    return out
+    return [((k,), range(a, min(a + step, replicates)))
+            for k in sizes_log2 for step in [max(1, _FOREST_CELLS >> k)]
+            for a in range(0, replicates, step)]
 
 
-def _map_batches(job, batches, workers: int) -> list:
-    """Concatenated ``job(log2_size, reps)`` over the batches, in a process
-    pool when workers > 1."""
-    sizes = [k for k, _ in batches]
-    reps = [r for _, r in batches]
+def _map_batches(job, batches, workers: int) -> dict:
+    """The results of ``job(log2_sizes, reps)`` over the batches, merged
+    per log2 size in replicate order; in a process pool when workers > 1."""
     if workers > 1:
         # imported here so that the other commands do not load
         # multiprocessing at start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, sizes, reps))
+            parts = list(pool.map(job, *zip(*batches)))
     else:
-        parts = list(map(job, sizes, reps))
-    return [x for part in parts for x in part]
+        parts = [job(*batch) for batch in batches]
+    out = {}
+    for part in parts:
+        for k, results in part.items():
+            out.setdefault(k, []).extend(results)
+    return out
 
 
 def _run_keys(seed: int, log2_size: int, reps: range) -> np.ndarray:
@@ -170,25 +175,38 @@ def _run_keys(seed: int, log2_size: int, reps: range) -> np.ndarray:
     return streams.combine(streams.run_key(seed, log2_size, i), 0)
 
 
-def _replicate_results(log2_size: int, reps: range, spec: ModelSpec,
-                       scheme: str, config: EstimatorConfig, seed: int,
-                       kind: str, conditioning: Optional[float] = None
-                       ) -> list:
-    """One result per replicate in ``reps`` at target size 2^log2_size, all
-    grown as one forest (full: k-1 generations, 2^k - 1 records; sparse: a
-    lineage of 2^k cells) and estimated row-wise, in passes of at most
-    ``_FOREST_CELLS`` cells that bound the memory: its curve
-    (``kind="curve"``), its :func:`estimate_error` or nan when no grid
-    point passes the conditioning (``"error"``), or its aware and pooled
-    errors for :func:`variability_ablation` (``"ablation"``)."""
-    size = max(log2_size - 1, 0) if scheme == "full" else 2 ** log2_size
-    cols = grow_replicates(spec, scheme, size,
-                           _run_keys(seed, log2_size, reps))[[0, 1, 3]]
+def _replicate_results(sizes_log2: Sequence[int], reps: range,
+                       spec: ModelSpec, scheme: str, config: EstimatorConfig,
+                       seed: int, kind: str,
+                       conditioning: Optional[float] = None) -> dict:
+    """{k: one result per replicate in ``reps`` at target size 2^k} for the
+    sizes in ``sizes_log2`` (longest first), each replicate a lane of one
+    forest (full: k-1 generations, 2^k - 1 records; sparse: a lineage of
+    2^k cells), scored by :func:`_scores` as soon as its size is grown."""
+    levels = [max(k, 1) if scheme == "full" else 2 ** k for k in sizes_log2]
+    keys = np.concatenate([_run_keys(seed, k, reps) for k in sizes_log2])
+    out = {}
+    for lanes, cols in grow_replicates(spec, scheme,
+                                       np.repeat(levels, len(reps)), keys):
+        out[sizes_log2[lanes.start // len(reps)]] = _scores(
+            cols, spec, config, kind, conditioning)
+        del cols
+    return out
+
+
+def _scores(cols: np.ndarray, spec: ModelSpec, config: EstimatorConfig,
+            kind: str, conditioning: Optional[float]) -> list:
+    """Per row of the (column, row, cell) array ``cols``, estimated in
+    passes of at most ``_FOREST_CELLS`` cells that bound the memory: its
+    curve (``kind="curve"``), its :func:`estimate_error` or nan when no
+    grid point passes the conditioning (``"error"``), or its aware and
+    pooled errors for :func:`variability_ablation` (``"ablation"``)."""
     step = max(1, _FOREST_CELLS // cols.shape[2])  # rows per pass
 
     def estimate(pooled=False):
         return [est for a in range(0, cols.shape[1], step) for est in
-                estimate_rows(*cols[:, a:a + step], config, pooled)]
+                estimate_rows(*np.ascontiguousarray(cols[:, a:a + step]),
+                              config, pooled)]
 
     aware = estimate()
     if kind == "curve":
@@ -232,11 +250,11 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
         raise ValueError("need at least one size")
     job = partial(_replicate_results, spec=spec, scheme=scheme, config=config,
                   seed=seed, kind="error", conditioning=conditioning)
-    flat = _map_batches(job, _batches(sizes_log2, replicates, scheme),
-                        workers)
+    errors = _map_batches(job, _batches(sizes_log2, replicates, scheme),
+                          workers)
     rows = []
-    for j, k in enumerate(sizes_log2):
-        errs = np.array(flat[j * replicates:(j + 1) * replicates])
+    for k in sizes_log2:
+        errs = np.array(errors[k])
         empty = np.isnan(errs)
         if empty.all():
             raise EmptyConditioningSet(
@@ -291,8 +309,8 @@ def confidence_band(spec: ModelSpec, log2_size: int, replicates: int,
         raise ValueError("level must lie in (0, 100]")
     job = partial(_replicate_results, spec=spec, scheme="full",
                   config=config, seed=seed, kind="curve")
-    curves = np.array(_map_batches(job, _batches([log2_size], replicates,
-                                                    "full"), workers))
+    curves = np.array(_map_batches(
+        job, _batches([log2_size], replicates, "full"), workers)[log2_size])
     y = evaluation_grid(*config.grid.resolve(2 ** log2_size - 1))
     tail = (100.0 - level) / 200.0
     return ConfidenceBand(
@@ -336,7 +354,7 @@ def variability_ablation(spec: ModelSpec, log2_size: int, replicates: int,
     job = partial(_replicate_results, spec=spec, scheme="full",
                   config=config, seed=seed, kind="ablation")
     pairs = _map_batches(job, _batches([log2_size], replicates, "full"),
-                         workers)
+                         workers)[log2_size]
     aware, pooled = np.array(pairs).T
     return AblationResult(aware, pooled)
 

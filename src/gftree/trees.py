@@ -21,7 +21,8 @@ generation of cells from any number of roots: the full tree keeps both
 children of every cell, the sparse lineage and the tagged branch one child
 drawn from the cell's choice stream, and the many-to-one check grows
 tagged branches and whole trees up to a fixed time.  Study replicates are
-grown together as one forest per batch (:func:`grow_replicates`).
+grown together as one forest per batch (:func:`grow_replicates`), whose
+lanes may follow lineages of different lengths.
 """
 
 from __future__ import annotations
@@ -162,16 +163,15 @@ class _Forest:
         self.life = sample_lifetimes_keyed(self.division_rate, key, self.size,
                                            rate)
 
-    def divide(self, pick: bool, divides: Optional[np.ndarray] = None):
+    def divide(self, pick: bool, d=slice(None)):
         """Replace the live cells by the next generation: both children of
         every dividing cell, in breadth-first order, or (``pick``) the one
-        child each draws from ``STREAM_CHILD_CHOICE``.  ``divides`` masks
-        the dividing cells (default: all); the others leave the forest.
+        child each draws from ``STREAM_CHILD_CHOICE``.  ``d`` indexes the
+        dividing cells (default: all); the others leave the forest.
 
         Columns are replaced one at a time, so the parent generation is
         released before the children's rates and lifetimes are drawn.
         """
-        d = slice(None) if divides is None else np.flatnonzero(divides)
 
         def expand(col):
             return col if pick else np.repeat(col, 2)
@@ -216,36 +216,61 @@ def _grow_until(forest: _Forest, t: float, pick: bool):
         yield alive
         if alive.all():
             return
-        forest.divide(pick, ~alive)
+        forest.divide(pick, np.flatnonzero(~alive))
     raise RuntimeError("the forest still divides before t after "
                        f"{_MAX_FOREST_LEVELS} generations")
 
 
-def grow_replicates(spec: ModelSpec, scheme: str, size: int,
-                    run_keys: np.ndarray) -> np.ndarray:
-    """Size at birth, growth rate, birth time, lifetime and (sparse only)
-    the bit each cell was reached by, as a (column, replicate, cell) array:
-    one genealogy per run key, grown together as one forest, its cells in
-    breadth-first order.  ``scheme="full"`` gives every cell of generations
-    0..``size``; ``"sparse"`` a lineage of ``size`` cells that follows, at
-    each division, the child drawn from the cell's choice stream."""
+def _fresh_pages(shape) -> np.ndarray:
+    """A zeroed float64 array on pages of its own (an anonymous map), which
+    are resident only once written and go back to the system when freed,
+    whatever the heap holds by then."""
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                         np.float64).reshape(shape)
+
+
+def grow_replicates(spec: ModelSpec, scheme: str, levels,
+                    run_keys: np.ndarray,
+                    columns: tuple[str, ...] = ("size", "rate", "life")):
+    """Grow one genealogy per run key as one forest, lane r for
+    ``levels[r]`` generations, and yield ``(lanes, cols)`` for each range
+    of lanes with equal levels once its last generation is in: the named
+    :class:`_Forest` ``columns`` as a (column, lane, cell) view, cells in
+    breadth-first order.  ``scheme="full"`` keeps every cell (2^L - 1 for
+    L levels); ``"sparse"`` a lineage of L cells that follows, at each
+    division, the child drawn from the cell's choice stream.  ``levels``
+    must not increase, so finished lanes are the forest's tail and leave
+    it: the forest divides ``max(levels) - 1`` times."""
     if scheme not in ("full", "sparse"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    full = scheme == "full"
-    levels = size + 1 if full else size
-    n = run_keys.size
+    pick = scheme == "sparse"
+    levels = np.asarray(levels, dtype=np.int64)
+    if levels[-1] < 1 or np.any(np.diff(levels) > 0):
+        raise ValueError("levels must be positive and non-increasing")
+    cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), levels.size]
+    # a run read while others still grow gets pages of its own (one run:
+    # numpy's allocation, which can use huge pages)
+    alloc = _fresh_pages if len(cuts) > 2 else np.empty
+    groups = [(range(a, b), int(levels[a]), alloc(  # cell-major
+        (len(columns), int(levels[a]) if pick else 2 ** int(levels[a]) - 1,
+         b - a))) for a, b in zip(cuts, cuts[1:])]
     forest = _Forest(spec, run_keys)
-    cols = np.empty((4 if full else 5, n, 2 ** levels - 1 if full else levels))
-    start = 0
-    for g in range(levels):
-        if g:
-            forest.divide(pick=not full)
-        end = start + forest.key.size // n
-        for out, col in zip(cols, (forest.size, forest.rate, forest.birth,
-                                   forest.life, forest.bit)):
-            out[:, start:end] = col.reshape(n, -1)
-        start = end
-    return cols
+    for g in range(int(levels[0])):
+        width = 1 if pick else 1 << g  # cells per lane in generation g
+        start = g if pick else width - 1
+        for lanes, _, out in groups:
+            for stored, c in zip(out, columns):
+                stored[start:start + width] = getattr(forest, c)[
+                    lanes.start * width:lanes.stop * width].reshape(
+                        len(lanes), width).T
+        done = groups.pop() if groups[-1][1] == g + 1 else None
+        if groups:
+            forest.divide(pick, slice(0, groups[-1][0].stop * width))
+        else:
+            del forest  # before the last lanes are read
+        if done:
+            yield done[0], done[2].transpose(0, 2, 1)
 
 
 def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
@@ -253,10 +278,13 @@ def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
     """One genealogy per seed, grown together by :func:`grow_replicates`;
     each equals the one :func:`simulate_full_tree` or
     :func:`simulate_sparse_lineage` returns for its seed."""
-    cols = grow_replicates(spec, scheme, size,
-                           np.concatenate([streams.run_key(s) for s in seeds]))
+    full = scheme == "full"
+    columns = ("size", "rate", "birth", "life") + (() if full else ("bit",))
+    (_, cols), = grow_replicates(
+        spec, scheme, np.full(len(seeds), size + 1 if full else size),
+        np.concatenate([streams.run_key(s) for s in seeds]), columns)
     return [GenealogyTree(scheme, *cols[:4, r],
-                          chain_bits=cols[4, r, 1:] if len(cols) > 4 else None)
+                          chain_bits=None if full else cols[4, r, 1:])
             for r in range(len(seeds))]
 
 

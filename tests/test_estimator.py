@@ -62,6 +62,46 @@ def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
     return np.where(hi > lo, out, 0.0) * kernel._scale
 
 
+def correlated_rows_sums(sizes_sorted, centers, h, radius, scale):
+    """Reference for the windowed lattice sums: the binned sums as computed
+    before, each binned row correlated over its whole lattice in
+    ``np.correlate``'s valid mode and read by ``np.interp``."""
+    reach = radius * h
+    lo = np.array([np.searchsorted(s, centers - reach, side="left")
+                   for s in sizes_sorted])
+    hi = np.array([np.searchsorted(s, centers + reach, side="right")
+                   for s in sizes_sorted])
+    c0, c1 = float(centers.min()), float(centers.max())
+    step = (c1 - c0) / (centers.size - 1) if c1 > c0 else h
+    delta = step / np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h)
+    span = int(reach / delta)
+    origin = c0 - (span + 1) * delta
+    size = int((c1 - origin) / delta) + span + 3
+    pairs = hi - lo
+    summed = pairs.sum(axis=1) <= size
+    out = np.zeros(lo.shape)
+    for r in np.flatnonzero(summed):
+        j = np.repeat(np.arange(centers.size), pairs[r])
+        k = np.arange(j.size) + np.repeat(lo[r] - np.cumsum(pairs[r])
+                                          + pairs[r], pairs[r])
+        z = (sizes_sorted[r, k] - centers[j]) / h
+        out[r] = np.bincount(j, np.exp(-0.5 * z * z), centers.size)
+    binned = np.flatnonzero(~summed)
+    parts = [sizes_sorted[r, lo[r].min():hi[r].max()] for r in binned]
+    t = (np.concatenate(parts or [np.empty(0)]) - origin) / delta
+    i = t.astype(np.intp)
+    t -= i
+    i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
+    bins = binned.size * size
+    w = np.bincount(i, 1.0 - t, bins) + np.bincount(i + 1, t, bins)
+    taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
+    x = (centers - origin) / delta
+    for r, row in zip(binned, w.reshape(-1, size)):
+        out[r] = np.interp(x, np.arange(span, size - span),
+                           np.correlate(row, taps, "valid"))
+    return np.where(hi > lo, out, 0.0) * scale
+
+
 def lexsort_coverage(sizes, y, weight, upper):
     """Reference for the bucketed coverage sums: cumulative weights over the
     rows sorted by size and by upper end, ties ordered by weight."""
@@ -348,6 +388,42 @@ def test_valid_correlation_matches_full_convolution(n):
         got = _hot.kernel_sums(np.sort(sizes), centers, h, kern.radius,
                                kern._scale)
         assert np.array_equal(got, convolved_lattice_sums(sizes, centers, h))
+
+
+def lattice_stride(centers, h):
+    """Lattice points between evenly spaced centers."""
+    step = (centers[-1] - centers[0]) / (centers.size - 1)
+    return int(np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h))
+
+
+@pytest.mark.parametrize("n", [31, 255, 1023, 16_383])
+def test_windowed_sums_equal_the_correlated_lattice(n):
+    """The vecdot over lattice windows, at the three points around each
+    center or at every point, is bit-identical to the per-row valid-mode
+    ``np.correlate`` loop: on the estimator's grid (centers 3 or more
+    lattice points apart), at strides 2 and 1, at a single center, at
+    uneven and unsorted centers, and beside rows that sum their pairs."""
+    rng = np.random.default_rng(n)
+    xi = rng.lognormal(0.0, 0.4, (4, n))
+    xi[2, 3:] += 50.0  # a handful of pairs: summed, not binned
+    s = np.sort(xi, axis=1)
+    h = bandwidth(PowerBandwidth(), n)
+    kern = GaussianKernel()
+    grid = evaluation_grid(*GridSpec().resolve(n)) / 2.0
+    assert lattice_stride(grid, h) >= 3
+    cases = [grid, grid[:1], np.array([1.0]),
+             np.sort(rng.uniform(0.2, 2.5, 97)), rng.uniform(0.2, 2.5, 40)]
+    for stride in (2, 1):
+        step = (stride - 0.5) * h / _hot._np.BINS_PER_BANDWIDTH
+        centers = 0.9 + step * np.arange(50)
+        assert lattice_stride(centers, h) == stride
+        cases.append(centers)
+    for centers in cases:
+        got = _hot.kernel_sums_rows(s, centers, h, kern.radius, kern._scale)
+        want = correlated_rows_sums(s, centers, h, kern.radius, kern._scale)
+        assert np.array_equal(got, want), centers.size
+        assert np.array_equal(got[2], _hot.kernel_sums(
+            s[2], centers, h, kern.radius, kern._scale))
 
 
 def sample_rows(r, n, seed):

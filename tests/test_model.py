@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from gftree import model
 from gftree.model import (DEFAULT_T_MAX, HAZARD_TOL, ClassParams,
                           DiracGrowth, GaussianIncrementGrowth,
                           GrowthBounds, IndependentResampleGrowth,
@@ -213,6 +214,57 @@ def test_invert_agrees_with_bisection(rng, grid, values):
                   <= 1e-13 * np.maximum(1.0, t))
     assert np.all(np.abs(rate.cumulative_hazard(x, v, t) - e)
                   <= HAZARD_TOL * np.maximum(1.0, e))
+
+
+def test_narrow_steep_segment_far_from_the_origin_inverts():
+    # A's a log(y/g) + b (y - g) form cancelled here to about 5e-11 and
+    # missed HAZARD_TOL; B(g) log1p(q) + b g (q - log1p(q)) does not
+    rate = TabulatedRate([18.8682, 18.8687], [0.0072, 13.4])
+    x, v, e = np.array([4.93]), np.array([0.672]), np.array([0.0145])
+    t = rate.invert_hazard(x, v, e)
+    assert np.abs(rate.cumulative_hazard(x, v, t) - e) <= HAZARD_TOL
+    assert np.abs(t - bisection_inverse(rate, x, v, e)) <= 1e-13 * max(1, t)
+
+
+def test_segment_mass_keeps_its_digits_on_short_steps():
+    """With B(g) = 0 a segment's mass is b g (q - log1p(q)), about
+    b g q^2 / 2: the direct difference keeps about q / 2 of its relative
+    digits, the series all but a few ulps (oracle: 50-digit logs)."""
+    from decimal import Decimal, localcontext
+
+    q = np.logspace(-12, 0, 97)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = np.array([float(Decimal(v) - (1 + Decimal(v)).ln())
+                         for v in q.tolist()])
+    got = model._linear_log_mass(0.0, 1.0, q)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_invert_meets_tolerance_on_random_tables():
+    """A seeded fuzz of 300 tables of 2-6 nodes, segment widths e^-8 to
+    e^8 and values in [0, 15), each lane aimed into a random segment.  With
+    the cancelling form of A, 12 of these tables raised and 81 more missed
+    the bisection oracle."""
+    rng = np.random.default_rng(2024)
+    lanes = 40
+    for _ in range(300):
+        k = rng.integers(2, 7)
+        grid = np.cumsum(np.concatenate(
+            [[rng.uniform(0.1, 30.0)], np.exp(rng.uniform(-8, 8, k - 1))]))
+        values = rng.uniform(0.0, 15.0, k)
+        values[-1] = rng.uniform(0.01, 15.0)  # B > 0 past the grid
+        rate = TabulatedRate(grid, values)
+        j = rng.integers(0, k - 1, lanes)
+        y = grid[j] + rng.uniform(0.0, 1.0, lanes) * (grid[j + 1] - grid[j])
+        x = y * np.exp(-rng.uniform(0.0, 3.0, lanes))
+        v = rng.uniform(0.2, 3.0, lanes)
+        e = rate.cumulative_hazard(x, v, np.log(y / x) / v)
+        t = rate.invert_hazard(x, v, e)  # raises when a residual misses
+        with np.errstate(over="ignore"):
+            want = bisection_inverse(rate, x, v, e)
+        assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, t)), \
+            (grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +614,15 @@ def test_model_json_roundtrip_other_forms():
     assert np.array_equal(back.division_rate.grid, spec.division_rate.grid)
     assert back.growth_kernel == spec.growth_kernel
     assert back.initial == spec.initial
+    assert back == spec and hash(back) == hash(spec)
+    resample = ModelSpec(
+        spec.division_rate,
+        IndependentResampleGrowth([0.5, 1.0, 2.0], [0.0, 1.0, 0.5], bounds),
+        bounds, spec.initial)
+    back = ModelSpec.from_json(resample.to_json())
+    assert back == resample and hash(back) == hash(resample)
+    assert back != spec
+    assert TabulatedRate([1, 2], [1, 2]) != TabulatedRate([1, 2], [1, 3])
 
 
 def test_model_validates_initial_support():

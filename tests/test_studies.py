@@ -131,27 +131,28 @@ def test_study_rejects_bad_scheme(dirac_spec):
 
 
 def batch_lengths(batches, k):
-    return [len(reps) for size, reps in batches if size == k]
+    return [len(reps) for sizes, reps in batches if k in sizes]
 
 
 def test_sparse_batches_are_wide():
-    batches = _batches(range(5, 11), 100, "sparse")
-    for k in range(5, 11):
-        lengths = batch_lengths(batches, k)
-        assert len(lengths) <= 2 and sum(lengths) == 100
-        assert max(lengths) * 2 ** k <= _SPARSE_CELLS
-    assert batch_lengths(batches, 10) == [64, 36]
-    # every replicate once, in order, sizes in the given order
-    assert [k for k, _ in batches] == sorted(k for k, _ in batches)
-    for k in range(5, 11):
-        reps = [i for size, r in batches if size == k for i in r]
-        assert reps == list(range(100))
+    # one forest per replicate range holds every size, longest first, so
+    # the benchmark ladder and the paper-scale ladder are one batch each
+    assert _batches(range(5, 11), 100, "sparse") == [
+        (tuple(range(10, 4, -1)), range(100))]
+    assert _batches([7, 14, 9], 100, "sparse") == [((14, 9, 7), range(100))]
+    batches = _batches(range(5, 17), 100, "sparse")
+    assert [len(reps) for _, reps in batches] == [32, 32, 32, 4]
+    for sizes, reps in batches:
+        assert sizes == tuple(range(16, 4, -1))
+        assert len(reps) * sum(2 ** k for k in sizes) <= _SPARSE_CELLS
+    # every replicate once, in order
+    assert [i for _, r in batches for i in r] == list(range(100))
 
 
 def test_batches_hold_one_replicate_beyond_the_cap():
-    assert batch_lengths(_batches([16, 17], 3, "sparse"), 16) == [1, 1, 1]
-    assert batch_lengths(_batches([16, 17], 3, "sparse"), 17) == [1, 1, 1]
-    assert batch_lengths(_batches([15], 5, "sparse"), 15) == [2, 2, 1]
+    assert batch_lengths(_batches([21, 22], 3, "sparse"), 21) == [1, 1, 1]
+    assert batch_lengths(_batches([21, 22], 3, "sparse"), 22) == [1, 1, 1]
+    assert batch_lengths(_batches([20], 5, "sparse"), 20) == [4, 1]
 
 
 def test_full_batches_are_unchanged():
@@ -168,19 +169,36 @@ def test_full_batches_are_unchanged():
 
 
 def test_wide_sparse_batch_equals_single_lineages(variability_spec):
-    # a wide batch steps the lanes of several lineages at once, and each
-    # lineage must come out as if grown alone
-    (k, reps), *_ = _batches([9], 5, "sparse")
-    assert list(reps) == list(range(5))
-    batch = grow_replicates(variability_spec, "sparse", 2 ** k,
-                            _run_keys(8, k, reps))
-    for i in reps:
-        alone = simulate_sparse_lineage(variability_spec, 2 ** k,
-                                        int(run_key(8, k, i)[0]))
-        for j, col in enumerate(("size_birth", "growth_rate", "birth_time",
-                                 "lifetime")):
-            assert np.array_equal(batch[j, i], getattr(alone, col)), (i, col)
-        assert np.array_equal(batch[4, i, 1:], alone.chain_bits), i
+    # one forest steps the lanes of every size at once, retiring the
+    # shorter lineages as they finish, and each lineage must come out as
+    # if grown alone
+    ((sizes, reps),) = _batches(range(5, 10), 4, "sparse")
+    assert sizes == (9, 8, 7, 6, 5) and reps == range(4)
+    keys = np.concatenate([_run_keys(8, k, reps) for k in sizes])
+    columns = ("size", "rate", "birth", "life", "bit")
+    groups = list(grow_replicates(variability_spec, "sparse",
+                                  np.repeat([2 ** k for k in sizes], 4),
+                                  keys, columns))
+    assert [lanes for lanes, _ in groups] == [
+        range(16, 20), range(12, 16), range(8, 12), range(4, 8), range(0, 4)]
+    for lanes, batch in groups:
+        k = sizes[lanes.start // 4]
+        assert batch.shape == (5, 4, 2 ** k)
+        for r, i in enumerate(reps):
+            alone = simulate_sparse_lineage(variability_spec, 2 ** k,
+                                            int(run_key(8, k, i)[0]))
+            for j, col in enumerate(("size_birth", "growth_rate",
+                                     "birth_time", "lifetime")):
+                assert np.array_equal(batch[j, r], getattr(alone, col)), \
+                    (k, i, col)
+            assert np.array_equal(batch[4, r, 1:], alone.chain_bits), (k, i)
+
+
+def test_forest_levels_must_not_increase(dirac_spec):
+    keys = _run_keys(1, 5, range(2))
+    for levels in ([3, 4], [2, 0]):
+        with pytest.raises(ValueError, match="non-increasing"):
+            next(grow_replicates(dirac_spec, "sparse", levels, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,28 @@ def test_tabulated_inverse_makes_a_fixed_number_of_passes(monkeypatch):
         rate.invert_hazard(x, v, np.full(n, e))
         counts.add(len(passes))
     assert len(counts) == 1 and counts.pop() <= 3
+
+
+def test_sparse_study_steps_its_longest_lineage_once(monkeypatch):
+    # every size of a sparse ladder shares one forest, which divides once
+    # per generation of its longest lineage: 2^8 - 1 times for sizes 5..8,
+    # not once per generation of every size
+    from gftree import trees
+    from gftree.model import reference_model
+    from gftree.studies import run_convergence_study
+
+    calls, divide = [], trees._Forest.divide
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.key.size)
+        return divide(self, *args, **kwargs)
+
+    monkeypatch.setattr(trees._Forest, "divide", counting)
+    study = run_convergence_study(reference_model("dirac"), range(5, 9), 10,
+                                  "sparse", seed=4)
+    assert study.sizes() == [32, 64, 128, 256]
+    assert len(calls) == 2 ** 8 - 1
+    # generation g holds the lanes longer than g: a size's lanes leave the
+    # forest once its lineages end
+    assert calls[0] == calls[31] == 40 and calls[32] == 30
+    assert calls[64] == 20 and calls[128] == calls[-1] == 10
