@@ -268,6 +268,8 @@ def cmd_study(args) -> int:
     seed = resolve_seed(args)
     config = build_estimator_config(args)
     sizes = parse_size_range(args.sizes)
+    if args.replicates < 1:
+        raise UsageError("--replicates must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     full = run_convergence_study(spec, sizes, args.replicates, "full",

@@ -140,6 +140,8 @@ def _batches(sizes_log2: Sequence[int], replicates: int, scheme: str):
     replicate: one size per full-tree batch, in the given order, of at most
     ``_FOREST_CELLS`` cells; every size, longest first, per sparse batch,
     whose lineages hold at most ``_SPARSE_CELLS`` cells."""
+    if replicates < 1:
+        raise ValueError(f"need at least one replicate, got {replicates}")
     if scheme == "sparse":
         sizes = tuple(sorted(sizes_log2, reverse=True))
         step = max(1, _SPARSE_CELLS // sum(2 ** k for k in sizes))

@@ -282,6 +282,15 @@ def test_verify_drift_contracts_for_scalar_band(tmp_path):
     assert doc["verdicts"]["drift"]["pass"] is True
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_study_without_replicates_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run(["study", "--sizes", "5..6", "--replicates", value,
+                "--out", out]) == 2
+    assert "--replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_without_flags_is_usage_error(tmp_path):
     assert run(["verify", "--out", tmp_path]) == 2
 

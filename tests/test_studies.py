@@ -199,6 +199,17 @@ def test_forest_levels_must_not_increase(dirac_spec):
     for levels in ([3, 4], [2, 0]):
         with pytest.raises(ValueError, match="non-increasing"):
             next(grow_replicates(dirac_spec, "sparse", levels, keys))
+    # no lanes: nothing is grown and nothing yielded
+    assert list(grow_replicates(dirac_spec, "full", [], keys[:0])) == []
+
+
+@pytest.mark.parametrize("replicates", [0, -2])
+def test_study_needs_a_replicate(dirac_spec, replicates):
+    for scheme in ("full", "sparse"):
+        with pytest.raises(ValueError, match=f"got {replicates}"):
+            run_convergence_study(dirac_spec, [5, 6], replicates, scheme)
+    with pytest.raises(ValueError, match="at least one replicate"):
+        variability_ablation(dirac_spec, 5, replicates)
 
 
 # ---------------------------------------------------------------------------
