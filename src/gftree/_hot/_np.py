@@ -11,8 +11,10 @@ def powerlaw_lifetimes(u: np.ndarray, x: np.ndarray, v: np.ndarray,
 
     u are open-(0,1) uniforms; e = -log(u); t = log1p(lam v e / (c x^lam)) / (lam v).
     """
-    e = -np.log(u)
-    return np.log1p(lam * v * e / (coeff * np.power(x, lam))) / (lam * v)
+    t = lam * v  # the steps of that formula, in place
+    t *= -np.log(u)
+    t /= coeff * np.power(x, lam)
+    return np.divide(np.log1p(t, out=t), lam * v, out=t)
 
 
 BINS_PER_BANDWIDTH = 80  # lattice resolution of the binned kernel sums

@@ -118,6 +118,12 @@ def resolve_seed(args) -> int:
 
 
 def build_estimator_config(args) -> EstimatorConfig:
+    for flag in ("bandwidth", "bandwidth_exponent", "threshold", "grid_dx",
+                 "grid_xmax"):
+        value, low = getattr(args, flag), -np.inf if "exp" in flag else 0.0
+        if value is not None and not low < value < np.inf:
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite"
+                             + ("" if low else " and > 0"))
     if args.bandwidth is not None:
         bw = FixedBandwidth(args.bandwidth)
     else:
@@ -187,8 +193,10 @@ def _manifest(args, extra: dict) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    # strict JSON: a non-finite float (a one-size ladder's slope) as null
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -223,6 +231,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    config = build_estimator_config(args)
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
@@ -231,7 +240,6 @@ def cmd_estimate(args) -> int:
         obs = extract_observations(tree)
     except ValueError as exc:
         raise UsageError(f"bad genealogy {path}: {exc}") from exc
-    config = build_estimator_config(args)
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
            else estimate_division_rate(obs, config))
     out = Path(args.out)
@@ -419,6 +427,7 @@ def cmd_pde_check(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    config = build_estimator_config(args)
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
@@ -443,7 +452,6 @@ def cmd_ingest(args) -> int:
                                          drop_last=args.drop_last)
     except studies.SchemaError as exc:
         raise UsageError(f"bad lineage CSV {path}: {exc}") from exc
-    config = build_estimator_config(args)
     analysis = studies.analyze_experimental(obs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

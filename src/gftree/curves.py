@@ -159,8 +159,9 @@ def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
         fh.write(join_text(cells, b"\t", b"\n"))
 
 
-def load_csv_columns(fh, dtype, usecols) -> np.ndarray:
-    """Parse the rest of an open CSV file in one pass of numpy's C reader.
+def load_csv_columns(fh, dtype, usecols, max_rows=None) -> np.ndarray:
+    """Parse the rest of an open CSV file (at most ``max_rows`` rows, the
+    handle left after the last) in one pass of numpy's C reader.
 
     Fields follow the ``csv`` module's default dialect: comma-separated,
     ``"``-quoted with ``""`` as an escaped quote; ``\\n``, ``\\r\\n`` and
@@ -172,7 +173,9 @@ def load_csv_columns(fh, dtype, usecols) -> np.ndarray:
     import warnings
 
     with warnings.catch_warnings():
-        # an empty table is for the caller to judge
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # an empty table is for the caller to judge; empty lines are skipped
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data"
+                                "|Input line [0-9]+ contained no data")
         return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, usecols=usecols, ndmin=1)
+                          comments=None, usecols=usecols, ndmin=1,
+                          max_rows=max_rows)

@@ -356,24 +356,33 @@ def _grid_buckets(y: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
     return g
 
 
+_COVER_BLOCK = 1 << 16  # cells per block of coverage bucket edges
+
+
 def _coverage_sums(sizes: np.ndarray, y: np.ndarray,
                    weight: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """sum_i w_ri 1{sizes_ri <= y <= upper_ri} per row r and ascending y.
 
     Cell i adds w_ri from the first y >= sizes_ri on and takes it off from
-    the first y > upper_ri on: a row-offset ``bincount`` per edge, built
-    one edge at a time, then a cumulative sum along each row.  Cells enter
-    the buckets in their row's weight order, so the sums do not depend on
-    cell order (equal weights are interchangeable).
+    the first y > upper_ri on: a row-offset ``bincount`` per edge, its
+    buckets computed ``_COVER_BLOCK`` cells at a time into one int64 array,
+    then a cumulative sum along each row.  Cells enter the buckets in their
+    row's weight order, so the sums do not depend on cell order (equal
+    weights are interchangeable).  ``weight`` is released once sorted, so
+    a caller that passes it as a temporary frees it.
     """
     order = np.argsort(weight, axis=1)
     w = np.take_along_axis(weight, order, axis=1).ravel()
-    m = y.size + 1
+    del weight
+    cell = order.ravel()  # each entry of w's cell within its row
+    n, m = order.shape[1], y.size + 1
+    edge = np.empty(w.size, dtype=np.int64)
 
     def edge_sums(x, side):
-        edge = _grid_buckets(
-            y, np.take_along_axis(x, order, axis=1).ravel(), side)
-        edge.reshape(order.shape)[:] += m * np.arange(len(order))[:, None]
+        for a in range(0, w.size, _COVER_BLOCK):
+            block = slice(a, a + _COVER_BLOCK)
+            row = np.arange(a, min(a + _COVER_BLOCK, w.size)) // n
+            edge[block] = _grid_buckets(y, x[row, cell[block]], side) + m * row
         return np.bincount(edge, w, m * len(order))
 
     sums = edge_sums(sizes, "left")
@@ -438,19 +447,19 @@ def evaluation_grid(dx: float, m: int) -> np.ndarray:
     return dx + dx * np.arange(m)
 
 
-def _assemble(size_birth: np.ndarray, config: EstimatorConfig,
-              sizes: np.ndarray, weight: np.ndarray, upper: np.ndarray,
+def _assemble(size_birth: np.ndarray, config: EstimatorConfig, cover,
               pooled: bool = False) -> list[DivisionRateEstimate]:
     """The estimates of the (R, n) samples ``size_birth`` on the config's
-    grid, row r's denominator covered by its cells ``sizes <= y <= upper``
-    with the given weights ((R, k) arrays).  The rows share n, hence the
+    grid y, each row's denominator the row of :func:`_coverage_sums` that
+    ``cover(y)`` returns, which builds its weights and upper edges there,
+    so they are freed before the kernel sums.  The rows share n, hence the
     bandwidth, floor and grid, and each sum takes them all in one pass."""
     n = size_birth.shape[1]
     h = bandwidth(config.bandwidth_rule, n)
     floor = threshold(config.threshold_rule, n)
     dx, m = config.grid.resolve(n)
     y = evaluation_grid(dx, m)
-    raw_den = _coverage_sums(sizes, y, weight, upper) / n
+    raw_den = cover(y) / n
     dens_raw = _kernel_sums(size_birth, y / 2.0, h, config.kernel) / (n * h)
     negative = np.sum(dens_raw < 0, axis=1)
     dens = np.maximum(dens_raw, 0.0)
@@ -471,9 +480,9 @@ def estimate_rows(size_birth: np.ndarray, growth_rate: np.ndarray,
     mean in the denominator indicator and weight."""
     if pooled:
         growth_rate = np.array([[math.fsum(v) / v.size] for v in growth_rate])
-    weight = np.broadcast_to(1.0 / growth_rate, size_birth.shape)
-    return _assemble(size_birth, config, size_birth, weight,
-                     size_birth * np.exp(growth_rate * lifetime), pooled)
+    return _assemble(size_birth, config, lambda y: _coverage_sums(
+        size_birth, y, np.broadcast_to(1.0 / growth_rate, size_birth.shape),
+        size_birth * np.exp(growth_rate * lifetime)), pooled)
 
 
 def estimate_division_rate(obs: ObservationSet,
@@ -506,7 +515,8 @@ def estimate_division_rate_parent_indexed(
     """
     ps, pg, cs = (np.asarray(a, dtype=np.float64)[None]
                   for a in (parent_size, parent_growth, child_size))
-    return _assemble(obs.size_birth[None], config, ps, 1.0 / pg, 2.0 * cs)[0]
+    return _assemble(obs.size_birth[None], config, lambda y: _coverage_sums(
+        ps, y, 1.0 / pg, 2.0 * cs))[0]
 
 
 # ---------------------------------------------------------------------------

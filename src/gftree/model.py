@@ -212,8 +212,13 @@ class TabulatedRate:
                          np.log(y)))
         # rounding in A can leave y a hair below x when v e is tiny
         t = np.maximum(log_y - np.log(x), 0.0) / v
+        # beyond HAZARD_TOL, allow the B(y) dt by which F moves for the dt of
+        # four roundings of log x, log y and y = x e^{vt} (steep segments)
+        with np.errstate(over="ignore"):
+            slack = self(x * np.exp(v * t)) * (4 * np.finfo(float).eps / v) * (
+                1.0 + np.abs(np.log(x)) + np.abs(log_y))
         if np.any(np.abs(self.cumulative_hazard(x, v, t) - e)
-                  > HAZARD_TOL * np.maximum(1.0, e)):
+                  > HAZARD_TOL * np.maximum(1.0, e) + slack):
             raise NonDivergentHazard("hazard inversion did not meet tolerance")
         return t if t.ndim else float(t)
 
@@ -379,7 +384,8 @@ class UniformIncrementGrowth:
         lo, hi = self.step_support()
         left = np.maximum(self.bounds.e_min, np.asarray(v_parent) + lo)
         right = np.minimum(self.bounds.e_max, np.asarray(v_parent) + hi)
-        return np.minimum(left + (right - left) * u, right)
+        out = left + (right - left) * u
+        return np.minimum(out, right, out=out)
 
     def step_density(self, w) -> np.ndarray:
         lo, hi = self.step_support()

@@ -452,20 +452,22 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
                 csv.DictReader(fh), colmap,
                 lineage_column if has_lineage else None)
         else:
+            ok, rejected = _validate_values(table["values"],
+                                            list(colmap.values()))
+            if rejected:  # copied only when a row goes
+                table = table[ok]
             values = table["values"]
-            ok, rejected = _validate_values(values, list(colmap.values()))
-            values = values[ok]
-            keys = table["key"][ok] if has_lineage else None
+            keys = table["key"] if has_lineage else None
 
     kept, lineages = _drop_boundary(keys, len(values), drop_first, drop_last)
-    if not kept.size:
+    data = values[kept]
+    if not len(data):
         raise EmptyAfterFiltering(
             f"no usable rows ({len(rejected)} rejected, "
-            f"{len(values) - kept.size} dropped)")
-    data = values[kept]
-    obs = ObservationSet(data[:, 0], data[:, 1], data[:, 2])
-    report = IngestReport(accepted=kept.size, rejected=rejected,
-                          dropped_boundary=len(values) - kept.size,
+            f"{len(values) - len(data)} dropped)")
+    obs = ObservationSet(*map(np.ascontiguousarray, data.T))
+    report = IngestReport(accepted=len(data), rejected=rejected,
+                          dropped_boundary=len(values) - len(data),
                           lineages=lineages)
     return obs, report
 
@@ -520,13 +522,13 @@ def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
 def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):
     """Rows kept after dropping each lineage's first ``drop_first`` and last
     ``drop_last`` cells, lineages in order of first appearance and cells in
-    row order; and the number of lineages.  ``keys=None`` is one lineage."""
+    row order; and the number of lineages.  ``keys=None`` is one lineage,
+    whose rows are a slice."""
     if keys is None:
-        group = np.zeros(n, dtype=np.int64)
-    else:
-        first_seen = {k: g for g, k in enumerate(dict.fromkeys(keys))}
-        group = np.fromiter(map(first_seen.__getitem__, keys),
-                            dtype=np.int64, count=n)
+        return slice(drop_first, max(drop_first, n - drop_last)), int(n > 0)
+    first_seen = {k: g for g, k in enumerate(dict.fromkeys(keys))}
+    group = np.fromiter(map(first_seen.__getitem__, keys),
+                        dtype=np.int64, count=n)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
     start = np.cumsum(sizes) - sizes

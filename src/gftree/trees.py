@@ -27,6 +27,7 @@ lanes may follow lineages of different lengths.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import streams
+from .curves import float_text, join_text, load_csv_columns
 from .estimator import ObservationSet
 from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
                     sample_lifetimes_keyed)
@@ -127,10 +129,11 @@ class _Forest:
     Each run key starts one root, whose node key is ``child_keys(run_key,
     1)`` and whose size and growth rate come from the initial distribution.
     Per live cell the forest holds its node ``key``, size at birth
-    ``size``, growth ``rate``, ``birth`` time, ``life``time, cumulated
-    growth at birth ``cum``, the index of its ``root`` and the child
-    ``bit`` it was reached by.  ``level`` is the generation of every live
-    cell and ``root_size`` the size of each root.
+    ``size``, growth ``rate`` and ``life``time, and of the columns named in
+    ``carry`` its ``birth`` time, cumulated growth at birth ``cum``, the
+    index of its ``root`` and the child ``bit`` it was reached by; the
+    others are None after the first division.  ``level`` is the generation
+    of every live cell and ``root_size`` the size of each root.
 
     A child's size at birth is half its parent's size at division, or,
     when ``sizes_from_growth`` is set, ``x0 e^{cum} / 2^level`` from its
@@ -139,10 +142,12 @@ class _Forest:
     """
 
     def __init__(self, spec: ModelSpec, run_keys: np.ndarray,
-                 sizes_from_growth: bool = False):
+                 sizes_from_growth: bool = False,
+                 carry=("birth", "cum", "root")):
         self.division_rate = spec.division_rate
         self.growth_kernel = spec.growth_kernel
-        self.sizes_from_growth = sizes_from_growth
+        self.sizes_from_growth = sizes_from_growth  # needs cum and root
+        self.carry = carry
         key = streams.child_keys(run_keys, 1)
         n = key.size
         init = spec.initial
@@ -179,27 +184,29 @@ class _Forest:
         key = self.key[d]
         if pick:
             bit = streams.draw_bit(key, streams.STREAM_CHILD_CHOICE, 0)
-        else:
-            bit = np.tile(np.array([0, 1], dtype=np.int64), key.size)
+        else:  # both children of each cell, as a (cell, child) broadcast
+            key, bit = key[:, None], np.array([0, 1], dtype=np.int64)
         self.level += 1
-        self.key = streams.child_keys(expand(key),
-                                      bit.astype(np.uint64))
+        self.key = streams.child_keys(key, bit.astype(np.uint64)).ravel()
         del key
-        self.bit = bit
+        self.bit = (np.resize(bit, self.key.size) if "bit" in self.carry
+                    else None)
         grown = self.rate[d] * self.life[d]
-        self.birth = expand(self.birth[d] + self.life[d])
+        self.birth = (expand(self.birth[d] + self.life[d])
+                      if "birth" in self.carry else None)
         self.life = None
-        self.cum = expand(self.cum[d] + grown)
-        self.root = expand(self.root[d])
+        self.cum = expand(self.cum[d] + grown) if "cum" in self.carry else None
+        self.root = expand(self.root[d]) if "root" in self.carry else None
         if self.sizes_from_growth:
             self.size = (self.root_size[self.root] * np.exp(self.cum)
                          / 2.0 ** self.level)
         else:
             self.size = expand(0.5 * self.size[d] * np.exp(grown))
         del grown
+        parent_rate, self.rate = expand(self.rate[d]), None
         self.rate = sample_growth_rates_keyed(
-            self.growth_kernel, expand(self.rate[d]), self.key,
-            streams.STREAM_GROWTH)
+            self.growth_kernel, parent_rate, self.key, streams.STREAM_GROWTH)
+        del parent_rate
         self.life = sample_lifetimes_keyed(self.division_rate, self.key,
                                            self.size, self.rate)
 
@@ -247,7 +254,7 @@ def grow_replicates(spec: ModelSpec, scheme: str, levels,
     groups = [(range(a, b), int(levels[a]), np.empty(
         (len(columns), int(levels[a]) if pick else 2 ** int(levels[a]) - 1,
          b - a))) for a, b in reversed(list(zip(cuts, cuts[1:])))][::-1]
-    forest = _Forest(spec, run_keys)
+    forest = _Forest(spec, run_keys, carry=columns)
     for g in range(int(levels[0])):
         width = 1 if pick else 1 << g  # cells per lane in generation g
         start = g if pick else width - 1
@@ -383,11 +390,11 @@ def parent_child_arrays(tree: GenealogyTree):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
-_CSV_BLOCK = 1 << 16  # rows formatted per write
+_CSV_BLOCK = 1 << 15  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 _PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
-_DECODE_ROWS = 1 << 16  # full-tree paths decoded per block
+_DECODE_ROWS = 1 << 16  # rows parsed and paths decoded per block
 _NUL_SCAN_BYTES = 1 << 20
 
 
@@ -419,8 +426,6 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     ``_CSV_BLOCK`` rows (fewer for long sparse paths) are formatted a
     column at a time by :func:`~gftree.curves.float_text`.
     """
-    from .curves import float_text, join_text
-
     columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
                tree.birth_time)
     step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (tree.depth + 1)))
@@ -432,29 +437,22 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
             fh.write(join_text([_path_text(tree, rows), *cells], b",", b"\r\n"))
 
 
-def _full_tree_indices(paths: np.ndarray, gens: np.ndarray,
-                       depth: int) -> np.ndarray:
-    """Index within its generation of every path of a full-tree candidate,
-    decoded from the first ``depth`` bytes of ``_DECODE_ROWS`` paths at a
-    time, so the byte and bit matrices stay bounded; paths are at most
-    ``depth`` long."""
-    width = max(depth, 1)
-    index = np.empty(gens.size, dtype=np.int64)
-    for start in range(0, gens.size, _DECODE_ROWS):
-        rows = slice(start, start + _DECODE_ROWS)
-        codes = paths[rows].astype(f"S{width}").view(np.uint8)
-        codes = codes.reshape(-1, width)
-        within = np.arange(width) < gens[rows, None]
-        one = codes == ord("1")
-        if not np.array_equal(one | (codes == ord("0")), within):
-            raise ValueError(_NOT_BINARY)
-        # the left-aligned bits as one big-endian number, shifted into place
-        packed = np.packbits(one, axis=1)
-        block = np.zeros(packed.shape[0], dtype=np.int64)
-        for column in packed.T:
-            block = (block << 8) | column
-        index[rows] = block >> (8 * packed.shape[1] - gens[rows])
-    return index
+def _full_tree_indices(paths: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Index within its generation of each of the ``S`` array ``paths``,
+    ``gens`` long, read as a binary number.  Raises ``ValueError`` on a
+    character other than 0 or 1."""
+    width = max(int(gens.max(initial=0)), 1)
+    codes = paths.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    one = codes == ord("1")
+    if not np.array_equal(one | (codes == ord("0")),
+                          np.arange(width) < gens[:, None]):
+        raise ValueError(_NOT_BINARY)
+    # the left-aligned bits as one big-endian number, shifted into place
+    packed = np.packbits(one, axis=1)
+    index = np.zeros(packed.shape[0], dtype=np.int64)
+    for column in packed.T:
+        index = (index << 8) | column
+    return index >> (8 * packed.shape[1] - gens)
 
 
 def _breadth_first_order(slot: np.ndarray) -> Optional[np.ndarray]:
@@ -475,25 +473,30 @@ def _breadth_first_order(slot: np.ndarray) -> Optional[np.ndarray]:
     return order
 
 
-def _refuse_nul(path) -> None:
-    """``S`` fields drop trailing NULs, so a path ``"1\\0"`` would read as
-    ``"1"``: refuse a NUL byte anywhere, one block of the file at a time."""
+def _row_bound(path) -> int:
+    """At least the rows after the header: the line ends, ``\\r\\n`` once.
+    Refuses a NUL byte, reading one block at a time: ``S`` fields drop
+    trailing NULs, so a path ``"1\\0"`` would read as ``"1"``."""
+    ends, cr = 0, False
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(_NUL_SCAN_BYTES), b""):
             if b"\0" in block:
                 raise ValueError("genealogy CSV holds a NUL byte")
+            ends += (block.count(b"\n") + block.count(b"\r")
+                     - block.count(b"\r\n") - (cr and block[:1] == b"\n"))
+            cr = block.endswith(b"\r")
+    return ends
 
 
-def _load_genealogy_table(path, dtype, usecols) -> np.ndarray:
-    """The rows after a checked header, parsed by
+@contextlib.contextmanager
+def _genealogy_rows(path):
+    """The open file past its checked header, for
     :func:`~gftree.curves.load_csv_columns`."""
-    from .curves import load_csv_columns
-
     with open(path, encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected genealogy header {header!r}")
-        return load_csv_columns(fh, dtype, usecols)
+        yield fh
 
 
 def read_genealogy_csv(path) -> GenealogyTree:
@@ -503,55 +506,61 @@ def read_genealogy_csv(path) -> GenealogyTree:
     Rows may come in any order, with LF or CRLF line ends and ``csv``-style
     quoting; blank lines are skipped.  Values are parsed column-wise by
     :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``,
-    and paths as bytes in the same pass, cut at ``_PATH_WIDTH``; when a
-    path fills that width the path column alone is read again as Python
-    strings, and only the longest path is encoded.  Each row goes to its
-    breadth-first slot (``2^g - 1 + index``, or its length in a chain),
-    checked to be a permutation without sorting; the tree keeps no
-    position column.
+    ``_DECODE_ROWS`` rows at a time into four float columns sized by the
+    file's line ends, and paths as bytes in the same pass, cut at
+    ``_PATH_WIDTH``, each kept only as its full-tree slot ``2^g - 1 +
+    index``.  Rows are put in breadth-first order by their slots, checked
+    to be a permutation without sorting.  Paths that are not a full tree
+    are read again as Python strings, which a chain orders by length.
     Raises ``ValueError`` for a wrong header, an unparsable or short row,
     no rows, a NUL byte, a path character other than 0 or 1, or paths that
     form neither a complete tree (each present once) nor a single chain.
     """
-    _refuse_nul(path)
-    table = _load_genealogy_table(
-        path, [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (4,))],
-        (0, 1, 2, 3, 4))
-    n = table.size
+    bound = _row_bound(path)
+    columns = np.empty((4, bound))
+    slot = np.empty(bound, dtype=np.int64)
+    count = np.zeros(_PATH_WIDTH + 1, dtype=np.int64)  # rows per path length
+    n = 0
+    with _genealogy_rows(path) as fh:
+        while True:
+            table = load_csv_columns(
+                fh, [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (4,))],
+                (0, 1, 2, 3, 4), _DECODE_ROWS)
+            rows = slice(n, n + table.size)
+            n += table.size
+            columns[:, rows] = table["values"].T
+            gens = np.strings.str_len(table["path"]).astype(np.int64)
+            count += np.bincount(gens, minlength=count.size)
+            slot[rows] = (1 << gens) - 1 + _full_tree_indices(table["path"], gens)
+            if table.size < _DECODE_ROWS:
+                break
+    del table, gens
     if n == 0:
         raise ValueError("genealogy CSV holds no cells")
-    paths = table["path"]
-    gens = np.strings.str_len(paths).astype(np.int64, copy=False)
-    if gens.max() >= _PATH_WIDTH:  # some path may be cut: read them whole
-        # as str objects: a bytes column would be (n, longest path) wide
-        paths = _load_genealogy_table(path, object, (0,))
-        gens = np.fromiter(map(len, paths), np.int64, n)
-    depth = int(gens.max())
-    bits = None
-    if n == 2 ** (depth + 1) - 1 and np.array_equal(
-            np.bincount(gens), 2 ** np.arange(depth + 1)):
-        scheme = "full"
-        order = _breadth_first_order(
-            (1 << gens) - 1 + _full_tree_indices(paths, gens, depth))
+    columns, slot = columns[:, :n], slot[:n]
+    depth = np.flatnonzero(count)[-1]
+    if depth < _PATH_WIDTH and np.array_equal(count[:depth + 1],
+                                              1 << np.arange(depth + 1)):
+        scheme, bits = "full", None
+        order = _breadth_first_order(slot)
     else:
         scheme = "sparse"
+        # as str objects, whole: a bytes column would be (n, longest path)
+        with _genealogy_rows(path) as fh:
+            paths = load_csv_columns(fh, object, (0,))
         # n distinct lengths 0..n-1, each a prefix of the longest path
-        order = _breadth_first_order(gens)
+        order = _breadth_first_order(np.fromiter(map(len, paths), np.int64, n))
         chain = paths[n - 1 if order is None else order[-1]]
         if not all(map(chain.startswith, paths)):
             raise ValueError(_NOT_A_TREE)
-        if isinstance(chain, str):
-            chain = chain.encode()
-        if chain.strip(b"01"):
+        if chain.strip("01"):
             raise ValueError(_NOT_BINARY)
-        bits = (np.frombuffer(chain, dtype=np.uint8)
+        bits = (np.frombuffer(chain.encode(), dtype=np.uint8)
                 - ord("0")).astype(np.int64)
-    values = table["values"]
-    if order is None:
-        columns = [np.ascontiguousarray(values[:, k]) for k in range(4)]
-    else:
-        columns = [values[order, k] for k in range(4)]
-    del table, paths, gens, values  # the tree is built without them
+    del slot
+    if order is not None:
+        for col in columns:
+            col[:] = col[order]
     return GenealogyTree(scheme, columns[0], columns[1], columns[3],
                          columns[2], chain_bits=bits)
 

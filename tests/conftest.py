@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +38,19 @@ def variability_spec():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """``peak_bytes(fn)`` calls ``fn()`` and returns the most bytes it held
+    at once by tracemalloc's count, not counting what existed before the
+    call, and the call's result."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -193,6 +193,22 @@ def test_study_outputs(tmp_path):
     assert "slope" in report["full"]
 
 
+@pytest.mark.parametrize("sizes", ["5..5", "5..6"])
+def test_study_json_is_strict(tmp_path, sizes):
+    # one size has no slope and two sizes no slope error: null, not NaN
+    assert run(["study", "--sizes", sizes, "--replicates", 3, "--band-size",
+                0, "--out", tmp_path, "--no-timestamp"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "study.json").read_text(),
+                     parse_constant=refuse)
+    for scheme in ("full", "sparse"):
+        assert doc[scheme]["slope_stderr"] is None
+        assert (doc[scheme]["slope"] is None) == (sizes == "5..5")
+
+
 def test_study_counts_replicates_with_empty_conditioning(tmp_path):
     """Under variable growth at 2^5 some replicates keep no grid point above
     the floor: they are counted, and the summary is taken over the rest."""
@@ -288,6 +304,22 @@ def test_study_without_replicates_is_usage_error(tmp_path, capsys, value):
     assert run(["study", "--sizes", "5..6", "--replicates", value,
                 "--out", out]) == 2
     assert "--replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "ingest", "study"])
+@pytest.mark.parametrize("flag, value", [
+    ("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--bandwidth", -1),
+    ("--bandwidth", 0), ("--threshold", -1), ("--threshold", "nan"),
+    ("--grid-dx", "nan"), ("--grid-dx", 0), ("--grid-xmax", "inf"),
+    ("--bandwidth-exponent", "nan"), ("--bandwidth-exponent", "inf")])
+def test_bad_estimator_flags_are_usage_errors(tmp_path, capsys, command,
+                                              flag, value):
+    # refused before the input is read: the input does not exist
+    source = [] if command == "study" else ["--input", tmp_path / "no.csv"]
+    out = tmp_path / "out"
+    assert run([command, *source, flag, value, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ import csv
 import hashlib
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +125,8 @@ def oracle_ingest_lineage_csv(path, column_map=None,
         raise EmptyAfterFiltering(
             f"no usable rows ({len(rejected)} rejected, {dropped} dropped)")
     data = np.array(kept)
-    obs = ObservationSet(data[:, 0], data[:, 1], data[:, 2])
+    # one contiguous array per column, as the estimator reads them
+    obs = ObservationSet(*(np.ascontiguousarray(c) for c in data.T))
     report = IngestReport(accepted=len(kept), rejected=rejected,
                           dropped_boundary=dropped,
                           lineages=len(by_lineage))
@@ -233,17 +233,14 @@ def test_writer_fallback_values_match_oracle(tmp_path, scheme):
     assert path.read_bytes() == expected.read_bytes()
 
 
-def test_writer_memory_is_bounded_by_block(tmp_path, variability_spec):
-    # 2^16 - 1 rows fill one block and 2^17 - 1 rows two, so the peak
+def test_writer_memory_is_bounded_by_block(tmp_path, variability_spec,
+                                          peak_bytes):
+    # 2^16 - 1 rows fill two blocks and 2^17 - 1 rows four, so the peak
     # holds if no block builds the whole file
     def peak(generations):
         tree = simulate_full_tree(variability_spec, generations, seed=28)
-        tracemalloc.start()
-        try:
-            write_genealogy_csv(tree, tmp_path / "tree.csv")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(lambda: write_genealogy_csv(tree,
+                                                      tmp_path / "tree.csv"))[0]
 
     assert peak(16) < 1.5 * peak(15)
 
@@ -365,6 +362,18 @@ def test_reader_line_ends_and_trailing_blank_line(tmp_path, tree, end):
     assert_same_tree(got, tree)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_row_bound_counts_line_ends_across_scan_blocks(tmp_path, tree,
+                                                       monkeypatch, end):
+    # 3-byte scan blocks split many a \r\n; the columns are sized by the
+    # bound, so a short one would fail the read
+    monkeypatch.setattr(trees, "_NUL_SCAN_BYTES", 3)
+    header, rows = _lines(tree, tmp_path)
+    path = _write(tmp_path / "t.csv", header, rows, end=end, trailer=end)
+    assert trees._row_bound(path) == len(rows) + 2
+    assert_same_tree(assert_readers_agree(path), tree)
+
+
 def test_reader_quoted_fields(tmp_path, tree):
     header, rows = _lines(tree, tmp_path)
     quoted = [",".join(f'"{cell}"' for cell in row.split(","))
@@ -401,16 +410,11 @@ def test_reader_rejects_like_oracle(tmp_path, case):
 
 
 def test_reader_sparse_chain_2e12_without_fixed_width_paths(
-        tmp_path, variability_spec):
+        tmp_path, variability_spec, peak_bytes):
     chain = simulate_sparse_lineage(variability_spec, 2 ** 12, seed=26)
     path = tmp_path / "chain.csv"
     write_genealogy_csv(chain, path)
-    tracemalloc.start()
-    try:
-        got = read_genealogy_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, got = peak_bytes(lambda: read_genealogy_csv(path))
     # a fixed-width unicode path column would take 4096 * 4095 * 4 B = 64 MiB
     # and a bytes one 16 MiB; the longest path as str objects 8 MiB
     assert peak < 12 * 2 ** 20
@@ -451,20 +455,23 @@ def test_breadth_first_order_checks_a_permutation():
             trees._breadth_first_order(np.array(bad))
 
 
-def test_reader_memory_per_row(tmp_path, variability_spec):
-    full = simulate_full_tree(variability_spec, 16, seed=31)
-    path = tmp_path / "tree.csv"
-    write_genealogy_csv(full, path)
-    del full
-    tracemalloc.start()
-    try:
-        got = read_genealogy_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
+    """Each row costs its four float columns (32 B) and its int64
+    breadth-first slot (8 B), and the permutation check 1 B: 41 B/row.
+    Files of 2^16 - 1 and 2^17 - 1 rows parse in one and two blocks of
+    ``_DECODE_ROWS``, whose scratch is the same, so the difference of the
+    peaks is the rows' own cost.  Parsing the whole file as one table of
+    a 32-byte path and four floats, then copying the columns out, cost
+    91-103 B/row."""
+    def peak(generations):
+        path = tmp_path / f"tree{generations}.csv"
+        write_genealogy_csv(
+            simulate_full_tree(variability_spec, generations, seed=31), path)
+        return peak_bytes(lambda: read_genealogy_csv(path))
+
+    (small, _), (large, got) = peak(15), peak(16)
     assert len(got) == 2 ** 17 - 1
-    # the float columns alone take 32 B/row and the parse table 64 B/row
-    assert peak < 150 * len(got)
+    assert large - small < 56 * 2 ** 16  # 41 B/row and the parser's buffers
 
 
 def test_reader_rejects_non_binary_sparse_path(tmp_path):
@@ -547,6 +554,20 @@ def test_ingest_matches_oracle(tmp_path, monkeypatch, case):
     for col in ("size_birth", "growth_rate", "lifetime"):
         x, y = getattr(obs, col), getattr(want_obs, col)
         assert x.strides == y.strides and np.array_equal(x, y), col
+
+
+def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes):
+    """Ingest holds the parsed (row, 3) table (24 B/row) while it copies
+    out three contiguous columns (24 B/row), and the observation checks
+    take 2 B/row: 50 B/row.  Copying the accepted rows and then the kept
+    rows whole as well, when every row was both, took 90 B/row."""
+    path = tmp_path / "tree.csv"
+    write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=32),
+                        path)
+    peak, (obs, report) = peak_bytes(lambda: ingest_lineage_csv(path))
+    assert obs.n == report.accepted == 2 ** 16 - 1
+    assert all(getattr(obs, c).flags.c_contiguous for c in DEFAULT_COLUMN_MAP)
+    assert peak < 60 * obs.n
 
 
 def test_ingest_drop_last_beyond_lineage_length_drops_all(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,7 +347,7 @@ def test_binned_sums_interpolate_uneven_centers():
     assert np.array_equal(got == 0, want == 0)
 
 
-def test_kernel_sums_memory_stays_bounded():
+def test_kernel_sums_memory_stays_bounded(peak_bytes):
     """Only sizes within reach of a center are binned, so one size of 1e6
     with h = 0.01 changes nothing and does not stretch the lattice; with
     h = 1e-5 the lattice would need 2e7 bins, so the few pairs within
@@ -358,15 +357,10 @@ def test_kernel_sums_memory_stays_bounded():
     centers = evaluation_grid(0.01, 500) / 2.0
     kern = GaussianKernel()
     plain = _hot.kernel_sums(sizes, centers, 0.01, kern.radius, kern._scale)
-    tracemalloc.start()
-    try:
-        with_outlier = _hot.kernel_sums(np.append(sizes, 1e6), centers, 0.01,
-                                        kern.radius, kern._scale)
-        narrow = _hot.kernel_sums(sizes, centers, 1e-5, kern.radius,
-                                  kern._scale)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (with_outlier, narrow) = peak_bytes(lambda: (
+        _hot.kernel_sums(np.append(sizes, 1e6), centers, 0.01, kern.radius,
+                         kern._scale),
+        _hot.kernel_sums(sizes, centers, 1e-5, kern.radius, kern._scale)))
     assert np.array_equal(with_outlier, plain)
     want = exact_gaussian_sums(sizes, centers, 1e-5)
     assert np.any(want > 0)
@@ -436,6 +430,32 @@ def sample_rows(r, n, seed):
     return xi, rng.uniform(0.5, 2.0, (r, n)), rng.uniform(0.2, 1.5, (r, n))
 
 
+def test_coverage_blocks_across_rows_give_the_same_sums(monkeypatch):
+    xi, tau, zeta = sample_rows(3, 255, seed=11)
+    args = (xi, evaluation_grid(0.01, 400), 1.0 / tau, xi * np.exp(tau * zeta))
+    whole = estimator._coverage_sums(*args)
+    monkeypatch.setattr(estimator, "_COVER_BLOCK", 7)  # blocks straddle rows
+    assert np.array_equal(estimator._coverage_sums(*args), whole)
+
+
+def test_estimator_scratch_per_row(peak_bytes):
+    """On a fixed grid and bandwidth the estimate's scratch grows by 32 B
+    per cell: the coverage sums hold four cell arrays at once (upper edges,
+    weight order, sorted weights, then bucket edges, its weights freed once
+    sorted) and free them before the kernel sums, which hold the sorted
+    sizes, the lattice positions and indices and their row offsets.
+    Holding the weights and upper edges through both, and one edge's
+    gathered sizes and buckets at once, took 58 B/cell."""
+    config = EstimatorConfig(bandwidth_rule=FixedBandwidth(0.05),
+                             grid=GridSpec(dx=0.01))
+
+    def peak(n):
+        obs = ObservationSet(*(row[0] for row in sample_rows(1, n, seed=12)))
+        return peak_bytes(lambda: estimate_division_rate(obs, config))[0]
+
+    assert peak(2 ** 17) - peak(2 ** 16) < 40 * 2 ** 16
+
+
 @pytest.mark.parametrize("r, n", [(1, 255), (4, 31), (5, 255), (3, 1023)])
 @pytest.mark.parametrize("pooled", [False, True])
 def test_rows_equal_one_row_estimates(r, n, pooled):
@@ -480,7 +500,8 @@ def test_parent_indexed_rows_equal_one_row_estimates(variability_spec):
     cols = [parent_child_arrays(t) for t in trees]
     xi = np.array([t.size_birth for t in trees])
     ps, pg, cs = (np.array([c[j] for c in cols]) for j in range(3))
-    batch = estimator._assemble(xi, EstimatorConfig(), ps, 1.0 / pg, 2.0 * cs)
+    batch = estimator._assemble(xi, EstimatorConfig(), lambda y: (
+        estimator._coverage_sums(ps, y, 1.0 / pg, 2.0 * cs)))
     for k, tree in enumerate(trees):
         want = estimate_division_rate_parent_indexed(
             extract_observations(tree), *cols[k])

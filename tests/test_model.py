@@ -267,6 +267,58 @@ def test_invert_meets_tolerance_on_random_tables():
             (grid, values)
 
 
+STEEP_GRID = [64.0592, 64.0592 * (1 + 1.67e-6)]  # B rises from 0.5 on it
+
+
+def steep_lanes(rate):
+    """57 lanes whose division sizes y lie inside the one segment, from
+    cells e^-0.01..e^-3 of y: (x, v, e, the exact age log(y / x) / v)."""
+    f = np.linspace(0.0, 1.0, 59)[1:-1]
+    y = rate.grid[0] + f * (rate.grid[1] - rate.grid[0])
+    x = y * np.exp(-np.linspace(0.01, 3.0, f.size))
+    v = np.full(f.size, 0.945)
+    e = (rate.log_antiderivative(y) - rate.log_antiderivative(x)) / v
+    return x, v, e, np.log(y / x) / v
+
+
+def inversion_bound(rate, x, v, e, t):
+    """HAZARD_TOL, plus B(y) times the change in t of four roundings of
+    log x, log y and y = x e^{vt}."""
+    y = x * np.exp(v * t)
+    return HAZARD_TOL * np.maximum(1.0, e) + rate(y) * (
+        4 * np.finfo(float).eps / v) * (1 + np.abs(np.log(x)) + np.abs(np.log(y)))
+
+
+@pytest.mark.parametrize("top", [1e5, 1e7, 1e9])
+def test_steep_segment_inverts_within_roundings_of_t(top):
+    """With B up to 1e7 (1e9) one ulp of t moves F by more than HAZARD_TOL:
+    37 (38) of these lanes raised under HAZARD_TOL alone."""
+    rate = TabulatedRate(STEEP_GRID, [0.5, top])
+    x, v, e, age = steep_lanes(rate)
+    t = rate.invert_hazard(x, v, e)
+    assert np.all(np.abs(rate.cumulative_hazard(x, v, t) - e)
+                  <= inversion_bound(rate, x, v, e, t))
+    assert np.all(np.abs(t - age) <= 1e-13 * np.maximum(1.0, age))
+
+
+def test_inversion_off_by_more_than_the_bound_raises():
+    class Shifted(TabulatedRate):
+        """Moves F, hence every inversion's residual, by ``shift``."""
+        shift = 0.0
+
+        def cumulative_hazard(self, x, v, t):
+            return super().cumulative_hazard(x, v, t) + self.shift
+
+    rate = Shifted(STEEP_GRID, [0.5, 1e7])
+    x, v, e, _ = steep_lanes(rate)
+    bound = inversion_bound(rate, x, v, e, rate.invert_hazard(x, v, e))
+    for k in (0, 28, 56):
+        lane = slice(k, k + 1)
+        Shifted.shift = 2.0 * float(bound[lane][0])
+        with pytest.raises(NonDivergentHazard, match="tolerance"):
+            rate.invert_hazard(x[lane], v[lane], e[lane])
+
+
 # ---------------------------------------------------------------------------
 # Lifetime samplers
 # ---------------------------------------------------------------------------

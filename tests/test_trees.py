@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,17 +343,26 @@ def test_batched_many_to_one_equals_one_forest(variability_spec, monkeypatch):
         assert b.population_se == s.population_se
 
 
+def test_full_tree_memory_per_cell(variability_spec, peak_bytes):
+    """A full tree keeps four float columns, 32 B per cell.  Its last
+    generation, half the cells, is in the forest as node keys, sizes, birth
+    times and parent rates while the children's rates are drawn, beside
+    the uniforms and the quantile's two bounds and result: eight arrays of
+    8 B there, another 32 B per cell.  Forests that also carried every
+    cell's root, cumulated growth and child bit took 82 B/cell."""
+    peak, tree = peak_bytes(
+        lambda: simulate_full_tree(variability_spec, 15, seed=5))
+    assert len(tree) == 2 ** 16 - 1
+    assert peak < 70 * len(tree)
+
+
 def test_many_to_one_memory_is_free_of_replicate_count(variability_spec,
-                                                       monkeypatch):
+                                                       monkeypatch, peak_bytes):
     monkeypatch.setattr(trees, "_FOREST_ROOTS", 512)
 
     def peak(replicates):
-        tracemalloc.start()
-        try:
-            many_to_one_battery(variability_spec, 2.0, replicates, seed=42)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(lambda: many_to_one_battery(
+            variability_spec, 2.0, replicates, seed=42))[0]
 
     # one forest of all roots would hold about 8 times as many cells
     assert peak(8 * 512) <= 1.5 * peak(512)
