@@ -18,6 +18,7 @@ def powerlaw_lifetimes(u: np.ndarray, x: np.ndarray, v: np.ndarray,
 
 
 BINS_PER_BANDWIDTH = 80  # lattice resolution of the binned kernel sums
+PAIR_ROWS = 8  # rows whose pairs one bincount sums: they stay in cache
 
 
 def kernel_sums(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
@@ -37,12 +38,13 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
     Only sizes within reach of a center are binned, on a lattice of spacing
     <= h/BINS_PER_BANDWIDTH that holds evenly spaced centers exactly (others
     are interpolated); a center with no size within radius*h gets exactly 0.
-    One row-offset ``bincount`` bins every row; one ``vecdot`` of the taps
+    Row-offset ``bincount``s bin every row; one ``vecdot`` of the taps
     over a window view of all rows gives the points the centers read, the
     three around each center when their nearest points step by 3 or more,
     else all of [span, size - span), each the dot product of
     ``np.correlate``'s valid mode.  A row whose pairs within reach are no
-    more than the bins sums them instead.
+    more than the bins sums them instead, ``PAIR_ROWS`` rows to a
+    (row, center)-offset ``bincount``.
     """
     reach = radius * h
     lo = np.array([np.searchsorted(s, centers - reach, side="left")
@@ -58,20 +60,28 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
     pairs = hi - lo
     summed = pairs.sum(axis=1) <= size  # e.g. h far below the center step
     out = np.zeros(lo.shape)
-    for r in np.flatnonzero(summed):
-        j = np.repeat(np.arange(centers.size), pairs[r])
-        k = np.arange(j.size) + np.repeat(lo[r] - np.cumsum(pairs[r])
-                                          + pairs[r], pairs[r])
-        z = (sizes_sorted[r, k] - centers[j]) / h
-        out[r] = np.bincount(j, np.exp(-0.5 * z * z), centers.size)
+    summed_rows = np.flatnonzero(summed)
+    for a in range(0, summed_rows.size, PAIR_ROWS):
+        rows = summed_rows[a:a + PAIR_ROWS]
+        per = pairs[rows].ravel()  # per (row, center), row-major
+        j = np.repeat(np.arange(per.size), per)  # each pair's (row, center)
+        start = (lo[rows] + sizes_sorted.shape[1] * rows[:, None]).ravel()
+        k = np.arange(j.size) + np.repeat(start - np.cumsum(per) + per, per)
+        z = (sizes_sorted.ravel()[k] - centers[j % centers.size]) / h
+        out[rows] = np.bincount(j, np.exp(-0.5 * z * z), per.size).reshape(
+            rows.size, centers.size)
     binned = np.flatnonzero(~summed)
     parts = [sizes_sorted[r, lo[r].min():hi[r].max()] for r in binned]
-    t = (np.concatenate(parts or [np.empty(0)]) - origin) / delta
+    t = ((parts[0] if len(parts) == 1 else np.concatenate(parts or [[]]))
+         - origin) / delta
     i = t.astype(np.intp)
     t -= i  # each size's fraction past its bin
-    i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
+    if len(parts) > 1:  # row offsets; a single row needs none
+        i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
     bins = binned.size * size
-    w = np.bincount(i, 1.0 - t, bins) + np.bincount(i + 1, t, bins)
+    upper = np.bincount(i, t, bins)  # the shares of bins i + 1
+    w = np.bincount(i, np.subtract(1.0, t, out=t), bins)
+    w[1:] += upper[:-1]
     taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
     windows = np.lib.stride_tricks.sliding_window_view(
         w.reshape(-1, size), taps.size, axis=1)  # point q is window q - span

@@ -124,6 +124,8 @@ def build_estimator_config(args) -> EstimatorConfig:
         if value is not None and not low < value < np.inf:
             raise UsageError(f"--{flag.replace('_', '-')} must be finite"
                              + ("" if low else " and > 0"))
+    if args.grid_dx is not None and args.grid_dx >= args.grid_xmax:
+        raise UsageError("need --grid-dx < --grid-xmax")
     if args.bandwidth is not None:
         bw = FixedBandwidth(args.bandwidth)
     else:
@@ -136,6 +138,14 @@ def build_estimator_config(args) -> EstimatorConfig:
     grid = GridSpec(dx=args.grid_dx, x_max=args.grid_xmax)
     return EstimatorConfig(kernel=GaussianKernel(), bandwidth_rule=bw,
                            threshold_rule=th, grid=grid)
+
+
+def check_grid(config: EstimatorConfig, n: int) -> None:
+    """Refuse a --grid-xmax that the default step n^-1/2 of n cells overruns."""
+    try:
+        config.grid.resolve(n)
+    except ValueError as exc:
+        raise UsageError(f"bad --grid-xmax at n = {n}: {exc}") from exc
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -236,10 +246,12 @@ def cmd_estimate(args) -> int:
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
     try:  # not a tree, or non-finite or non-positive cell values
-        tree = read_genealogy_csv(path)
+        tree = read_genealogy_csv(path, ("size_birth", "growth_rate",
+                                         "lifetime"))  # not birth_time
         obs = extract_observations(tree)
     except ValueError as exc:
         raise UsageError(f"bad genealogy {path}: {exc}") from exc
+    check_grid(config, obs.n)
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
            else estimate_division_rate(obs, config))
     out = Path(args.out)
@@ -278,6 +290,9 @@ def cmd_study(args) -> int:
     sizes = parse_size_range(args.sizes)
     if args.replicates < 1:
         raise UsageError("--replicates must be >= 1")
+    # the default step n^-1/2 is widest at the smallest tree and the band's
+    for k in sorted(sizes)[:1] + [args.band_size] * (args.band_size > 0):
+        check_grid(config, 2 ** max(k, 1) - 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     full = run_convergence_study(spec, sizes, args.replicates, "full",
@@ -452,6 +467,7 @@ def cmd_ingest(args) -> int:
                                          drop_last=args.drop_last)
     except studies.SchemaError as exc:
         raise UsageError(f"bad lineage CSV {path}: {exc}") from exc
+    check_grid(config, obs.n)
     analysis = studies.analyze_experimental(obs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -60,25 +60,26 @@ class GenealogyTree:
     ``scheme`` is ``"full"`` (every cell of the first N generations;
     2^{N+1} - 1 records) or ``"sparse"`` (a single followed lineage of n
     records, with the child bit of each of its n - 1 divisions in
-    ``chain_bits``).  The four float columns are read-only views aligned to
-    the record order; a record's place in the tree is its row
-    (:meth:`positions`).
+    ``chain_bits``).  The float columns are read-only views aligned to the
+    record order, a ``birth_time`` of None derived when first read; a
+    record's place in the tree is its row (:meth:`positions`).
     """
 
     def __init__(self, scheme: str, size_birth: np.ndarray,
-                 growth_rate: np.ndarray, birth_time: np.ndarray,
+                 growth_rate: np.ndarray, birth_time: Optional[np.ndarray],
                  lifetime: np.ndarray, chain_bits: Optional[np.ndarray] = None):
         self.scheme = scheme
         self.size_birth = _read_only(size_birth)
         self.growth_rate = _read_only(growth_rate)
-        self.birth_time = _read_only(birth_time)
+        self._birth_time = (None if birth_time is None
+                            else _read_only(birth_time))
         self.lifetime = _read_only(lifetime)
         self.chain_bits = (None if chain_bits is None
                            else np.asarray(chain_bits, dtype=np.int64))
         n = len(self)
-        if any(c.size != n for c in (self.growth_rate, self.birth_time,
-                                     self.lifetime)):
-            raise ValueError("the four columns must have equal length")
+        if any(c is not None and c.size != n for c in (
+                self.growth_rate, self._birth_time, self.lifetime)):
+            raise ValueError("the columns must have equal length")
         if scheme == "full":
             if n == 0 or (n + 1) & n:
                 raise ValueError("full scheme must hold exactly 2^(N+1)-1 records")
@@ -105,6 +106,24 @@ class GenealogyTree:
             return row, np.zeros_like(row)
         gen = (np.frexp(row + 1)[1] - 1).astype(np.int64)
         return gen, row + 1 - (1 << gen)
+
+    @property
+    def birth_time(self) -> np.ndarray:
+        """Unless given, a cell's parent's birth time plus the parent's
+        lifetime, 0 at the root: the forest's additions, so equal bit for
+        bit to the column it carried.  Derived on the first read, then
+        kept."""
+        if self._birth_time is None:
+            life, birth = self.lifetime, np.zeros(len(self))
+            if self.scheme == "sparse":  # sequential sums, as the forest adds
+                np.cumsum(life[:-1], out=birth[1:])
+            else:
+                for g in range(self.depth):
+                    cells = slice((1 << g) - 1, (2 << g) - 1)  # generation g
+                    birth[cells.stop:2 * cells.stop + 1] = np.repeat(
+                        birth[cells] + life[cells], 2)
+            self._birth_time = _read_only(birth)
+        return self._birth_time
 
     @property
     def generation(self) -> np.ndarray:
@@ -278,12 +297,12 @@ def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
     each equals the one :func:`simulate_full_tree` or
     :func:`simulate_sparse_lineage` returns for its seed."""
     full = scheme == "full"
-    columns = ("size", "rate", "birth", "life") + (() if full else ("bit",))
+    columns = ("size", "rate", "life") + (() if full else ("bit",))
     (_, cols), = grow_replicates(
         spec, scheme, np.full(len(seeds), size + 1 if full else size),
         np.concatenate([streams.run_key(s) for s in seeds]), columns)
-    return [GenealogyTree(scheme, *cols[:4, r],
-                          chain_bits=None if full else cols[4, r, 1:])
+    return [GenealogyTree(scheme, cols[0, r], cols[1, r], None, cols[2, r],
+                          chain_bits=None if full else cols[3, r, 1:])
             for r in range(len(seeds))]
 
 
@@ -394,7 +413,7 @@ _CSV_BLOCK = 1 << 15  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 _PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
-_DECODE_ROWS = 1 << 16  # rows parsed and paths decoded per block
+_DECODE_ROWS = 1 << 14  # rows parsed and paths decoded per block
 _NUL_SCAN_BYTES = 1 << 20
 
 
@@ -427,7 +446,7 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     column at a time by :func:`~gftree.curves.float_text`.
     """
     columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
-               tree.birth_time)
+               tree.birth_time)  # a derived birth time is built once, here
     step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (tree.depth + 1)))
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
@@ -477,15 +496,17 @@ def _row_bound(path) -> int:
     """At least the rows after the header: the line ends, ``\\r\\n`` once.
     Refuses a NUL byte, reading one block at a time: ``S`` fields drop
     trailing NULs, so a path ``"1\\0"`` would read as ``"1"``."""
-    ends, cr = 0, False
+    ends, cr_last = 0, False
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(_NUL_SCAN_BYTES), b""):
-            if b"\0" in block:
+            byte = np.frombuffer(block, dtype=np.uint8)
+            if not byte.all():
                 raise ValueError("genealogy CSV holds a NUL byte")
-            ends += (block.count(b"\n") + block.count(b"\r")
-                     - block.count(b"\r\n") - (cr and block[:1] == b"\n"))
-            cr = block.endswith(b"\r")
-    return ends
+            lf, cr = byte == ord("\n"), byte == ord("\r")  # \r\n ends one
+            ends += (np.count_nonzero(lf) + np.count_nonzero(cr)
+                     - np.count_nonzero(cr[:-1] & lf[1:]) - (cr_last and lf[0]))
+            cr_last = cr[-1]
+    return int(ends)
 
 
 @contextlib.contextmanager
@@ -499,36 +520,44 @@ def _genealogy_rows(path):
         yield fh
 
 
-def read_genealogy_csv(path) -> GenealogyTree:
+def read_genealogy_csv(path, columns=tuple(_CSV_HEADER[1:])) -> GenealogyTree:
     """Rebuild a tree from the CSV format; the scheme is inferred (complete
     binary tree -> full, single chain -> sparse).
 
     Rows may come in any order, with LF or CRLF line ends and ``csv``-style
     quoting; blank lines are skipped.  Values are parsed column-wise by
     :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``,
-    ``_DECODE_ROWS`` rows at a time into four float columns sized by the
+    ``_DECODE_ROWS`` rows at a time into float columns sized by the
     file's line ends, and paths as bytes in the same pass, cut at
     ``_PATH_WIDTH``, each kept only as its full-tree slot ``2^g - 1 +
     index``.  Rows are put in breadth-first order by their slots, checked
     to be a permutation without sorting.  Paths that are not a full tree
     are read again as Python strings, which a chain orders by length.
+    Only the value ``columns`` named are parsed: all four, or all but
+    ``birth_time``, which the tree then derives from the lifetimes; each
+    row must still hold five cells.
     Raises ``ValueError`` for a wrong header, an unparsable or short row,
     no rows, a NUL byte, a path character other than 0 or 1, or paths that
     form neither a complete tree (each present once) nor a single chain.
     """
+    k = len(columns)
+    if k < 3 or list(columns) != _CSV_HEADER[1:1 + k]:
+        raise ValueError(f"columns must be {_CSV_HEADER[1:]} or its first 3")
+    # a cell not parsed is an empty bytes field: present, not converted
+    fields = [("values", np.float64, (k,))] + [("birth_time", "S0")] * (k < 4)
     bound = _row_bound(path)
-    columns = np.empty((4, bound))
+    values = np.empty((k, bound))
     slot = np.empty(bound, dtype=np.int64)
     count = np.zeros(_PATH_WIDTH + 1, dtype=np.int64)  # rows per path length
     n = 0
     with _genealogy_rows(path) as fh:
         while True:
             table = load_csv_columns(
-                fh, [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (4,))],
-                (0, 1, 2, 3, 4), _DECODE_ROWS)
+                fh, [("path", f"S{_PATH_WIDTH}"), *fields], (0, 1, 2, 3, 4),
+                _DECODE_ROWS)
             rows = slice(n, n + table.size)
             n += table.size
-            columns[:, rows] = table["values"].T
+            values[:, rows] = table["values"].T
             gens = np.strings.str_len(table["path"]).astype(np.int64)
             count += np.bincount(gens, minlength=count.size)
             slot[rows] = (1 << gens) - 1 + _full_tree_indices(table["path"], gens)
@@ -537,7 +566,7 @@ def read_genealogy_csv(path) -> GenealogyTree:
     del table, gens
     if n == 0:
         raise ValueError("genealogy CSV holds no cells")
-    columns, slot = columns[:, :n], slot[:n]
+    values, slot = values[:, :n], slot[:n]
     depth = np.flatnonzero(count)[-1]
     if depth < _PATH_WIDTH and np.array_equal(count[:depth + 1],
                                               1 << np.arange(depth + 1)):
@@ -559,10 +588,11 @@ def read_genealogy_csv(path) -> GenealogyTree:
                 - ord("0")).astype(np.int64)
     del slot
     if order is not None:
-        for col in columns:
+        for col in values:
             col[:] = col[order]
-    return GenealogyTree(scheme, columns[0], columns[1], columns[3],
-                         columns[2], chain_bits=bits)
+    return GenealogyTree(scheme, values[0], values[1],
+                         values[3] if k == 4 else None, values[2],
+                         chain_bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,35 @@ def test_invalid_genealogy_value_is_usage_error(tmp_path, capsys, lifetime):
     assert not out.exists()
 
 
+def test_estimate_refuses_a_row_of_four_cells(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("path,size_birth,growth_rate,lifetime,birth_time\n"
+                   ",1.0,1.0,0.5,0\n"
+                   "0,0.9,1.0,0.5\n"
+                   "1,0.9,1.0,0.5,0.5\n")
+    out = tmp_path / "out"
+    assert run(["estimate", "--input", bad, "--out", out]) == 2
+    assert "bad genealogy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_does_not_read_birth_time_values(sparse_csv, tmp_path):
+    """``estimate`` parses size, growth rate and lifetime only: each row
+    must hold a ``birth_time`` cell, whose text is never converted."""
+    lines = sparse_csv.read_bytes().split(b"\r\n")
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(b"\r\n".join(
+        [lines[0]] + [row.rsplit(b",", 1)[0] + b",not a time" if row else row
+                      for row in lines[1:]]))
+    for source, out in ((sparse_csv, "plain"), (edited, "edited")):
+        assert run(["estimate", "--input", source, "--cross-check",
+                    "--out", tmp_path / out, "--no-timestamp"]) == 0
+    for name in ("estimate.tsv", "estimate.json",
+                 "estimate_parent_indexed.tsv", "cross_check.json"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "edited" / name).read_bytes()), name
+
+
 def test_study_deterministic_across_workers(tmp_path):
     for sub, workers in (("w1", 1), ("w8", 8)):
         assert run(["study", "--sizes", "5..6", "--replicates", 4,
@@ -320,6 +349,35 @@ def test_bad_estimator_flags_are_usage_errors(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert run([command, *source, flag, value, "--out", out]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "ingest", "study"])
+@pytest.mark.parametrize("dx, xmax", [(1, 0.5), (0.5, 0.5)])
+def test_grid_step_beyond_its_end_is_usage_error(tmp_path, capsys, command,
+                                                 dx, xmax):
+    # refused before the input is read: the input does not exist
+    source = [] if command == "study" else ["--input", tmp_path / "no.csv"]
+    out = tmp_path / "out"
+    assert run([command, *source, "--grid-dx", dx, "--grid-xmax", xmax,
+                "--out", out]) == 2
+    assert "--grid-dx < --grid-xmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, xmax", [
+    ("estimate", [], 0.03), ("ingest", [], 0.03),  # 1024^-1/2 = 0.031
+    ("study", ["--sizes", "5..6", "--band-size", 0], 0.15),  # 31^-1/2 = 0.18
+    ("study", ["--sizes", "12", "--band-size", 3], 0.3)])  # 7^-1/2 = 0.38
+def test_grid_end_below_the_default_step_is_usage_error(
+        sparse_csv, tmp_path, capsys, command, args, xmax):
+    """The default step n^-1/2 is known once n is: for the input's cells,
+    or the smallest tree of a study's sizes and band."""
+    source = (args + ["--replicates", 2] if command == "study"
+              else ["--input", sparse_csv])
+    out = tmp_path / "out"
+    assert run([command, *source, "--grid-xmax", xmax, "--out", out]) == 2
+    assert "--grid-xmax" in capsys.readouterr().err
     assert not out.exists()
 
 

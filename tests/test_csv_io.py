@@ -474,6 +474,95 @@ def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
     assert large - small < 56 * 2 ** 16  # 41 B/row and the parser's buffers
 
 
+def test_reader_memory_per_row_of_a_small_file(tmp_path, variability_spec,
+                                               peak_bytes):
+    """A file of 2^16 - 1 rows peaks at its columns, slots and the scratch
+    of one ``_DECODE_ROWS`` block: under 100 B/row with blocks of 16,384
+    rows.  Blocks of 65,536 rows took the whole file in one and peaked at
+    195 B/row, above the 163 B/row of the reader before blocks."""
+    path = tmp_path / "tree.csv"
+    write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=31),
+                        path)
+    peak, got = peak_bytes(lambda: read_genealogy_csv(path))
+    assert len(got) == 2 ** 16 - 1
+    assert peak < 100 * len(got)
+
+
+VALUE_COLUMNS = ("size_birth", "growth_rate", "lifetime")
+
+
+def test_reader_without_birth_time_derives_it(tmp_path, tree):
+    """Rows parsed without their ``birth_time`` make the same tree: the
+    column is derived from the lifetimes, bit for bit."""
+    header, rows = _lines(tree, tmp_path)
+    random.Random(4).shuffle(rows)
+    path = _write(tmp_path / "t.csv", header, rows)
+    got = read_genealogy_csv(path, VALUE_COLUMNS)
+    assert_same_tree(got, oracle_read_genealogy_csv(path))
+    assert_same_tree(got, tree)
+
+
+def test_reader_without_birth_time_needs_the_cell_not_its_value(tmp_path):
+    rows = [",1,1,0.5,0", "0,1,1,0.5,later", "1,1,1,0.5,0.5"]
+    path = _write(tmp_path / "t.csv", ",".join(_CSV_HEADER), rows)
+    with pytest.raises(ValueError):
+        read_genealogy_csv(path)
+    got = read_genealogy_csv(path, VALUE_COLUMNS)
+    assert got.scheme == "full"
+    assert got.birth_time.tolist() == [0.0, 0.5, 0.5]
+    short = _write(tmp_path / "short.csv", ",".join(_CSV_HEADER),
+                   [",1,1,0.5,0", "0,1,1,0.5", "1,1,1,0.5,0.5"])
+    with pytest.raises(ValueError):
+        read_genealogy_csv(short, VALUE_COLUMNS)
+
+
+@pytest.mark.parametrize("columns", [
+    ("size_birth", "growth_rate"), ("growth_rate", "size_birth", "lifetime"),
+    (*VALUE_COLUMNS, "path"), ()])
+def test_reader_refuses_columns_it_cannot_build_a_tree_from(tmp_path, tree,
+                                                            columns):
+    header, rows = _lines(tree, tmp_path)
+    with pytest.raises(ValueError, match="columns must be"):
+        read_genealogy_csv(_write(tmp_path / "t.csv", header, rows), columns)
+
+
+def oracle_row_bound(path, scan_bytes):
+    """The line-end count as four ``bytes`` scans per block, as it was."""
+    ends, cr = 0, False
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(scan_bytes), b""):
+            if b"\0" in block:
+                raise ValueError("genealogy CSV holds a NUL byte")
+            ends += (block.count(b"\n") + block.count(b"\r")
+                     - block.count(b"\r\n") - (cr and block[:1] == b"\n"))
+            cr = block.endswith(b"\r")
+    return ends
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("scan", [1, 2, 3, 7, 64, 1 << 20])
+def test_row_bound_matches_the_bytes_scan(tmp_path, tree, monkeypatch, end,
+                                          scan):
+    monkeypatch.setattr(trees, "_NUL_SCAN_BYTES", scan)
+    header, rows = _lines(tree, tmp_path)
+    path = _write(tmp_path / "t.csv", header, rows, end=end, trailer=end)
+    assert trees._row_bound(path) == oracle_row_bound(path, scan)
+
+
+def test_row_bound_joins_a_split_crlf_and_finds_a_late_nul(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(trees, "_NUL_SCAN_BYTES", 3)
+    path = tmp_path / "t.csv"
+    # blocks "ab\r" "\ncd" "\r\r\n" "\n": a \r\n across two blocks, a
+    # lone \r, a \r\n within one and a lone \n
+    path.write_bytes(b"ab\r\ncd\r\r\n\n")
+    assert trees._row_bound(path) == oracle_row_bound(path, 3) == 4
+    path.write_bytes(b"a,b\r\n" * 5 + b"\0\r\n")  # in the ninth block
+    for count in (trees._row_bound, lambda p: oracle_row_bound(p, 3)):
+        with pytest.raises(ValueError, match="NUL"):
+            count(path)
+
+
 def test_reader_rejects_non_binary_sparse_path(tmp_path):
     path = _write(tmp_path / "t.csv", ",".join(_CSV_HEADER),
                   [",1,1,0.5,0", "7,1,1,0.5,0.5"])

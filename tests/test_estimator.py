@@ -420,6 +420,46 @@ def test_windowed_sums_equal_the_correlated_lattice(n):
             s[2], centers, h, kern.radius, kern._scale))
 
 
+@pytest.mark.parametrize("pair_rows", [3, 8])
+@pytest.mark.parametrize("n", [2 ** 5, 2 ** 7])
+def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
+                                                     monkeypatch):
+    """Rows whose pairs within reach are no more than the lattice's bins
+    are summed ``PAIR_ROWS`` at a time by a (row, center)-offset
+    ``bincount``, each bin adding the same terms in the same order as the
+    per-row loop of :func:`correlated_rows_sums`.  At 2^5 every lognormal
+    row takes that path, as on the study ladder; at 2^7 only the rows
+    moved out of reach do, beside rows that are binned."""
+    monkeypatch.setattr(_hot._np, "PAIR_ROWS", pair_rows)
+    rng = np.random.default_rng(n + 1)
+    xi = rng.lognormal(0.0, 0.4, (12, n))
+    xi[::3, 4:] += 50.0
+    s = np.sort(xi, axis=1)
+    h = bandwidth(PowerBandwidth(), n)
+    kern = GaussianKernel()
+    centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
+    got = _hot.kernel_sums_rows(s, centers, h, kern.radius, kern._scale)
+    want = correlated_rows_sums(s, centers, h, kern.radius, kern._scale)
+    assert np.array_equal(got, want)
+    for row, one in zip(s, got):
+        assert np.array_equal(one, _hot.kernel_sums(row, centers, h,
+                                                    kern.radius, kern._scale))
+
+
+def test_one_row_kernel_sums_memory_per_cell(peak_bytes):
+    """One row is binned from its slice in reach, with no row offsets, and
+    its upper bin shares are summed before the lower ones overwrite the
+    fractions: the sorted sizes and the lattice fractions and indices,
+    24 B per cell.  A copy of the slice, zero offsets and a ``1 - t``
+    temporary took 33 B/cell."""
+    n = 2 ** 18
+    sizes = np.random.default_rng(3).lognormal(0.0, 0.4, (1, n))
+    centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
+    peak, _ = peak_bytes(lambda: estimator._kernel_sums(
+        sizes, centers, bandwidth(PowerBandwidth(), n), GaussianKernel()))
+    assert peak < 28 * n
+
+
 def sample_rows(r, n, seed):
     """(size_birth, growth_rate, lifetime) rows of r samples of n cells;
     row 1 lies out of every center's reach when r > 1."""

@@ -6,7 +6,9 @@ from scipy import stats
 
 from gftree import trees
 from gftree.model import (DiracGrowth, GrowthBounds, InitialDistribution,
-                          ModelSpec, PowerLawRate, cumulative_hazard)
+                          ModelSpec, PowerLawRate, cumulative_hazard,
+                          reference_model)
+from gftree.streams import run_key
 from gftree.trees import (GenealogyTree, extract_observations,
                           many_to_one_battery, parent_child_arrays,
                           read_genealogy_csv, simulate_full_tree,
@@ -170,6 +172,26 @@ def test_sparse_lineage_is_a_tree_restriction(variability_spec):
         assert tree.growth_rate[row] == chain.growth_rate[k]
         assert tree.birth_time[row] == chain.birth_time[k]
         assert tree.lifetime[row] == chain.lifetime[k]
+
+
+@pytest.mark.parametrize("kernel", ["dirac", "uniform_increment",
+                                    "gaussian_increment"])
+@pytest.mark.parametrize("scheme, size", [("full", 8), ("sparse", 300)])
+def test_derived_birth_times_equal_the_forest_s(kernel, scheme, size):
+    """A simulated tree stores no birth times and derives each as its
+    parent's plus the parent's lifetime when read: the additions the
+    forest makes, so the column equals the one it carries, bit for bit."""
+    spec, seeds = reference_model(kernel), [1, 2, 3]
+    (_, cols), = trees.grow_replicates(
+        spec, scheme, np.full(len(seeds), size + (scheme == "full")),
+        np.concatenate([run_key(s) for s in seeds]), ("birth",))
+    simulate = (simulate_full_tree if scheme == "full"
+                else simulate_sparse_lineage)
+    for stored, seed in zip(cols[0], seeds):
+        tree = simulate(spec, size, seed)
+        assert tree._birth_time is None
+        assert np.array_equal(tree.birth_time, stored), seed
+        assert not tree.birth_time.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +376,20 @@ def test_full_tree_memory_per_cell(variability_spec, peak_bytes):
         lambda: simulate_full_tree(variability_spec, 15, seed=5))
     assert len(tree) == 2 ** 16 - 1
     assert peak < 70 * len(tree)
+
+
+def test_full_tree_memory_per_cell_without_birth_times(variability_spec,
+                                                       peak_bytes):
+    """A full tree stores three float columns, 24 B per cell, and derives
+    its birth times when they are read.  Its last generation, half the
+    cells, is in the forest as node keys, sizes and parent rates while the
+    children's rates are drawn, beside the uniforms and the quantile's two
+    bounds and result: seven arrays of 8 B there, another 28 B per cell.
+    Storing and carrying the birth times took 64 B/cell."""
+    peak, tree = peak_bytes(
+        lambda: simulate_full_tree(variability_spec, 15, seed=5))
+    assert len(tree) == 2 ** 16 - 1
+    assert peak < 56 * len(tree)
 
 
 def test_many_to_one_memory_is_free_of_replicate_count(variability_spec,
