@@ -30,10 +30,9 @@ from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,
                       SchemaError, analyze_experimental, confidence_band,
                       estimate_error, ingest_lineage_csv, relative_error,
                       run_convergence_study)
-from .trees import (BatteryResult, GenealogyTree, TaggedPath,
-                    extract_observations, many_to_one_battery,
-                    read_genealogy_csv, simulate_full_tree,
-                    simulate_sparse_lineage, simulate_tagged_cell,
+from .trees import (BatteryResult, GenealogyTree, extract_observations,
+                    many_to_one_battery, read_genealogy_csv,
+                    simulate_full_tree, simulate_sparse_lineage,
                     write_genealogy_csv)
 
 __version__ = "0.1.0"

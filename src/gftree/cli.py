@@ -8,7 +8,10 @@ Exit codes: 0 success, 2 usage/validation error, 3 runtime error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -22,11 +25,14 @@ from .curves import write_curve_tsv
 from .estimator import (EstimatorConfig, FixedBandwidth, FixedThreshold,
                         GaussianKernel, GridSpec, InvLogThreshold,
                         InvNThreshold, InvSqrtThreshold, PowerBandwidth,
-                        estimate_division_rate, estimate_division_rate_pooled,
+                        bandwidth, estimate_division_rate,
+                        estimate_division_rate_parent_indexed,
+                        estimate_division_rate_pooled, threshold,
                         write_estimate_report, write_estimate_tsv)
-from .invariant import (flux_identity_error, invariant_fixed_point,
-                        reconstruct_division_rate, solve_conservative_pde,
-                        steady_state_relation_error, verify_drift)
+from .invariant import (QuadratureOverflow, flux_identity_error,
+                        invariant_fixed_point, reconstruct_division_rate,
+                        solve_conservative_pde, steady_state_relation_error,
+                        verify_drift)
 from .model import (DiracGrowth, GaussianIncrementGrowth, GrowthBounds,
                     InitialDistribution, ModelSpec, PowerLawRate,
                     UniformIncrementGrowth, check_class_membership,
@@ -35,8 +41,9 @@ from .studies import (ingest_lineage_csv, run_convergence_study,
                       confidence_band, study_report_dict, write_band,
                       write_error_curve, write_error_table)
 from .trees import (extract_observations, many_to_one_battery,
-                    read_genealogy_csv, simulate_full_tree,
-                    simulate_sparse_lineage, write_genealogy_csv)
+                    parent_child_arrays, read_genealogy_csv,
+                    simulate_full_tree, simulate_sparse_lineage,
+                    write_genealogy_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,9 +55,41 @@ class UsageError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _usage(what: str, errors=(ValueError,)):
+    """Re-raise ``errors`` as a :class:`UsageError` about ``what``."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
+
+def _ranged(cast, ok, what: str):
+    """An argparse ``type``: ``cast(text)``, refused (exit 2, naming the
+    flag) unless ``ok`` holds for it; checks across flags stay in commands."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it when the cast fails
+    return parse
+
+
+FINITE = _ranged(float, math.isfinite, "finite")
+POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = _ranged(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+UNIT = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def at_least(k: int):
+    return _ranged(int, lambda v: v >= k, f"an integer >= {k}")
+
 
 _POWER_RE = re.compile(
     r"^\s*(?:(?P<coeff>[0-9.eE+-]+)\s*\*\s*)?x(?:\^(?P<exp>[0-9.eE+-]+))?\s*$")
@@ -62,11 +101,9 @@ def parse_rate(text: str) -> PowerLawRate:
     if not m:
         raise UsageError(f"cannot parse division rate {text!r}; "
                          "expected forms like 'x^2' or '2.5*x^1'")
-    try:  # e.g. a negative exponent
+    with _usage(f"--b {text!r}"):  # e.g. a negative exponent
         return PowerLawRate(float(m.group("coeff") or 1.0),
                             float(m.group("exp") or 1.0))
-    except ValueError as exc:
-        raise UsageError(f"bad --b {text!r}: {exc}") from exc
 
 
 def parse_growth_kernel(text: str, bounds: GrowthBounds):
@@ -74,7 +111,7 @@ def parse_growth_kernel(text: str, bounds: GrowthBounds):
     'gaussian:0.5'."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
-    try:
+    with _usage(f"--rho {text!r}"):
         if kind == "dirac":
             return DiracGrowth(float(rest or 1.0), bounds)
         if kind in ("uniform-increment", "uniform"):
@@ -84,8 +121,6 @@ def parse_growth_kernel(text: str, bounds: GrowthBounds):
             return UniformIncrementGrowth(alpha, rms, bounds)
         if kind == "gaussian":
             return GaussianIncrementGrowth(float(rest or 0.5), bounds)
-    except ValueError as exc:
-        raise UsageError(f"bad --rho {text!r}: {exc}") from exc
     raise UsageError(f"unknown growth kernel kind {kind!r}")
 
 
@@ -94,38 +129,34 @@ def build_model(args) -> ModelSpec:
         path = Path(args.model)
         if not path.exists():
             raise UsageError(f"model file not found: {path}")
-        try:
+        with _usage(f"model file {path}", (ValueError, KeyError, TypeError)):
             return ModelSpec.from_json(path.read_text())
-        except (ValueError, KeyError, TypeError) as exc:  # JSON or spec
-            raise UsageError(f"bad model file {path}: {exc}") from exc
-    bounds = GrowthBounds(args.e_min, args.e_max)
+    with _usage("--e-min/--e-max"):
+        bounds = GrowthBounds(args.e_min, args.e_max)
     rate = parse_rate(args.b)
     kernel = parse_growth_kernel(args.rho, bounds)
     growth_value = kernel.value if isinstance(kernel, DiracGrowth) else None
-    initial = InitialDistribution(args.init_low, args.init_high,
-                                  growth_value=growth_value)
+    with _usage("--init-low/--init-high"):
+        initial = InitialDistribution(args.init_low, args.init_high,
+                                      growth_value=growth_value)
     return ModelSpec(rate, kernel, bounds, initial)
 
 
 def resolve_seed(args) -> int:
     env = os.environ.get("GFTREE_SEED")
     if env is not None:
-        try:
+        with _usage(f"GFTREE_SEED {env!r}, not an integer"):
             return int(env)
-        except ValueError as exc:
-            raise UsageError(f"GFTREE_SEED must be an integer, got {env!r}") from exc
     return args.seed
 
 
-def build_estimator_config(args) -> EstimatorConfig:
-    for flag in ("bandwidth", "bandwidth_exponent", "threshold", "grid_dx",
-                 "grid_xmax"):
-        value, low = getattr(args, flag), -np.inf if "exp" in flag else 0.0
-        if value is not None and not low < value < np.inf:
-            raise UsageError(f"--{flag.replace('_', '-')} must be finite"
-                             + ("" if low else " and > 0"))
+def check_grid_step(args) -> None:
     if args.grid_dx is not None and args.grid_dx >= args.grid_xmax:
         raise UsageError("need --grid-dx < --grid-xmax")
+
+
+def build_estimator_config(args) -> EstimatorConfig:
+    check_grid_step(args)
     if args.bandwidth is not None:
         bw = FixedBandwidth(args.bandwidth)
     else:
@@ -142,10 +173,8 @@ def build_estimator_config(args) -> EstimatorConfig:
 
 def check_grid(config: EstimatorConfig, n: int) -> None:
     """Refuse a --grid-xmax that the default step n^-1/2 of n cells overruns."""
-    try:
+    with _usage(f"--grid-xmax at n = {n}"):
         config.grid.resolve(n)
-    except ValueError as exc:
-        raise UsageError(f"bad --grid-xmax at n = {n}: {exc}") from exc
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -166,29 +195,29 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--bandwidth", type=float, default=None,
+    p.add_argument("--bandwidth", type=POSITIVE, default=None,
                    help="fixed bandwidth h (default: n^exponent rule)")
-    p.add_argument("--bandwidth-exponent", type=float, default=-1.0 / 3.0,
+    p.add_argument("--bandwidth-exponent", type=FINITE, default=-1.0 / 3.0,
                    help="h = n^exponent when --bandwidth is unset "
                         "(default: %(default)s)")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=POSITIVE, default=None,
                    help="fixed denominator floor (default: rule-based)")
     p.add_argument("--threshold-rule", default="inv-log",
                    choices=["inv-log", "inv-sqrt", "inv-n"],
                    help="denominator floor rule (default: %(default)s)")
-    p.add_argument("--grid-dx", type=float, default=None,
+    p.add_argument("--grid-dx", type=POSITIVE, default=None,
                    help="evaluation grid step (default: n^-1/2)")
-    p.add_argument("--grid-xmax", type=float, default=5.0,
+    p.add_argument("--grid-xmax", type=POSITIVE, default=5.0,
                    help="evaluation grid end (default: %(default)s)")
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0,
                    help="run seed; GFTREE_SEED overrides (default: %(default)s)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker processes; only study uses it, and the "
-                   "other commands accept and ignore it (default: machine "
-                   "parallelism)")
+    p.add_argument("--workers", type=at_least(1), default=1,
+                   help="worker processes; only study uses them (say, one "
+                   "per core for a ladder as large as 5..14), and the other "
+                   "commands ignore them (default: %(default)s)")
     p.add_argument("--out", default=".",
                    help="output directory (default: current)")
     p.add_argument("--no-timestamp", action="store_true",
@@ -217,8 +246,6 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_simulate(args) -> int:
     spec = build_model(args)
     seed = resolve_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.scheme == "full":
         if args.generations is None:
             raise UsageError("--generations is required for the full scheme")
@@ -227,6 +254,8 @@ def cmd_simulate(args) -> int:
         if args.length is None:
             raise UsageError("--length is required for the sparse scheme")
         tree = simulate_sparse_lineage(spec, args.length, seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "genealogy.csv"
     write_genealogy_csv(tree, csv_path)
     _write_json(out / "manifest.json", _manifest(args, {
@@ -260,9 +289,6 @@ def cmd_estimate(args) -> int:
     write_estimate_tsv(est, tsv)
     write_estimate_report(est, config, out / "estimate.json")
     if args.cross_check:
-        from .estimator import estimate_division_rate_parent_indexed
-        from .trees import parent_child_arrays
-
         ps, pg, cs = parent_child_arrays(tree)
         alt = estimate_division_rate_parent_indexed(obs, ps, pg, cs, config)
         good = ((est.raw_denominator > est.threshold_value)
@@ -287,29 +313,29 @@ def cmd_study(args) -> int:
     spec = build_model(args)
     seed = resolve_seed(args)
     config = build_estimator_config(args)
-    sizes = parse_size_range(args.sizes)
-    if args.replicates < 1:
-        raise UsageError("--replicates must be >= 1")
-    # the default step n^-1/2 is widest at the smallest tree and the band's
-    for k in sorted(sizes)[:1] + [args.band_size] * (args.band_size > 0):
-        check_grid(config, 2 ** max(k, 1) - 1)
+    band_cfg = dataclasses.replace(config, threshold_rule=InvNThreshold())
+    # grid and rules fail first at the smallest tree and at the band's
+    for flag, k, cfg in [("--sizes", min(args.sizes), config)] + [
+            ("--band-size", args.band_size, band_cfg)] * (args.band_size > 0):
+        n = 2 ** max(k, 1) - 1
+        check_grid(cfg, n)
+        with _usage(f"{flag} at n = {n}"):
+            bandwidth(cfg.bandwidth_rule, n)
+            threshold(cfg.threshold_rule, n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    full = run_convergence_study(spec, sizes, args.replicates, "full",
+    full = run_convergence_study(spec, args.sizes, args.replicates, "full",
                                  config, seed, args.workers)
     write_error_table(full, out / "table1.tsv")
     write_error_curve(full, out / "fig2_full.tsv")
     sparse = None
     if not args.full_only:
-        sparse = run_convergence_study(spec, sizes, args.replicates, "sparse",
-                                       config, seed, args.workers)
+        sparse = run_convergence_study(spec, args.sizes, args.replicates,
+                                       "sparse", config, seed, args.workers)
         write_error_curve(sparse, out / "fig2_sparse.tsv")
     if args.band_size:
-        band_config = EstimatorConfig(
-            kernel=config.kernel, bandwidth_rule=config.bandwidth_rule,
-            threshold_rule=InvNThreshold(), grid=config.grid)
         band = confidence_band(spec, args.band_size,
-                               max(args.replicates, 20), band_config, 95.0,
+                               max(args.replicates, 20), band_cfg, 95.0,
                                seed, args.workers)
         write_band(band, out / "fig3_band.tsv")
     report = study_report_dict(full, sparse, config, seed, args.replicates)
@@ -323,26 +349,18 @@ def cmd_study(args) -> int:
 
 
 def parse_size_range(text: str) -> list[int]:
-    """'5..10' or '5,7,9'."""
-    text = text.strip()
-    if ".." in text:
-        a, _, b = text.partition("..")
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise UsageError(f"empty size range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse sizes {text!r}") from exc
+    """'5..10' or '5,7,9': the argparse ``type`` of --sizes."""
+    lo, dots, hi = text.strip().partition("..")
+    with contextlib.suppress(ValueError):
+        sizes = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(p) for p in text.split(",") if p])
+        if sizes and min(sizes) >= 0:
+            return sizes
+    raise argparse.ArgumentTypeError(
+        f"need at least one size, each >= 0 ('5..10' or '5,7,9'): {text!r}")
 
 
 def cmd_verify(args) -> int:
-    if args.many_to_one:
-        if args.replicates < 2:  # the standard error needs two
-            raise UsageError("--replicates must be >= 2 for --many-to-one")
-        if not (np.isfinite(args.t) and args.t >= 0):
-            raise UsageError("--t must be finite and >= 0")
     spec = build_model(args)
     seed = resolve_seed(args)
     verdicts = {}
@@ -364,8 +382,6 @@ def cmd_verify(args) -> int:
         verdicts["class_membership"] = {"pass": report.all_ok,
                                         **report.to_json_dict()}
     if args.drift:
-        from .invariant import QuadratureOverflow
-
         params = reference_class_params()
         try:
             drift = verify_drift(params, spec.division_rate, spec.bounds)
@@ -390,18 +406,10 @@ def cmd_verify(args) -> int:
 def cmd_pde_check(args) -> int:
     rate = parse_rate(args.b)
     tau = args.tau
-    if not 0 < tau < np.inf:
-        raise UsageError("--tau must be finite and > 0")
-    if not 0 < args.cfl <= 1:
-        raise UsageError("--cfl must lie in (0, 1]")
-    if args.t_end is not None and not 0 <= args.t_end < np.inf:
-        raise UsageError("--t-end must be finite and >= 0")
-    if not 0 < args.grid_dx < args.grid_xmax < np.inf:
-        raise UsageError("need 0 < --grid-dx < --grid-xmax < inf")
+    check_grid_step(args)
     lo, hi = args.check_lo, args.check_hi
-    if not (0 < lo and lo + args.grid_dx <= hi < np.inf):
-        raise UsageError("need 0 < --check-lo and --check-lo + --grid-dx "
-                         "<= --check-hi < inf")
+    if lo + args.grid_dx > hi:
+        raise UsageError("need --check-lo + --grid-dx <= --check-hi")
     inv = invariant_fixed_point(rate, tau, x_max=args.grid_xmax,
                                 dx=args.grid_dx)
     recon = reconstruct_division_rate(
@@ -458,8 +466,6 @@ def cmd_ingest(args) -> int:
                     f"unknown --map field {fld!r}; valid fields are "
                     f"{', '.join(studies.DEFAULT_COLUMN_MAP)}")
             colmap[fld] = col.strip()
-    if args.drop_first < 0 or args.drop_last < 0:
-        raise UsageError("--drop-first and --drop-last must be >= 0")
     try:
         obs, report = ingest_lineage_csv(path, colmap or None,
                                          lineage_column=args.lineage_column,
@@ -500,9 +506,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--scheme", choices=["full", "sparse"], required=True,
                    help="observation scheme")
-    p.add_argument("--generations", type=int, default=None,
+    p.add_argument("--generations", type=at_least(0), default=None,
                    help="full scheme: generations to simulate (default: none)")
-    p.add_argument("--length", type=int, default=None,
+    p.add_argument("--length", type=at_least(1), default=None,
                    help="sparse scheme: lineage length (default: none)")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -528,14 +534,14 @@ def make_parser() -> argparse.ArgumentParser:
     # ladder appreciably, which the variability ablation quantifies).
     p.set_defaults(rho="dirac:1.0")
     _add_estimator_flags(p)
-    p.add_argument("--sizes", default="5..10",
+    p.add_argument("--sizes", type=parse_size_range, default="5..10",
                    help="log2 sizes, e.g. '5..10' or '5,7,9' "
                         "(default: %(default)s)")
-    p.add_argument("--replicates", type=int, default=100,
+    p.add_argument("--replicates", type=at_least(1), default=100,
                    help="Monte Carlo replicates per size (default: %(default)s)")
     p.add_argument("--full-only", action="store_true",
                    help="skip the sparse-scheme ladder")
-    p.add_argument("--band-size", type=int, default=10,
+    p.add_argument("--band-size", type=at_least(0), default=10,
                    help="log2 size for the quantile band file; 0 disables "
                         "(default: %(default)s)")
     _add_common(p)
@@ -545,9 +551,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--many-to-one", action="store_true",
                    help="tagged-path versus weighted-population comparison")
-    p.add_argument("--t", type=float, default=1.0,
+    p.add_argument("--t", type=NON_NEGATIVE, default=1.0,
                    help="query time for --many-to-one (default: %(default)s)")
-    p.add_argument("--replicates", type=int, default=20000,
+    p.add_argument("--replicates", type=at_least(2), default=20000,
                    help="Monte Carlo replicates (default: %(default)s)")
     p.add_argument("--class-check", action="store_true",
                    help="admissibility class report")
@@ -563,21 +569,21 @@ def make_parser() -> argparse.ArgumentParser:
                                          "their consistency relations")
     p.add_argument("--b", default="x^2",
                    help="division rate (default: %(default)s)")
-    p.add_argument("--tau", type=float, default=1.0,
+    p.add_argument("--tau", type=POSITIVE, default=1.0,
                    help="constant growth rate (default: %(default)s)")
-    p.add_argument("--grid-dx", type=float, default=2.5e-3,
+    p.add_argument("--grid-dx", type=POSITIVE, default=2.5e-3,
                    help="grid step (default: %(default)s)")
-    p.add_argument("--grid-xmax", type=float, default=5.0,
+    p.add_argument("--grid-xmax", type=POSITIVE, default=5.0,
                    help="grid end (default: %(default)s)")
-    p.add_argument("--t-end", type=float, default=None,
+    p.add_argument("--t-end", type=NON_NEGATIVE, default=None,
                    help="PDE time horizon: omit for the steady state; give a "
                         "horizon to march the transient (default: none)")
-    p.add_argument("--cfl", type=float, default=0.9,
+    p.add_argument("--cfl", type=UNIT, default=0.9,
                    help="CFL number in (0, 1] of the transient march "
                         "(default: %(default)s)")
-    p.add_argument("--check-lo", type=float, default=1.0,
+    p.add_argument("--check-lo", type=POSITIVE, default=1.0,
                    help="closed-loop check window start (default: %(default)s)")
-    p.add_argument("--check-hi", type=float, default=3.0,
+    p.add_argument("--check-hi", type=FINITE, default=3.0,
                    help="closed-loop check window end (default: %(default)s)")
     _add_common(p)
     p.set_defaults(func=cmd_pde_check)
@@ -589,9 +595,9 @@ def make_parser() -> argparse.ArgumentParser:
                         "'size_birth=len_birth,growth_rate=alpha'")
     p.add_argument("--lineage-column", default="lineage_id",
                    help="per-lineage grouping column (default: %(default)s)")
-    p.add_argument("--drop-first", type=int, default=0,
+    p.add_argument("--drop-first", type=at_least(0), default=0,
                    help="cells dropped at each lineage start (default: %(default)s)")
-    p.add_argument("--drop-last", type=int, default=0,
+    p.add_argument("--drop-last", type=at_least(0), default=0,
                    help="cells dropped at each lineage end (default: %(default)s)")
     _add_estimator_flags(p)
     _add_common(p)
@@ -600,10 +606,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # a flag refused (2) or --help (0)
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Genealogy simulation: full trees, sparse lineages and tagged paths.
+"""Genealogy simulation: full trees, sparse lineages and tagged branches.
 
 A genealogy is a set of columns, one record per cell in breadth-first
 order, so a cell's place in the binary tree is its row: row r of a full tree
@@ -321,68 +321,6 @@ def simulate_sparse_lineage(spec: ModelSpec, length: int,
     if length < 1:
         raise ValueError("length must be >= 1")
     return simulate_replicates(spec, "sparse", length, [seed])[0]
-
-
-# ---------------------------------------------------------------------------
-# Tagged path
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TaggedPath:
-    """State along a uniformly random line of descent, queryable in time.
-
-    ``birth_times[k]`` is the k-th division time (0 for the root cell);
-    ``sizes[k]`` and ``rates[k]`` are size at birth and growth rate of the
-    occupying cell after that division.  Sizes are reconstructed from the
-    cumulated growth ``x e^{W(t)} / 2^{C_t}`` so the representation identity
-    holds to a few ulps at any query time.
-    """
-
-    initial_size: float
-    birth_times: np.ndarray
-    sizes: np.ndarray
-    rates: np.ndarray
-    cum_growth_at_birth: np.ndarray
-    t_max: float
-
-    def _segment(self, t):
-        t = np.asarray(t)
-        if np.any(t < 0) or np.any(t > self.t_max):
-            raise ValueError("query time outside [0, t_max]")
-        return np.searchsorted(self.birth_times, t, side="right") - 1
-
-    def divisions_by(self, t):
-        """C_t: number of divisions in [0, t]."""
-        k = self._segment(t)
-        return k if np.ndim(t) else int(k)
-
-    def size_at(self, t):
-        k = self._segment(t)
-        out = self.sizes[k] * np.exp(self.rates[k]
-                                     * (np.asarray(t) - self.birth_times[k]))
-        return out if np.ndim(t) else float(out)
-
-    def growth_rate_at(self, t):
-        out = self.rates[self._segment(t)]
-        return out if np.ndim(t) else float(out)
-
-    def cumulated_growth_at(self, t):
-        k = self._segment(t)
-        out = self.cum_growth_at_birth[k] + self.rates[k] * (
-            np.asarray(t) - self.birth_times[k])
-        return out if np.ndim(t) else float(out)
-
-
-def simulate_tagged_cell(spec: ModelSpec, t_max: float,
-                         seed: int) -> TaggedPath:
-    """Follow a uniformly picked branch until its events cover [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    forest = _Forest(spec, streams.run_key(seed), sizes_from_growth=True)
-    steps = [(forest.birth, forest.size, forest.rate, forest.cum)
-             for _ in _grow_until(forest, t_max, pick=True)]
-    births, sizes, rates, cums = (np.concatenate(c) for c in zip(*steps))
-    return TaggedPath(float(sizes[0]), births, sizes, rates, cums, t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gftree import trees
 from gftree.model import reference_model
+from gftree.streams import run_key
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -33,6 +35,23 @@ def dirac_spec():
 @pytest.fixture(scope="session")
 def variability_spec():
     return reference_model("uniform_increment")
+
+
+@pytest.fixture(scope="session")
+def tagged_branch():
+    """``tagged_branch(spec, t, seed)``: one uniformly tagged line of
+    descent until time t, as the many-to-one check grows it: the keyed
+    forest from one root, one child picked per division, sizes rebuilt from
+    the cumulated growth.  Columns per cell of the branch, root first."""
+    def grow(spec, t, seed):
+        forest = trees._Forest(spec, run_key(seed), sizes_from_growth=True)
+        steps = [(forest.birth, forest.size, forest.rate, forest.cum)
+                 for _ in trees._grow_until(forest, t, pick=True)]
+        return dict(zip(("birth_times", "sizes", "rates",
+                         "cum_growth_at_birth"),
+                        (np.concatenate(c) for c in zip(*steps))))
+
+    return grow
 
 
 @pytest.fixture()

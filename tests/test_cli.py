@@ -513,6 +513,30 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     (["pde-check", "--check-lo", 2, "--check-hi", 2], "--check-hi"),
     (["pde-check", "--check-lo", "nan"], "--check-lo"),
     (["pde-check", "--check-lo", -1], "--check-lo"),
+    (["study", "--sizes", ","], "--sizes"),
+    (["study", "--sizes=-1", "--bandwidth", 0.5, "--threshold", 0.1,
+      "--grid-dx", 0.1], "--sizes"),
+    (["study", "--band-size", -1], "--band-size"),
+    # the bandwidth and threshold rules need n >= 2 cells
+    (["study", "--sizes", 0], "--sizes"),
+    (["study", "--sizes", 1], "--sizes"),
+    (["study", "--band-size", 1], "--band-size"),
+    (["simulate", "--scheme", "full", "--generations", -1], "--generations"),
+    (["simulate", "--scheme", "sparse", "--length", 0], "--length"),
+    (["verify", "--class-check", "--replicates", 1], "--replicates"),
+    (["simulate", "--scheme", "full", "--generations", 1, "--workers", 0],
+     "--workers"),
+    (["study", "--workers", -3], "--workers"),
+    (["simulate", "--scheme", "full"], "--generations"),
+    # the model's growth band and initial sizes
+    (["simulate", "--scheme", "full", "--generations", 2, "--e-min", 0],
+     "--e-min"),
+    (["study", "--e-min", 2, "--e-max", 1], "--e-min"),
+    (["verify", "--class-check", "--e-min", "nan"], "--e-min"),
+    (["verify", "--many-to-one", "--e-max", "inf"], "--e-max"),
+    (["study", "--init-low", -1], "--init-low"),
+    (["simulate", "--scheme", "sparse", "--length", 3, "--init-low", 3,
+      "--init-high", 1], "--init-low"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):

@@ -458,9 +458,9 @@ def test_breadth_first_order_checks_a_permutation():
 def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
     """Each row costs its four float columns (32 B) and its int64
     breadth-first slot (8 B), and the permutation check 1 B: 41 B/row.
-    Files of 2^16 - 1 and 2^17 - 1 rows parse in one and two blocks of
-    ``_DECODE_ROWS``, whose scratch is the same, so the difference of the
-    peaks is the rows' own cost.  Parsing the whole file as one table of
+    Files of 2^16 - 1 and 2^17 - 1 rows parse in four and eight blocks of
+    ``_DECODE_ROWS`` (16,384 rows), whose scratch is the same whatever the
+    number of blocks, so the difference of the peaks is the rows' own cost.  Parsing the whole file as one table of
     a 32-byte path and four floats, then copying the columns out, cost
     91-103 B/row."""
     def peak(generations):

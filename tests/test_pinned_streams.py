@@ -13,8 +13,7 @@ import pytest
 
 from gftree import streams
 from gftree.trees import (many_to_one_battery, simulate_full_tree,
-                          simulate_replicates, simulate_sparse_lineage,
-                          simulate_tagged_cell)
+                          simulate_replicates, simulate_sparse_lineage)
 
 RTOL = 1e-12
 
@@ -120,12 +119,12 @@ TAGGED_SEED23 = {
 }
 
 
-def test_tagged_path_is_pinned(variability_spec):
-    path = simulate_tagged_cell(variability_spec, 3.0, seed=23)
-    assert path.initial_size == TAGGED_SEED23["sizes"][0]
+def test_tagged_path_is_pinned(variability_spec, tagged_branch):
+    branch = tagged_branch(variability_spec, 3.0, seed=23)
+    assert branch["sizes"][0] == TAGGED_SEED23["sizes"][0]
     for col, values in TAGGED_SEED23.items():
-        np.testing.assert_allclose(getattr(path, col), values, rtol=RTOL,
-                                   atol=0, err_msg=col)
+        np.testing.assert_allclose(branch[col], values, rtol=RTOL, atol=0,
+                                   err_msg=col)
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,43 @@ def test_sparse_study_steps_its_longest_lineage_once(monkeypatch):
     # forest once its lineages end
     assert calls[0] == calls[31] == 40 and calls[32] == 30
     assert calls[64] == 20 and calls[128] == calls[-1] == 10
+
+
+def test_every_float_flag_refuses_non_finite_values(tmp_path, capsys):
+    # each float flag's range is stated where make_parser declares it (the
+    # model flags' in the model they build), so nan and inf exit 2 before an
+    # output directory is made; a flag added without a range fails here
+    import argparse
+
+    from gftree.cli import main, make_parser
+
+    csv = tmp_path / "sim" / "genealogy.csv"
+    base = {"simulate": ["--scheme", "full", "--generations", "1"],
+            "estimate": ["--input", str(csv)],
+            "study": ["--sizes", "5", "--replicates", "2", "--band-size",
+                      "0", "--full-only"],
+            "verify": ["--class-check"],
+            "pde-check": ["--grid-dx", "0.05"],
+            "ingest": ["--input", str(csv)]}
+    assert main(["simulate", "--scheme", "full", "--generations", "6",
+                 "--out", str(csv.parent)]) == 0
+    commands, = (a.choices for a in make_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(base)
+    checked = 0
+    for name, sub in commands.items():
+        # the base invocation runs, so a refusal below is the flag's own
+        assert main([name, *base[name],
+                     "--out", str(tmp_path / name)]) in (0, 4)
+        for action in sub._actions:
+            if getattr(action.type, "__name__", None) != "float":
+                continue
+            flag = action.option_strings[-1]
+            for value in ("nan", "inf"):
+                out = tmp_path / "refused"
+                assert main([name, *base[name], flag, value,
+                             "--out", str(out)]) == 2, (name, flag, value)
+                assert flag in capsys.readouterr().err, (name, flag, value)
+                assert not out.exists(), (name, flag, value)
+                checked += 1
+    assert checked >= 2 * 35  # the float flags of today, all found

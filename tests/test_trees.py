@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gftree import trees
+from gftree import streams, trees
 from gftree.model import (DiracGrowth, GrowthBounds, InitialDistribution,
                           ModelSpec, PowerLawRate, cumulative_hazard,
                           reference_model)
@@ -12,8 +12,7 @@ from gftree.streams import run_key
 from gftree.trees import (GenealogyTree, extract_observations,
                           many_to_one_battery, parent_child_arrays,
                           read_genealogy_csv, simulate_full_tree,
-                          simulate_sparse_lineage, simulate_tagged_cell,
-                          write_genealogy_csv)
+                          simulate_sparse_lineage, write_genealogy_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -195,35 +194,41 @@ def test_derived_birth_times_equal_the_forest_s(kernel, scheme, size):
 
 
 # ---------------------------------------------------------------------------
-# Tagged path
+# Tagged branch: the many-to-one check's forest, one child per division
 # ---------------------------------------------------------------------------
 
-def test_tagged_initial_conditions(variability_spec):
-    path = simulate_tagged_cell(variability_spec, 2.0, seed=6)
-    assert path.divisions_by(0.0) == 0
-    assert path.size_at(0.0) == path.initial_size
-    assert path.cumulated_growth_at(0.0) == 0.0
+def _branch_at(branch, t):
+    """(divisions, size, cumulated growth) of a tagged branch at time t."""
+    k = int(np.searchsorted(branch["birth_times"], t, side="right")) - 1
+    rate, age = branch["rates"][k], t - branch["birth_times"][k]
+    return (k, float(branch["sizes"][k] * np.exp(rate * age)),
+            float(branch["cum_growth_at_birth"][k] + rate * age))
 
 
-def test_tagged_representation_identity(variability_spec):
-    path = simulate_tagged_cell(variability_spec, 3.0, seed=23)
+def test_tagged_initial_conditions(variability_spec, tagged_branch):
+    branch = tagged_branch(variability_spec, 2.0, seed=6)
+    init = variability_spec.initial
+    u = streams.draw_uniform(streams.child_keys(run_key(6), 1),
+                             streams.STREAM_INITIAL_SIZE, 0)
+    root_size = init.size_low + (init.size_high - init.size_low) * u[0]
+    assert _branch_at(branch, 0.0) == (0, root_size, 0.0)
+
+
+def test_tagged_representation_identity(variability_spec, tagged_branch):
+    branch = tagged_branch(variability_spec, 3.0, seed=23)
+    initial_size = float(branch["sizes"][0])
     for t in np.linspace(0.0, 3.0, 60):
-        lhs = path.size_at(t) * 2.0 ** path.divisions_by(t)
-        rhs = path.initial_size * math.exp(path.cumulated_growth_at(t))
+        divisions, size, cum = _branch_at(branch, t)
+        lhs = size * 2.0 ** divisions
+        rhs = initial_size * math.exp(cum)
         assert abs(lhs - rhs) <= 4 * math.ulp(rhs)
 
 
-def test_tagged_cumulated_growth_bounds(variability_spec):
-    path = simulate_tagged_cell(variability_spec, 3.0, seed=8)
+def test_tagged_cumulated_growth_bounds(variability_spec, tagged_branch):
+    branch = tagged_branch(variability_spec, 3.0, seed=8)
     for t in np.linspace(0.05, 3.0, 40):
-        w = path.cumulated_growth_at(t)
+        w = _branch_at(branch, t)[2]
         assert 0.2 * t - 1e-12 <= w <= 3.0 * t + 1e-12
-
-
-def test_tagged_rejects_queries_beyond_horizon(variability_spec):
-    path = simulate_tagged_cell(variability_spec, 1.0, seed=6)
-    with pytest.raises(ValueError):
-        path.size_at(1.5)
 
 
 # ---------------------------------------------------------------------------
