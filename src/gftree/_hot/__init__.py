@@ -1,7 +1,7 @@
 """Hot numerical kernels in numpy (see ``_np``): the binned kernel sums of
 many rows (``kernel_sums_rows``, one windowed dot product per lattice point
 the centers read) or one (``kernel_sums``), lifetimes and the explicit
-march ``pde_run`` of the PDE's sparse upwind operator.  ``BACKEND``
+march ``pde_run`` of the PDE's upwind operator.  ``BACKEND``
 and ``compiled_backend()`` remain for run manifests that record which
 implementation ran; numpy is the only one."""
 

@@ -103,8 +103,8 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
 
 def pde_run(n: np.ndarray, dt: float, operator, dx: float, max_steps: int,
             stop_rate: float):
-    """Explicit steps n <- n + dt (operator @ n) of the PDE's sparse upwind
-    matrix, each clipped at 0 and renormalised to unit mass.
+    """Explicit steps n <- n + dt (operator @ n) of the PDE's upwind
+    operator, each clipped at 0 and renormalised to unit mass.
 
     Returns (n, steps_done, last_l1_rate, max_mass_drift_rate).
     """

@@ -15,10 +15,11 @@ and the steady state N of the conservative PDE
 matches the invariant density through nu(x) = 2 B(2x) N(2x) (up to overall
 scale: both sides are normalised to unit mass before comparison).
 
-N is the Perron eigenvector of the upwind finite-volume operator, a sparse
-matrix built once (``_pde_operator``) and solved directly by LU inverse
-iteration (Doumic & Gabriel 2010; Perthame 2007).  Finite-horizon
-transients march the same matrix explicitly with the step
+N is the Perron eigenvector of the upwind finite-volume operator, built
+once as its bands (``_pde_operator``) and found by inverse iteration, each
+solve an O(m) sweep over blocks of rows (Doumic & Gabriel 2010; Perthame
+2007).  Finite-horizon transients march the same operator explicitly with
+the step
 cfl dx / (tau x_max), from n uniform on [0, x_max/2], renormalising mass
 every step; run long enough the march reaches the same vector.
 """
@@ -261,65 +262,120 @@ class PdeState:
         return self.curve.values
 
 
+def _recur(step, add, acc=0.0):
+    """[acc_1, acc_2, ...] with acc_i = step_i acc_{i-1} + add_i, on Python
+    floats: the one sequential part of the block sweep."""
+    return [acc := s * acc + a for s, a in zip(step, add)]
+
+
+class _UpwindOperator:
+    """The upwind operator by its bands: row i holds ``diag[i]``, ``sub[i-1]``
+    at column i - 1 and ``gain[:, i]`` at columns 2i and 2i + 1 (zero from
+    row m // 2 on; row 0's first gain is folded into ``diag[0]``).  ``@``
+    adds each row's products in column order, as a CSC product does.
+
+    ``solve`` is O(m).  It sweeps the blocks [h // 2, h), h = m, m // 2,
+    ..., 1, from the top.  A block's gains read its top row s and rows
+    above, held as affine in s, so stepping up from the unknown u below the
+    block (|sub/diag| < 1 damps) gives each row as A + B u + C s; the top
+    row closes s.  Only A depends on the right-hand side.
+    """
+
+    def __init__(self, diag, sub, gain):
+        self.diag, self.sub, self.gain = diag, sub, gain
+        self.ratio = gain / diag
+        steps = -np.append(0.0, sub) / diag  # row 0 has no sub-diagonal
+        # x_i = p_i + q_i u once the block of row i is solved (0 past row m);
+        # ``solve`` finds the p_i, which depend on the right-hand side
+        self.q, self.blocks, hi = np.zeros(2 * diag.size), [], diag.size
+        while hi > 0:
+            lo = hi // 2
+            step = steps[lo:hi].tolist()
+            self.q[hi - 1] = 1.0  # the gains read the top row as s itself
+            c = np.array(_recur(step, (-self._gains(self.q, lo, hi)).tolist()))
+            close = c / (1.0 - c[-1])  # s = (A + B u)_top / (1 - C_top)
+            b = np.cumprod(step)
+            self.q[lo:hi] = b + close * b[-1]
+            self.blocks.append((lo, hi, step, close))
+            hi = lo
+
+    def _gains(self, v, lo, hi):
+        """The gains of rows [lo, hi) over their diagonal, at the values v."""
+        return (self.ratio[0, lo:hi] * v[2 * lo:2 * hi:2]
+                + self.ratio[1, lo:hi] * v[2 * lo + 1:2 * hi:2])
+
+    def __matmul__(self, n: np.ndarray) -> np.ndarray:
+        y = self.diag * n
+        y[1:] += self.sub * n[:-1]
+        r = n.size // 2
+        y[:r] += self.gain[0, :r] * n[0:2 * r:2]
+        y[:r] += self.gain[1, :r] * n[1:2 * r:2]
+        return y
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with a @ x = rhs, by the block sweep."""
+        p = np.zeros(2 * rhs.size)
+        for lo, hi, step, close in self.blocks:
+            a = np.array(_recur(step, (rhs[lo:hi] / self.diag[lo:hi]
+                                       - self._gains(p, lo, hi)).tolist()))
+            p[lo:hi] = a + close * a[-1]
+        x = np.zeros(rhs.size + 1)  # x[0] stands for the missing row -1
+        for lo, hi, _, _ in reversed(self.blocks):
+            x[lo + 1:hi + 1] = p[lo:hi] + self.q[lo:hi] * x[lo]
+        return x[1:]
+
+
 def _pde_operator(rate: DivisionRate, tau: float, centers: np.ndarray,
-                  dx: float):
-    """The upwind finite-volume operator A on ``centers``, as a CSC matrix:
+                  dx: float) -> _UpwindOperator:
+    """The upwind finite-volume operator A on the centres (i + 1/2) dx:
 
         (A n)_i = -(tau x_{i+1/2} n_i - tau x_{i-1/2} n_{i-1}) / dx
                   + 2 B(2 x_i) ntilde(2 x_i) - B(x_i) n_i
 
     with zero inflow at x = 0, free outflow at x_max, and ntilde the
-    linear interpolation of n at the doubled argument.  Where 2 x_i falls
-    beyond the grid the gain vanishes.
+    linear interpolation of n at 2 x_i = (2i + 1/2) dx, between cells 2i
+    and 2i + 1.  From i = m // 2 on, that lies beyond the grid: no gain.
     """
-    # scipy.sparse costs ~0.1 s to import; only the PDE needs it
-    from scipy.sparse import csc_matrix, diags
-
     m = centers.size
     flux_coef = tau * (np.arange(1, m + 1) * dx)
-    sink = np.asarray(rate(centers))
-    pos = (2.0 * centers - centers[0]) / dx
-    k = np.floor(pos).astype(np.int64)
-    rows = np.flatnonzero(k < m - 1)
-    k = k[rows]
-    src = 2.0 * np.asarray(rate(2.0 * centers))[rows]
-    w = pos[rows] - k
-    gain = csc_matrix(
-        (np.concatenate([src * (1.0 - w), src * w]),
-         (np.concatenate([rows, rows]), np.concatenate([k, k + 1]))),
-        shape=(m, m))
-    return diags([-flux_coef / dx - sink, flux_coef[:-1] / dx], [0, -1],
-                 format="csc") + gain
+    r = m // 2
+    w = (2.0 * centers[:r] - centers[0]) / dx - 2 * np.arange(r)
+    gain = np.zeros((2, m))
+    gain[:, :r] = (2.0 * np.asarray(rate(2.0 * centers[:r]))
+                   * np.array([1.0 - w, w]))
+    diag = -flux_coef / dx - np.asarray(rate(centers))
+    diag[0] += gain[0, 0]  # row 0's first gain sits on the diagonal
+    gain[0, 0] = 0.0
+    return _UpwindOperator(diag, flux_coef[:-1] / dx, gain)
 
 
 # Inverse iteration converges by the ratio of the two eigenvalues nearest 0
-# (a handful of solves on the reference grids); the cap only stops a
-# pathological operator from looping.
-_INVERSE_ITERATIONS = 50
+# (a handful of solves on the reference grids, ~50 for B = 0.1 x, tau = 3);
+# the cap only stops a pathological operator from looping.
+_INVERSE_ITERATIONS = 100
 
 
-def _pde_steady_state(a, n0: np.ndarray, dx: float):
-    """Perron eigenpair of the operator A by LU inverse iteration at shift
-    0, from the unit-mass start ``n0``.
+def _pde_steady_state(a: _UpwindOperator, n0: np.ndarray, dx: float):
+    """Perron eigenpair of the operator A by inverse iteration at shift 0,
+    from the unit-mass start ``n0``.
 
     Returns (n, lam, l1_rate): the eigenvector clipped to n >= 0 with unit
     mass, lam = sum(A n) dx, and l1_rate = |(A - lam) n|_1 dx, the rate of
     change of the renormalised march evaluated at n.
     """
-    from scipy.sparse.linalg import splu
-
-    lu = splu(a)
     # lam < 0 makes A^-1 flip the sign of the iterate, so normalise by the
     # signed sum; clipping inside the loop would destroy the vector.  Stop
-    # once the L1 change no longer shrinks: the iterate sits at rounding level
+    # once the L1 change no longer shrinks or falls below rounding: the
+    # iterate sits at rounding level (cells the steady state leaves empty
+    # can keep shrinking by a constant factor per solve down to underflow)
     n = n0
     prev = math.inf
     for _ in range(_INVERSE_ITERATIONS):
-        nxt = lu.solve(n)
+        nxt = a.solve(n)
         nxt /= np.sum(nxt) * dx
         change = float(np.sum(np.abs(nxt - n))) * dx
         n = nxt
-        if change >= prev:
+        if change >= prev or change < np.finfo(float).eps:
             break
         prev = change
     else:
@@ -343,12 +399,12 @@ def solve_conservative_pde(rate: DivisionRate, tau: float, x_max: float = 5.0,
 
     With ``t_end=None`` the steady state is solved for directly: the march
     below renormalises mass every step, so its fixed point is the Perron
-    eigenvector of A, found by sparse LU inverse iteration.  ``steps`` is
+    eigenvector of A, found by inverse iteration.  ``steps`` is
     then 0, ``time`` infinite, ``l1_rate`` the march's rate of change at
     that vector and ``max_mass_drift_rate`` the eigenvalue's magnitude.
     Raises NoConvergence unless ``l1_rate`` falls below ``stop_rate``.
 
-    With a finite ``t_end`` the same matrix is marched explicitly,
+    With a finite ``t_end`` the same operator is marched explicitly,
     n <- n + dt A n with dt = cfl dx / (tau x_max), clipping at 0,
     renormalising mass every step and recording the pre-normalisation
     drift; the march stops at ``t_end`` or when the L1 rate of change falls

@@ -43,7 +43,12 @@ from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
 
 
 _MAX_FOREST_LEVELS = 4096  # runaway guard for time-capped growth
-_FOREST_ROOTS = 1 << 12  # many-to-one roots per forest, to bound its memory
+_MAX_FOREST_CELLS = 1 << 22  # live cells per forest; ~85 B each, ~360 MB
+_FOREST_ROOTS = 1 << 10  # many-to-one roots per forest, to bound its memory
+
+
+class ForestTooLarge(RuntimeError):
+    """A time-capped forest would outgrow ``_MAX_FOREST_CELLS``."""
 
 
 def _read_only(values) -> np.ndarray:
@@ -235,14 +240,20 @@ def _grow_until(forest: _Forest, t: float, pick: bool):
 
     At each level yields the mask of the live cells that are still alive
     at ``t`` (they divide after it), then divides the others, so every
-    cell alive at ``t`` is yielded exactly once.
+    cell alive at ``t`` is yielded exactly once.  Raises ForestTooLarge
+    before a generation of more than ``_MAX_FOREST_CELLS`` cells is made.
     """
     for _ in range(_MAX_FOREST_LEVELS):
         alive = forest.birth + forest.life > t
         yield alive
         if alive.all():
             return
-        forest.divide(pick, np.flatnonzero(~alive))
+        d = np.flatnonzero(~alive)
+        if (d.size if pick else 2 * d.size) > _MAX_FOREST_CELLS:
+            raise ForestTooLarge(f"a forest would hold over "
+                                 f"{_MAX_FOREST_CELLS:,} live cells before "
+                                 f"t = {t:g}; lower --t")
+        forest.divide(pick, d)
     raise RuntimeError("the forest still divides before t after "
                        f"{_MAX_FOREST_LEVELS} generations")
 

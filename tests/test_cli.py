@@ -546,23 +546,35 @@ def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # scipy is imported lazily, by the PDE operator (scipy.sparse)
-    # and the Gaussian growth kernel (scipy.special); loading either with
-    # the CLI would add 0.1-0.3 s to every command's start-up.  The study
-    # process pool is imported only when study runs with --workers > 1,
-    # which keeps about 2 MB of multiprocessing out of every command.
+def _run_python(code, *args):
     src = str(Path(gftree.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gftree.cli; "
-         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-         "assert 'multiprocessing' not in sys.modules; "
-         "assert 'concurrent.futures.process' not in sys.modules"],
-        env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                   check=True)
+
+
+NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy is imported lazily, only by the Gaussian growth kernel
+    # (scipy.special); loading it with the CLI would add 0.1-0.3 s to every
+    # command's start-up.  The study process pool is imported only when
+    # study runs with --workers > 1, which keeps about 2 MB of
+    # multiprocessing out of every command.
+    _run_python("import sys, gftree.cli; " + NO_SCIPY + "; "
+                "assert 'multiprocessing' not in sys.modules; "
+                "assert 'concurrent.futures.process' not in sys.modules")
+
+
+def test_pde_check_leaves_scipy_unloaded(tmp_path):
+    # the steady state is an O(m) numpy solve, so pde-check needs none of
+    # scipy.sparse's 0.3 s and 31 MB of imports
+    _run_python("import sys; from gftree import cli; "
+                "assert cli.main(['pde-check', '--out', sys.argv[1]]) == 0; "
+                + NO_SCIPY, tmp_path / "out")
 
 
 def test_ingest_cli(tmp_path):
@@ -666,6 +678,12 @@ def _degenerate_denominator(tmp_path, monkeypatch):
     return ["pde-check", "--grid-dx", 1e-2, "--check-hi", 12]
 
 
+def _forest_too_large(tmp_path, monkeypatch):
+    # 100 roots hold ~3,800 live cells at t = 2
+    monkeypatch.setattr(gftree.trees, "_MAX_FOREST_CELLS", 1000)
+    return ["verify", "--many-to-one", "--t", 2, "--replicates", 100]
+
+
 def _empty_conditioning_set(tmp_path, monkeypatch):
     return ["study", "--sizes", "5..5", "--replicates", 2, "--band-size", 0,
             "--full-only", "--threshold", 100]
@@ -681,6 +699,7 @@ EXIT_CODES = {
                               _degenerate_denominator),
     "EmptyConditioningSet": (3, "n = 32", _empty_conditioning_set),
     "EmptyAfterFiltering": (3, "no usable rows", _empty_after_filtering),
+    "ForestTooLarge": (3, "lower --t", _forest_too_large),
 }
 
 
