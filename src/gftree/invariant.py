@@ -19,9 +19,9 @@ N is the Perron eigenvector of the upwind finite-volume operator, built
 once as its bands (``_pde_operator``) and found by inverse iteration, each
 solve an O(m) sweep over blocks of rows (Doumic & Gabriel 2010; Perthame
 2007).  Finite-horizon transients march the same operator explicitly with
-the step
-cfl dx / (tau x_max), from n uniform on [0, x_max/2], renormalising mass
-every step; run long enough the march reaches the same vector.
+the step cfl dx / (tau x_max), from n uniform on [0, x_max/2],
+renormalising mass every step; run long enough the march reaches the same
+vector.
 """
 
 from __future__ import annotations
@@ -114,22 +114,21 @@ class TransitionEvaluator:
 # Invariant size density (constant growth rate)
 # ---------------------------------------------------------------------------
 
+class _OnCurve:
+    """``x`` and ``values`` of the result's ``curve``."""
+
+    x = property(lambda self: self.curve.x)
+    values = property(lambda self: self.curve.values)
+
+
 @dataclass(frozen=True)
-class InvariantSolution:
+class InvariantSolution(_OnCurve):
     """Invariant size-at-birth density on a uniform grid, with the fixed
     point residual |nu P - nu|_L1."""
 
     curve: CurveOnGrid
     residual: float
     iterations: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.curve.x
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.curve.values
 
 
 def _size_kernel_factors(rate: DivisionRate, tau: float, x: np.ndarray):
@@ -225,11 +224,7 @@ def reconstruct_division_rate(solution: InvariantSolution, tau: float,
     nu = solution.curve
     cdf_vals = np.concatenate(
         [[0.0], np.cumsum((nu.values[1:] + nu.values[:-1]) * 0.5 * nu.dx)])
-
-    def cdf(q):
-        return np.interp(q, nu.x, cdf_vals)
-
-    denom = cdf(y) - cdf(y / 2.0)
+    denom = np.interp(y, nu.x, cdf_vals) - np.interp(y / 2.0, nu.x, cdf_vals)
     bad = denom <= 0
     if np.any(bad):
         raise DegenerateDenominator(y[bad])
@@ -242,7 +237,7 @@ def reconstruct_division_rate(solution: InvariantSolution, tau: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PdeState:
+class PdeState(_OnCurve):
     """Steady (or final-time) state of the conservative equation."""
 
     curve: CurveOnGrid
@@ -253,19 +248,11 @@ class PdeState:
     max_mass_drift_rate: float
     converged: bool
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.curve.x
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.curve.values
-
 
 def _recur(step, add, acc=0.0):
     """[acc_1, acc_2, ...] with acc_i = step_i acc_{i-1} + add_i, on Python
     floats: the one sequential part of the block sweep."""
-    return [acc := s * acc + a for s, a in zip(step, add)]
+    return np.array([acc := s * acc + a for s, a in zip(step, add.tolist())])
 
 
 class _UpwindOperator:
@@ -284,25 +271,26 @@ class _UpwindOperator:
     def __init__(self, diag, sub, gain):
         self.diag, self.sub, self.gain = diag, sub, gain
         self.ratio = gain / diag
-        steps = -np.append(0.0, sub) / diag  # row 0 has no sub-diagonal
+        self.steps = (-np.append(0.0, sub) / diag).tolist()  # row 0: no sub
+        m = diag.size
+        self.blocks = [(m >> k + 1, m >> k) for k in range(m.bit_length())]
         # x_i = p_i + q_i u once the block of row i is solved (0 past row m);
         # ``solve`` finds the p_i, which depend on the right-hand side
-        self.q, self.blocks, hi = np.zeros(2 * diag.size), [], diag.size
-        while hi > 0:
-            lo = hi // 2
-            step = steps[lo:hi].tolist()
+        self.q, self.close = np.zeros(2 * m), np.zeros(m)
+        for lo, hi in self.blocks:
             self.q[hi - 1] = 1.0  # the gains read the top row as s itself
-            c = np.array(_recur(step, (-self._gains(self.q, lo, hi)).tolist()))
-            close = c / (1.0 - c[-1])  # s = (A + B u)_top / (1 - C_top)
-            b = np.cumprod(step)
-            self.q[lo:hi] = b + close * b[-1]
-            self.blocks.append((lo, hi, step, close))
-            hi = lo
+            c = self._block(self.q, lo, hi, 0.0)  # close[lo:hi] is still 0
+            self.close[lo:hi] = c / (1.0 - c[-1])  # s = (A+Bu)_top / (1-C_top)
+            b = np.cumprod(self.steps[lo:hi])
+            self.q[lo:hi] = b + self.close[lo:hi] * b[-1]
 
-    def _gains(self, v, lo, hi):
-        """The gains of rows [lo, hi) over their diagonal, at the values v."""
-        return (self.ratio[0, lo:hi] * v[2 * lo:2 * hi:2]
-                + self.ratio[1, lo:hi] * v[2 * lo + 1:2 * hi:2])
+    def _block(self, v, lo, hi, add):
+        """Rows [lo, hi) stepped up from 0 by ``add`` less their gains over
+        the diagonal at the values v, then closed at the top row."""
+        y = _recur(self.steps[lo:hi],
+                   add - (self.ratio[0, lo:hi] * v[2 * lo:2 * hi:2]
+                          + self.ratio[1, lo:hi] * v[2 * lo + 1:2 * hi:2]))
+        return y + self.close[lo:hi] * y[-1]
 
     def __matmul__(self, n: np.ndarray) -> np.ndarray:
         y = self.diag * n
@@ -315,12 +303,10 @@ class _UpwindOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with a @ x = rhs, by the block sweep."""
         p = np.zeros(2 * rhs.size)
-        for lo, hi, step, close in self.blocks:
-            a = np.array(_recur(step, (rhs[lo:hi] / self.diag[lo:hi]
-                                       - self._gains(p, lo, hi)).tolist()))
-            p[lo:hi] = a + close * a[-1]
+        for lo, hi in self.blocks:
+            p[lo:hi] = self._block(p, lo, hi, rhs[lo:hi] / self.diag[lo:hi])
         x = np.zeros(rhs.size + 1)  # x[0] stands for the missing row -1
-        for lo, hi, _, _ in reversed(self.blocks):
+        for lo, hi in reversed(self.blocks):
             x[lo + 1:hi + 1] = p[lo:hi] + self.q[lo:hi] * x[lo]
         return x[1:]
 
@@ -365,9 +351,8 @@ def _pde_steady_state(a: _UpwindOperator, n0: np.ndarray, dx: float):
     """
     # lam < 0 makes A^-1 flip the sign of the iterate, so normalise by the
     # signed sum; clipping inside the loop would destroy the vector.  Stop
-    # once the L1 change no longer shrinks or falls below rounding: the
-    # iterate sits at rounding level (cells the steady state leaves empty
-    # can keep shrinking by a constant factor per solve down to underflow)
+    # once the L1 change no longer shrinks or falls below rounding (cells
+    # the steady state leaves empty can shrink on down to underflow)
     n = n0
     prev = math.inf
     for _ in range(_INVERSE_ITERATIONS):
@@ -464,12 +449,8 @@ def flux_identity_error(pde: PdeState, rate: DivisionRate, tau: float,
     x = pde.x
     bn = np.asarray(rate(x)) * pde.values
     cum = np.concatenate([[0.0], np.cumsum((bn[1:] + bn[:-1]) * 0.5 * pde.curve.dx)])
-
-    def integral_bn(q):
-        return np.interp(q, x, cum)
-
     y = x[(x >= lo) & (x <= hi) & (2 * x <= x[-1])]
-    lhs = integral_bn(2.0 * y) - integral_bn(y)
+    lhs = np.interp(2.0 * y, x, cum) - np.interp(y, x, cum)
     rhs = tau * y * pde.curve.interp(y)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
@@ -501,13 +482,8 @@ class DriftReport:
         return self.sup_ratio <= self.delta * (1.0 + 1e-4)
 
     def to_json_dict(self):
-        return {
-            "sup_ratio": self.sup_ratio,
-            "arg_sup": self.arg_sup,
-            "small_set_bound": self.small_set_bound,
-            "delta": self.delta,
-            "contracts": self.contracts,
-        }
+        return {k: getattr(self, k) for k in (
+            "sup_ratio", "arg_sup", "small_set_bound", "delta", "contracts")}
 
 
 def verify_drift(params: ClassParams, rate: DivisionRate,
@@ -544,11 +520,9 @@ def verify_drift(params: ClassParams, rate: DivisionRate,
             "(for matched power laws this needs e_max < 2^lam * e_min)"))
 
     xs = np.arange(dx, x_max + dx / 2.0, dx)
-    if bounds.e_min == bounds.e_max:
-        v_grid = np.array([bounds.e_min])
-    else:
-        v_grid = np.array([bounds.e_min,
-                           0.5 * (bounds.e_min + bounds.e_max), bounds.e_max])
+    # the band's ends and midpoint: one point for a one-point band
+    v_grid = np.unique([bounds.e_min, 0.5 * (bounds.e_min + bounds.e_max),
+                        bounds.e_max])
 
     # Upper integration limit: extend until the integrand's exponent
     # V(y) e^{-Phi(y)} has dropped far below any achievable value.

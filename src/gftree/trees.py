@@ -43,7 +43,7 @@ from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
 
 
 _MAX_FOREST_LEVELS = 4096  # runaway guard for time-capped growth
-_MAX_FOREST_CELLS = 1 << 22  # live cells per forest; ~85 B each, ~360 MB
+_MAX_FOREST_CELLS = 1 << 25  # live cells per forest; ~85 B each, ~2.9 GB
 _FOREST_ROOTS = 1 << 10  # many-to-one roots per forest, to bound its memory
 
 
@@ -249,10 +249,9 @@ def _grow_until(forest: _Forest, t: float, pick: bool):
         if alive.all():
             return
         d = np.flatnonzero(~alive)
-        if (d.size if pick else 2 * d.size) > _MAX_FOREST_CELLS:
-            raise ForestTooLarge(f"a forest would hold over "
-                                 f"{_MAX_FOREST_CELLS:,} live cells before "
-                                 f"t = {t:g}; lower --t")
+        if 2 * d.size > _MAX_FOREST_CELLS:
+            raise ForestTooLarge(f"a forest would exceed {_MAX_FOREST_CELLS:,}"
+                                 f" live cells before t = {t:g}; lower --t")
         forest.divide(pick, d)
     raise RuntimeError("the forest still divides before t after "
                        f"{_MAX_FOREST_LEVELS} generations")

@@ -301,21 +301,28 @@ def _grid(dx, x_max=5.0):
 TABULATED = TabulatedRate([0.5, 1.0, 2.0, 4.0], [0.0, 0.5, 3.0, 10.0])
 
 
-@pytest.mark.parametrize("rate, tau, dx", [
-    (SQUARE, 1.0, 1e-3),
-    (PowerLawRate(2.0, 1.0), 0.5, 1e-3),
-    (PowerLawRate(5.0, 3.0), 0.2, 1e-3),
-    (PowerLawRate(20.0, 4.0), 0.05, 1e-3),
+@pytest.mark.parametrize("rate, tau, dx, floor", [
+    (SQUARE, 1.0, 1e-3, False),
+    (PowerLawRate(2.0, 1.0), 0.5, 1e-3, False),
+    (PowerLawRate(5.0, 3.0), 0.2, 1e-3, False),
+    (PowerLawRate(20.0, 4.0), 0.05, 1e-3, False),
     # no division below x = 0.5: the cells there empty by a factor ~1e-3
     # per solve, so the L1 change shrinks until it is below rounding
-    (TABULATED, 1.0, 1e-3),
+    (TABULATED, 1.0, 1e-3, False),
     # eigenvalue ratio 0.5: about 50 inverse iterations
-    (PowerLawRate(0.1, 1.0), 3.0, 2.5e-3),
-], ids=["x^2", "2x", "5x^3", "20x^4", "tabulated", "0.1x-tau3"])
-def test_block_solve_matches_sparse_lu(rate, tau, dx):
+    (PowerLawRate(0.1, 1.0), 3.0, 2.5e-3, False),
+    # the same at dx 1e-4: each solver stops where its L1 change stops
+    # shrinking, with l1_rate ~1e-11 (8.8e-12 here, 1.0e-11 for the LU)
+    # rather than at rounding, and the two steady states were measured
+    # 2.4e-11 of the maximum apart, outside 1e-13; so this grid is bounded
+    # by its noise floor, 10x the two l1_rates
+    (PowerLawRate(0.1, 1.0), 3.0, 1e-4, True),
+], ids=["x^2", "2x", "5x^3", "20x^4", "tabulated", "0.1x-tau3",
+        "0.1x-tau3-dx1e-4"])
+def test_block_solve_matches_sparse_lu(rate, tau, dx, floor):
     # the O(m) block sweep against the retained sparse LU: residual
     # |A x - b|_inf / |b|_inf at most 4x the LU's, steady state within
-    # 1e-13 of its maximum
+    # 1e-13 of its maximum (or of the noise floor, where ``floor``)
     centers, n0 = _grid(dx)
     a = _pde_operator(rate, tau, centers, dx)
     ref = _SpluOperator(_csc_operator(rate, tau, centers, dx))
@@ -324,8 +331,11 @@ def test_block_solve_matches_sparse_lu(rate, tau, dx):
             return np.max(np.abs(ref @ x - b)) / np.max(np.abs(b))
         assert residual(a.solve(b)) <= 4.0 * residual(ref.solve(b))
     n, lam, l1_rate = _pde_steady_state(a, n0, dx)
-    ref_n, ref_lam, _ = _pde_steady_state(ref, n0, dx)
-    assert np.max(np.abs(n - ref_n)) <= 1e-13 * np.max(ref_n)
+    ref_n, ref_lam, ref_l1_rate = _pde_steady_state(ref, n0, dx)
+    if floor:
+        assert l1_rate + ref_l1_rate < 1e-10
+    tol = 10.0 * (l1_rate + ref_l1_rate) if floor else 1e-13
+    assert np.max(np.abs(n - ref_n)) <= tol * np.max(ref_n)
     assert lam == pytest.approx(ref_lam, rel=1e-9, abs=1e-12)
     assert l1_rate < 1e-8
 
