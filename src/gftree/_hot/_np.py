@@ -19,6 +19,7 @@ def powerlaw_lifetimes(u: np.ndarray, x: np.ndarray, v: np.ndarray,
 
 BINS_PER_BANDWIDTH = 80  # lattice resolution of the binned kernel sums
 PAIR_ROWS = 8  # rows whose pairs one bincount sums: they stay in cache
+BIN_BLOCK = 1 << 14  # sizes binned at a time
 
 
 def kernel_sums(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
@@ -38,13 +39,13 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
     Only sizes within reach of a center are binned, on a lattice of spacing
     <= h/BINS_PER_BANDWIDTH that holds evenly spaced centers exactly (others
     are interpolated); a center with no size within radius*h gets exactly 0.
-    Row-offset ``bincount``s bin every row; one ``vecdot`` of the taps
-    over a window view of all rows gives the points the centers read, the
-    three around each center when their nearest points step by 3 or more,
-    else all of [span, size - span), each the dot product of
-    ``np.correlate``'s valid mode.  A row whose pairs within reach are no
-    more than the bins sums them instead, ``PAIR_ROWS`` rows to a
-    (row, center)-offset ``bincount``.
+    Row-offset ``np.add.at``s bin every row, ``BIN_BLOCK`` sizes at a time
+    in ``bincount``'s order; one ``vecdot`` of the taps over a window view
+    of all rows gives the points the centers read, the three around each
+    center when their nearest points step by 3 or more, else all of
+    [span, size - span), each the dot product of ``np.correlate``'s valid
+    mode.  A row whose pairs within reach are no more than the bins sums
+    them instead, ``PAIR_ROWS`` rows to a (row, center)-offset ``bincount``.
     """
     reach = radius * h
     lo = np.array([np.searchsorted(s, centers - reach, side="left")
@@ -71,16 +72,16 @@ def kernel_sums_rows(sizes_sorted: np.ndarray, centers: np.ndarray, h: float,
         out[rows] = np.bincount(j, np.exp(-0.5 * z * z), per.size).reshape(
             rows.size, centers.size)
     binned = np.flatnonzero(~summed)
-    parts = [sizes_sorted[r, lo[r].min():hi[r].max()] for r in binned]
-    t = ((parts[0] if len(parts) == 1 else np.concatenate(parts or [[]]))
-         - origin) / delta
-    i = t.astype(np.intp)
-    t -= i  # each size's fraction past its bin
-    if len(parts) > 1:  # row offsets; a single row needs none
-        i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
-    bins = binned.size * size
-    upper = np.bincount(i, t, bins)  # the shares of bins i + 1
-    w = np.bincount(i, np.subtract(1.0, t, out=t), bins)
+    upper, w = np.zeros(binned.size * size), np.zeros(binned.size * size)
+    for k, r in enumerate(binned):
+        part = sizes_sorted[r, lo[r].min():hi[r].max()]
+        for a in range(0, part.size, BIN_BLOCK):
+            t = (part[a:a + BIN_BLOCK] - origin) / delta
+            i = t.astype(np.intp)
+            t -= i  # each size's fraction past its bin
+            i += size * k
+            np.add.at(upper, i, t)  # the shares of bins i + 1
+            np.add.at(w, i, np.subtract(1.0, t, out=t))
     w[1:] += upper[:-1]
     taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
     windows = np.lib.stride_tricks.sliding_window_view(

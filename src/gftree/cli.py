@@ -171,10 +171,14 @@ def build_estimator_config(args) -> EstimatorConfig:
                            threshold_rule=th, grid=grid)
 
 
-def check_grid(config: EstimatorConfig, n: int) -> None:
-    """Refuse a --grid-xmax that the default step n^-1/2 of n cells overruns."""
+def check_grid(config: EstimatorConfig, n: int, source: str) -> None:
+    """Refuse a --grid-xmax that the default step n^-1/2 overruns, and a
+    size-dependent bandwidth or threshold rule at n < 2 (``source``'s n)."""
     with _usage(f"--grid-xmax at n = {n}"):
         config.grid.resolve(n)
+    with _usage(f"{source} at n = {n}"):
+        bandwidth(config.bandwidth_rule, n)
+        threshold(config.threshold_rule, n)
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -280,7 +284,7 @@ def cmd_estimate(args) -> int:
         obs = extract_observations(tree)
     except ValueError as exc:
         raise UsageError(f"bad genealogy {path}: {exc}") from exc
-    check_grid(config, obs.n)
+    check_grid(config, obs.n, "--input")
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
            else estimate_division_rate(obs, config))
     out = Path(args.out)
@@ -317,11 +321,7 @@ def cmd_study(args) -> int:
     # grid and rules fail first at the smallest tree and at the band's
     for flag, k, cfg in [("--sizes", min(args.sizes), config)] + [
             ("--band-size", args.band_size, band_cfg)] * (args.band_size > 0):
-        n = 2 ** max(k, 1) - 1
-        check_grid(cfg, n)
-        with _usage(f"{flag} at n = {n}"):
-            bandwidth(cfg.bandwidth_rule, n)
-            threshold(cfg.threshold_rule, n)
+        check_grid(cfg, 2 ** max(k, 1) - 1, flag)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     full = run_convergence_study(spec, args.sizes, args.replicates, "full",
@@ -473,7 +473,7 @@ def cmd_ingest(args) -> int:
                                          drop_last=args.drop_last)
     except studies.SchemaError as exc:
         raise UsageError(f"bad lineage CSV {path}: {exc}") from exc
-    check_grid(config, obs.n)
+    check_grid(config, obs.n, "--input")
     analysis = studies.analyze_experimental(obs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

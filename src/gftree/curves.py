@@ -1,6 +1,6 @@
 """Uniform-grid curves and their TSV serialisation, plus the float text and
-row assembly of every text writer and the CSV column loader of the
-genealogy and lineage readers."""
+row assembly of every text writer and the line count and CSV column loader
+of the genealogy and lineage readers."""
 
 from __future__ import annotations
 
@@ -157,6 +157,21 @@ def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as fh:
         fh.write(("\t".join(names) + "\n").encode())
         fh.write(join_text(cells, b"\t", b"\n"))
+
+
+def line_ends(path, block_bytes: int = 1 << 18) -> tuple[int, bool]:
+    """The line ends in a file (``\\r\\n`` once), which bound its rows after
+    a header, and whether it holds a NUL byte, ``block_bytes`` at a time."""
+    ends, cr_last, nul = 0, False, False
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(block_bytes), b""):
+            byte = np.frombuffer(block, dtype=np.uint8)
+            nul = nul or not byte.all()
+            lf, cr = byte == ord("\n"), byte == ord("\r")  # \r\n ends one
+            ends += (np.count_nonzero(lf) + np.count_nonzero(cr)
+                     - np.count_nonzero(cr[:-1] & lf[1:]) - (cr_last and lf[0]))
+            cr_last = cr[-1]
+    return int(ends), nul
 
 
 def load_csv_columns(fh, dtype, usecols, max_rows=None) -> np.ndarray:

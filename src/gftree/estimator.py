@@ -356,38 +356,33 @@ def _grid_buckets(y: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
     return g
 
 
-_COVER_BLOCK = 1 << 16  # cells per block of coverage bucket edges
+_COVER_BLOCK = 1 << 14  # cells per block of weights and bucket edges
 
 
-def _coverage_sums(sizes: np.ndarray, y: np.ndarray,
-                   weight: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """sum_i w_ri 1{sizes_ri <= y <= upper_ri} per row r and ascending y.
+def _coverage_sums(sizes: np.ndarray, y: np.ndarray, rate: np.ndarray,
+                   upper) -> np.ndarray:
+    """sum_i (1/rate_ri) 1{sizes_ri <= y <= upper_ri} per row r and
+    ascending y; ``upper(i, s, v)`` gives upper at index i (sizes s, rates v).
 
-    Cell i adds w_ri from the first y >= sizes_ri on and takes it off from
-    the first y > upper_ri on: a row-offset ``bincount`` per edge, its
-    buckets computed ``_COVER_BLOCK`` cells at a time into one int64 array,
-    then a cumulative sum along each row.  Cells enter the buckets in their
-    row's weight order, so the sums do not depend on cell order (equal
-    weights are interchangeable).  ``weight`` is released once sorted, so
-    a caller that passes it as a temporary frees it.
-    """
-    order = np.argsort(weight, axis=1)
-    w = np.take_along_axis(weight, order, axis=1).ravel()
-    del weight
-    cell = order.ravel()  # each entry of w's cell within its row
-    n, m = order.shape[1], y.size + 1
-    edge = np.empty(w.size, dtype=np.int64)
-
-    def edge_sums(x, side):
-        for a in range(0, w.size, _COVER_BLOCK):
-            block = slice(a, a + _COVER_BLOCK)
-            row = np.arange(a, min(a + _COVER_BLOCK, w.size)) // n
-            edge[block] = _grid_buckets(y, x[row, cell[block]], side) + m * row
-        return np.bincount(edge, w, m * len(order))
-
-    sums = edge_sums(sizes, "left")
-    sums -= edge_sums(upper, "right")
-    return np.cumsum(sums.reshape(-1, m), axis=1)[:, :-1]
+    Cell i adds its weight in the bucket of the first y >= sizes_ri and
+    takes it off in that of the first y > upper_ri; the rows' cumulative
+    sums follow.  Cells go in their row's weight order (``rate`` descending;
+    equal weights are interchangeable), ``_COVER_BLOCK`` at a time, each
+    block's weights, upper edges and buckets added by ``np.add.at`` in
+    ``bincount``'s order, so only the order is as long as the rows."""
+    order = np.argsort(rate, axis=1)
+    rows, n = order.shape
+    m = y.size + 1
+    on, off = np.zeros((2, rows * m))
+    for a in range(0, rows * n, _COVER_BLOCK):
+        row, k = np.divmod(np.arange(a, min(a + _COVER_BLOCK, rows * n)), n)
+        index = row, order[row, n - 1 - k]
+        s, v = sizes[index], rate[index]
+        w, bins = 1.0 / v, m * row
+        np.add.at(on, _grid_buckets(y, s, "left") + bins, w)
+        np.add.at(off, _grid_buckets(y, upper(index, s, v), "right") + bins, w)
+    on -= off
+    return np.cumsum(on.reshape(-1, m), axis=1)[:, :-1]
 
 
 def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
@@ -399,8 +394,8 @@ def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
     yq = np.atleast_1d(np.asarray(y, dtype=np.float64))
     rank = np.argsort(np.argsort(yq))
     raw = _coverage_sums(obs.size_birth[None], np.sort(yq),
-                         1.0 / obs.growth_rate[None],
-                         obs.division_size()[None])[0, rank] / obs.n
+                         obs.growth_rate[None], lambda i, s, v: s * np.exp(
+                             v * obs.lifetime[None][i]))[0, rank] / obs.n
     out = raw if floor is None else np.maximum(raw, floor)
     return float(out[0]) if scalar else out
 
@@ -451,9 +446,8 @@ def _assemble(size_birth: np.ndarray, config: EstimatorConfig, cover,
               pooled: bool = False) -> list[DivisionRateEstimate]:
     """The estimates of the (R, n) samples ``size_birth`` on the config's
     grid y, each row's denominator the row of :func:`_coverage_sums` that
-    ``cover(y)`` returns, which builds its weights and upper edges there,
-    so they are freed before the kernel sums.  The rows share n, hence the
-    bandwidth, floor and grid, and each sum takes them all in one pass."""
+    ``cover(y)`` returns.  The rows share n, hence the bandwidth, floor and
+    grid, and each sum takes them all in one pass."""
     n = size_birth.shape[1]
     h = bandwidth(config.bandwidth_rule, n)
     floor = threshold(config.threshold_rule, n)
@@ -480,9 +474,10 @@ def estimate_rows(size_birth: np.ndarray, growth_rate: np.ndarray,
     mean in the denominator indicator and weight."""
     if pooled:
         growth_rate = np.array([[math.fsum(v) / v.size] for v in growth_rate])
+    rate = np.broadcast_to(growth_rate, size_birth.shape)
     return _assemble(size_birth, config, lambda y: _coverage_sums(
-        size_birth, y, np.broadcast_to(1.0 / growth_rate, size_birth.shape),
-        size_birth * np.exp(growth_rate * lifetime)), pooled)
+        size_birth, y, rate, lambda i, s, v: s * np.exp(v * lifetime[i])),
+        pooled)
 
 
 def estimate_division_rate(obs: ObservationSet,
@@ -516,7 +511,7 @@ def estimate_division_rate_parent_indexed(
     ps, pg, cs = (np.asarray(a, dtype=np.float64)[None]
                   for a in (parent_size, parent_growth, child_size))
     return _assemble(obs.size_birth[None], config, lambda y: _coverage_sums(
-        ps, y, 1.0 / pg, 2.0 * cs))[0]
+        ps, y, pg, lambda i, s, v: 2.0 * cs[i]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from 2**52 up the ``+ 0.5`` rounds to even, and the top word maps to 1.
 
 Every function here returns a fresh array and never writes to its
 arguments, so callers may pass views (``run_keys[lo:hi]``), broadcast
-shape-(1,) keys or 0-d parts.  The hashing itself works in place on the
-array that :func:`combine` allocates.
+shape-(1,) keys or 0-d parts.  The hashing itself, a draw's counter
+included, works in place on the array that :func:`combine` allocates.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ def child_keys(parent_keys: np.ndarray, bits) -> np.ndarray:
 
 
 def draw_hash(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:
-    return combine(combine(node_keys, stream), counter)
+    """``combine(combine(node_keys, stream), counter)``, folded in place."""
+    h = combine(node_keys, stream)
+    h += _GOLDEN
+    return _finalize(np.bitwise_xor(h, np.uint64(counter), out=h))
 
 
 def draw_uniform(node_keys: np.ndarray, stream: int, counter) -> np.ndarray:

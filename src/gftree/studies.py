@@ -36,6 +36,7 @@ from .trees import grow_replicates
 
 _FOREST_CELLS = 1 << 14  # cells stored per batch of full-tree replicates
 _SPARSE_CELLS = 1 << 22  # cells stored per batch of sparse lineages
+_INGEST_ROWS = 1 << 14  # lineage CSV rows parsed and checked per block
 
 
 class EmptyConditioningSet(RuntimeError):
@@ -407,17 +408,18 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     keep the order of their first row, and cells their row order.
 
     The mapped columns (and the lineage column) are parsed column-wise by
-    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``.
-    A file that parser cannot read whole (a non-numeric cell, a short row,
-    a whitespace-only line) goes through the row-by-row ``csv.DictReader``
-    loop instead, which names each unparsable cell.
+    :func:`~gftree.curves.load_csv_columns` (bit-identical to ``float()``)
+    and checked, ``_INGEST_ROWS`` rows at a time, into columns sized by the
+    file's line ends; a file that parser cannot read whole (a non-numeric
+    cell, a short row, a whitespace-only line) goes through the row-by-row
+    ``csv.DictReader`` loop instead, which names each unparsable cell.
 
     Growth rates are taken as given per cell; no re-fit from size time
     series happens here.  Data sets that instead derive each rate from the
     parent-child division relation cannot supply one for the last observed
     generation of a lineage, which is what ``drop_last`` is for.
     """
-    from .curves import load_csv_columns
+    from .curves import line_ends, load_csv_columns
 
     unknown = [f for f in column_map or () if f not in DEFAULT_COLUMN_MAP]
     if unknown:
@@ -444,51 +446,63 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
         if has_lineage:
             usecols.append(where[lineage_column])
             dtype.append(("key", object))
+        bound = line_ends(path)[0]
+        values, ok = np.empty((len(colmap), bound)), np.empty(bound, dtype=bool)
+        keys = np.empty(bound, dtype=object) if has_lineage else None
+        n, rejected = 0, []
         try:
-            table = load_csv_columns(fh, dtype, usecols)
+            while True:
+                table = load_csv_columns(fh, dtype, usecols, _INGEST_ROWS)
+                rows = slice(n, n + table.size)
+                values[:, rows] = table["values"].T
+                if has_lineage:
+                    keys[rows] = table["key"]
+                ok[rows], bad = _validate_values(table["values"], colmap, n)
+                rejected += bad
+                n += table.size
+                if table.size < _INGEST_ROWS:
+                    break
         except ValueError:
             fh.seek(0)
             keys, values, rejected = _ingest_rows(
                 csv.DictReader(fh), colmap,
                 lineage_column if has_lineage else None)
         else:
-            ok, rejected = _validate_values(table["values"],
-                                            list(colmap.values()))
-            if rejected:  # copied only when a row goes
-                table = table[ok]
-            values = table["values"]
-            keys = table["key"] if has_lineage else None
+            keep = ok[:n] if rejected else slice(n)  # copied only if a row goes
+            values = [col[:n][keep] for col in values]
+            keys = None if keys is None else keys[:n][keep]
 
-    kept, lineages = _drop_boundary(keys, len(values), drop_first, drop_last)
-    data = values[kept]
-    if not len(data):
+    usable = len(values[0])
+    kept, lineages = _drop_boundary(keys, usable, drop_first, drop_last)
+    data = [col[kept] for col in values]  # each a contiguous column
+    if not data[0].size:
         raise EmptyAfterFiltering(
             f"no usable rows ({len(rejected)} rejected, "
-            f"{len(values) - len(data)} dropped)")
-    obs = ObservationSet(*map(np.ascontiguousarray, data.T))
-    report = IngestReport(accepted=len(data), rejected=rejected,
-                          dropped_boundary=len(values) - len(data),
+            f"{usable - data[0].size} dropped)")
+    report = IngestReport(accepted=data[0].size, rejected=rejected,
+                          dropped_boundary=usable - data[0].size,
                           lineages=lineages)
-    return obs, report
+    return ObservationSet(*data), report
 
 
-def _validate_values(values: np.ndarray, names: list[str]):
+def _validate_values(values: np.ndarray, colmap: dict, first: int):
     """Accepted-row mask and (line, reason) per rejected row, where the
-    reason is the first column (in ``names`` order) that is not finite or
-    not positive; line 2 is the first row after the header."""
+    reason is the first column (in ``colmap`` order) that is not finite or
+    not positive; row 0 is on line ``first + 2``, after the header."""
     finite = np.isfinite(values)
     ok = finite & (values > 0)
     good = ok.all(axis=1)
     bad = np.flatnonzero(~good)
-    first = np.argmin(ok[bad], axis=1)
-    reasons = [[f"{c}: not finite", f"{c}: must be positive"] for c in names]
+    col = np.argmin(ok[bad], axis=1)
+    reasons = [[f"{c}: not finite", f"{c}: must be positive"]
+               for c in colmap.values()]
     rejected = [(line, reasons[j][positive]) for line, j, positive in zip(
-        (bad + 2).tolist(), first.tolist(), finite[bad, first].tolist())]
+        (bad + first + 2).tolist(), col.tolist(), finite[bad, col].tolist())]
     return good, rejected
 
 
 def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
-    """Row-by-row validation: lineage keys, an (accepted, 3) value array and
+    """Row-by-row validation: lineage keys, a (3, accepted) value array and
     the (line, reason) of every rejected row."""
     rows = []
     rejected = []
@@ -516,7 +530,7 @@ def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
                      vals["lifetime"]))
     keys = [r[0] for r in rows] if lineage_column is not None else None
     values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 3)
-    return keys, values, rejected
+    return keys, np.ascontiguousarray(values.T), rejected
 
 
 def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):
@@ -531,10 +545,10 @@ def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):
                         dtype=np.int64, count=n)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
-    start = np.cumsum(sizes) - sizes
-    pos = np.arange(n) - np.repeat(start, sizes)
-    end = np.repeat(sizes, sizes) - drop_last
-    return order[(pos >= drop_first) & (pos < end)], sizes.size
+    pos = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keep = pos >= drop_first
+    keep &= pos < np.repeat(sizes - drop_last, sizes)
+    return order[keep], sizes.size
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import streams
-from .curves import float_text, join_text, load_csv_columns
+from .curves import float_text, join_text, line_ends, load_csv_columns
 from .estimator import ObservationSet
 from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
                     sample_lifetimes_keyed)
@@ -357,12 +357,12 @@ def parent_child_arrays(tree: GenealogyTree):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
-_CSV_BLOCK = 1 << 15  # rows formatted per write
+_CSV_BLOCK = 1 << 13  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 _PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
 _DECODE_ROWS = 1 << 14  # rows parsed and paths decoded per block
-_NUL_SCAN_BYTES = 1 << 20
+_NUL_SCAN_BYTES = 1 << 18  # the blocks of curves.line_ends
 
 
 def _path_text(tree: GenealogyTree, rows: slice) -> np.ndarray:
@@ -395,7 +395,7 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     """
     columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
                tree.birth_time)  # a derived birth time is built once, here
-    step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 128 // (tree.depth + 1)))
+    step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 512 // (tree.depth + 1)))
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
         for start in range(0, len(tree), step):
@@ -441,20 +441,12 @@ def _breadth_first_order(slot: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _row_bound(path) -> int:
-    """At least the rows after the header: the line ends, ``\\r\\n`` once.
-    Refuses a NUL byte, reading one block at a time: ``S`` fields drop
-    trailing NULs, so a path ``"1\\0"`` would read as ``"1"``."""
-    ends, cr_last = 0, False
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_NUL_SCAN_BYTES), b""):
-            byte = np.frombuffer(block, dtype=np.uint8)
-            if not byte.all():
-                raise ValueError("genealogy CSV holds a NUL byte")
-            lf, cr = byte == ord("\n"), byte == ord("\r")  # \r\n ends one
-            ends += (np.count_nonzero(lf) + np.count_nonzero(cr)
-                     - np.count_nonzero(cr[:-1] & lf[1:]) - (cr_last and lf[0]))
-            cr_last = cr[-1]
-    return int(ends)
+    """At least the rows after the header (:func:`~gftree.curves.line_ends`);
+    refuses a NUL byte, as ``S`` fields read a path ``"1\\0"`` as ``"1"``."""
+    ends, nul = line_ends(path, _NUL_SCAN_BYTES)
+    if nul:
+        raise ValueError("genealogy CSV holds a NUL byte")
+    return ends
 
 
 @contextlib.contextmanager

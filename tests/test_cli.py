@@ -689,6 +689,18 @@ def _empty_conditioning_set(tmp_path, monkeypatch):
             "--full-only", "--threshold", 100]
 
 
+def _one_cell_genealogy(tmp_path, monkeypatch):
+    return ["estimate", "--input", _write(
+        tmp_path / "genealogy.csv",
+        "path,size_birth,growth_rate,lifetime,birth_time\n,1.0,1.0,0.5,0\n")]
+
+
+def _one_usable_row(tmp_path, monkeypatch):
+    return ["ingest", "--input", _write(
+        tmp_path / "cells.csv",
+        "size_birth,growth_rate,lifetime\n1.0,1.0,0.5\n0.0,1.0,0.5\n")]
+
+
 # error -> (exit code, message fragment, arguments); README "Exit codes"
 EXIT_CODES = {
     "SchemaError": (2, "missing columns", _schema_error),
@@ -700,6 +712,9 @@ EXIT_CODES = {
     "EmptyConditioningSet": (3, "n = 32", _empty_conditioning_set),
     "EmptyAfterFiltering": (3, "no usable rows", _empty_after_filtering),
     "ForestTooLarge": (3, "lower --t", _forest_too_large),
+    # the bandwidth and threshold rules need n >= 2 cells, as in study
+    "UsageError-one-cell": (2, "--input at n = 1", _one_cell_genealogy),
+    "UsageError-one-row": (2, "--input at n = 1", _one_usable_row),
 }
 
 

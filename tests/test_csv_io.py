@@ -235,8 +235,8 @@ def test_writer_fallback_values_match_oracle(tmp_path, scheme):
 
 def test_writer_memory_is_bounded_by_block(tmp_path, variability_spec,
                                           peak_bytes):
-    # 2^16 - 1 rows fill two blocks and 2^17 - 1 rows four, so the peak
-    # holds if no block builds the whole file
+    # 2^16 - 1 rows fill eight blocks and 2^17 - 1 rows sixteen, so the
+    # peak holds if no block builds the whole file
     def peak(generations):
         tree = simulate_full_tree(variability_spec, generations, seed=28)
         return peak_bytes(lambda: write_genealogy_csv(tree,
@@ -642,21 +642,63 @@ def test_ingest_matches_oracle(tmp_path, monkeypatch, case):
     assert report.to_json_dict() == want_report.to_json_dict()
     for col in ("size_birth", "growth_rate", "lifetime"):
         x, y = getattr(obs, col), getattr(want_obs, col)
-        assert x.strides == y.strides and np.array_equal(x, y), col
+        # one contiguous array per column; a one-cell column has no stride
+        # to compare (the oracle's is a row of its table, 24 bytes)
+        assert x.flags.c_contiguous and np.array_equal(x, y), col
 
 
 def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes):
-    """Ingest holds the parsed (row, 3) table (24 B/row) while it copies
-    out three contiguous columns (24 B/row), and the observation checks
-    take 2 B/row: 50 B/row.  Copying the accepted rows and then the kept
-    rows whole as well, when every row was both, took 90 B/row."""
+    """Ingest parses blocks of ``_INGEST_ROWS`` rows into three float
+    columns sized by the file's line ends (24 B/row) and an accepted-row
+    mask (1 B/row), beside the fixed scratch of the line scan and one
+    block: 37.5 B/row at 2^16 - 1 rows.  Parsing the whole file as one
+    (row, 3) table and copying the three columns out took 50 B/row, and
+    copying the accepted rows and then the kept rows whole as well, when
+    every row was both, 90 B/row."""
     path = tmp_path / "tree.csv"
     write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=32),
                         path)
     peak, (obs, report) = peak_bytes(lambda: ingest_lineage_csv(path))
     assert obs.n == report.accepted == 2 ** 16 - 1
     assert all(getattr(obs, c).flags.c_contiguous for c in DEFAULT_COLUMN_MAP)
-    assert peak < 60 * obs.n
+    assert peak < 40 * obs.n
+
+
+def test_ingest_memory_per_cell(tmp_path, variability_spec, peak_bytes):
+    """Each cell costs its three float columns and its accepted-row flag,
+    25 B; files of 2^16 - 1 and 2^17 - 1 rows share the same fixed scratch,
+    so the difference of their peaks is the cells' own cost.  The parent
+    layout, a whole-file table copied into columns, cost 50 B/cell."""
+    def peak(generations):
+        path = tmp_path / f"tree{generations}.csv"
+        write_genealogy_csv(
+            simulate_full_tree(variability_spec, generations, seed=33), path)
+        return peak_bytes(lambda: ingest_lineage_csv(path))
+
+    (small, _), (large, (obs, _)) = peak(15), peak(16)
+    assert obs.n == 2 ** 17 - 1
+    assert large - small < 26 * 2 ** 16
+
+
+def test_ingest_lineage_column_memory_per_row(tmp_path, variability_spec,
+                                              peak_bytes):
+    """With a lineage column, a row also holds its key (a reference and a
+    short string) while the lineages are ordered, and the kept rows are
+    taken into new columns one at a time: 131 B/row at 2^16 - 1 rows
+    with 1,000 lineages.  Parsing the whole file as one table and copying
+    the kept rows and then each column took 144 B/row."""
+    source = tmp_path / "tree.csv"
+    write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=34),
+                        source)
+    lines = source.read_text().splitlines()
+    path = tmp_path / "lineages.csv"
+    path.write_text("lineage_id," + lines[0] + "\n" + "".join(
+        f"L{k % 1000},{line}\n" for k, line in enumerate(lines[1:])))
+    peak, (obs, report) = peak_bytes(
+        lambda: ingest_lineage_csv(path, drop_first=1))
+    assert report.lineages == 1000 and obs.n == 2 ** 16 - 1 - 1000
+    assert all(getattr(obs, c).flags.c_contiguous for c in DEFAULT_COLUMN_MAP)
+    assert peak < 135 * obs.n
 
 
 def test_ingest_drop_last_beyond_lineage_length_drops_all(tmp_path):

@@ -447,17 +447,17 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
 
 
 def test_one_row_kernel_sums_memory_per_cell(peak_bytes):
-    """One row is binned from its slice in reach, with no row offsets, and
-    its upper bin shares are summed before the lower ones overwrite the
-    fractions: the sorted sizes and the lattice fractions and indices,
-    24 B per cell.  A copy of the slice, zero offsets and a ``1 - t``
-    temporary took 33 B/cell."""
+    """One row is binned ``BIN_BLOCK`` sizes at a time, so only the sorted
+    sizes grow with the cells, 8 B per cell, beside a fixed 1 MB of block
+    scratch: 12 B/cell at 2^18.  Binning the whole slice in reach at once
+    took its lattice fractions and indices as well, 26 B/cell; a copy of
+    the slice, zero offsets and a ``1 - t`` temporary took 33 B/cell."""
     n = 2 ** 18
     sizes = np.random.default_rng(3).lognormal(0.0, 0.4, (1, n))
     centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
     peak, _ = peak_bytes(lambda: estimator._kernel_sums(
         sizes, centers, bandwidth(PowerBandwidth(), n), GaussianKernel()))
-    assert peak < 28 * n
+    assert peak < 14 * n
 
 
 def sample_rows(r, n, seed):
@@ -472,20 +472,54 @@ def sample_rows(r, n, seed):
 
 def test_coverage_blocks_across_rows_give_the_same_sums(monkeypatch):
     xi, tau, zeta = sample_rows(3, 255, seed=11)
-    args = (xi, evaluation_grid(0.01, 400), 1.0 / tau, xi * np.exp(tau * zeta))
+    upper = xi * np.exp(tau * zeta)
+    args = (xi, evaluation_grid(0.01, 400), tau, lambda i, s, v: upper[i])
     whole = estimator._coverage_sums(*args)
     monkeypatch.setattr(estimator, "_COVER_BLOCK", 7)  # blocks straddle rows
     assert np.array_equal(estimator._coverage_sums(*args), whole)
 
 
+def whole_row_coverage_sums(sizes, y, weight, upper):
+    """Coverage sums as one ``bincount`` per edge over whole rows, each
+    row's cells in ascending weight order."""
+    order = np.argsort(weight, axis=1)
+    r, n = order.shape
+    m = y.size + 1
+    offset = m * np.repeat(np.arange(r), n)
+    w = np.take_along_axis(weight, order, axis=1).ravel()
+
+    def edge(x, side):
+        x = np.take_along_axis(x, order, axis=1).ravel()
+        return np.bincount(np.searchsorted(y, x, side) + offset, w, r * m)
+
+    sums = edge(sizes, "left") - edge(upper, "right")
+    return np.cumsum(sums.reshape(r, m), axis=1)[:, :-1]
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_coverage_sums_equal_whole_row_bincounts(monkeypatch, block):
+    """Blocks of the rate order added by ``np.add.at`` equal whole-row
+    ``bincount``s of the weights 1/rate bit for bit: with tied rates, and
+    with the rows' pooled rates broadcast along them."""
+    monkeypatch.setattr(estimator, "_COVER_BLOCK", block)
+    xi, tau, zeta = sample_rows(3, 1023, seed=13)
+    tau[:, ::2] = np.round(tau[:, ::2], 1)
+    y = evaluation_grid(0.01, 400)
+    pooled = np.broadcast_to(tau.mean(axis=1, keepdims=True), xi.shape)
+    for rate in (tau, pooled):
+        upper = xi * np.exp(rate * zeta)
+        assert np.array_equal(
+            estimator._coverage_sums(xi, y, rate, lambda i, s, v: upper[i]),
+            whole_row_coverage_sums(xi, y, 1.0 / rate, upper))
+
+
 def test_estimator_scratch_per_row(peak_bytes):
-    """On a fixed grid and bandwidth the estimate's scratch grows by 32 B
-    per cell: the coverage sums hold four cell arrays at once (upper edges,
-    weight order, sorted weights, then bucket edges, its weights freed once
-    sorted) and free them before the kernel sums, which hold the sorted
-    sizes, the lattice positions and indices and their row offsets.
-    Holding the weights and upper edges through both, and one edge's
-    gathered sizes and buckets at once, took 58 B/cell."""
+    """On a fixed grid and bandwidth the estimate's scratch grows by 8 B
+    per cell: the coverage sums hold the rate order and build weights,
+    upper edges and buckets ``_COVER_BLOCK`` cells at a time, and the
+    kernel sums hold the sorted sizes and bin them in blocks.  Whole-row
+    weights, upper edges and bucket edges took 32 B/cell, and holding the
+    weights and upper edges through both sums 58 B/cell."""
     config = EstimatorConfig(bandwidth_rule=FixedBandwidth(0.05),
                              grid=GridSpec(dx=0.01))
 
@@ -493,7 +527,7 @@ def test_estimator_scratch_per_row(peak_bytes):
         obs = ObservationSet(*(row[0] for row in sample_rows(1, n, seed=12)))
         return peak_bytes(lambda: estimate_division_rate(obs, config))[0]
 
-    assert peak(2 ** 17) - peak(2 ** 16) < 40 * 2 ** 16
+    assert peak(2 ** 17) - peak(2 ** 16) < 10 * 2 ** 16
 
 
 @pytest.mark.parametrize("r, n", [(1, 255), (4, 31), (5, 255), (3, 1023)])
@@ -529,10 +563,11 @@ def test_rows_equal_one_row_sums_on_uneven_centers():
                                                 kern)[0])
     y = np.sort(centers)
     upper = xi * np.exp(tau * zeta)
-    rows = estimator._coverage_sums(xi, y, 1.0 / tau, upper)
+    rows = estimator._coverage_sums(xi, y, tau, lambda i, s, v: upper[i])
     for k in range(4):
         assert np.array_equal(rows[k], estimator._coverage_sums(
-            xi[k][None], y, 1.0 / tau[k][None], upper[k][None])[0])
+            xi[k][None], y, tau[k][None],
+            lambda i, s, v: upper[k][None][i])[0])
 
 
 def test_parent_indexed_rows_equal_one_row_estimates(variability_spec):
@@ -541,7 +576,7 @@ def test_parent_indexed_rows_equal_one_row_estimates(variability_spec):
     xi = np.array([t.size_birth for t in trees])
     ps, pg, cs = (np.array([c[j] for c in cols]) for j in range(3))
     batch = estimator._assemble(xi, EstimatorConfig(), lambda y: (
-        estimator._coverage_sums(ps, y, 1.0 / pg, 2.0 * cs)))
+        estimator._coverage_sums(ps, y, pg, lambda i, s, v: 2.0 * cs[i])))
     for k, tree in enumerate(trees):
         want = estimate_division_rate_parent_indexed(
             extract_observations(tree), *cols[k])

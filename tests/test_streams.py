@@ -102,3 +102,25 @@ def test_stream_functions_never_modify_their_inputs():
                                              index))
     assert np.array_equal(streams.draw_uniform(view, part, 3),
                           streams.draw_uniform(view.copy(), 7, 3))
+
+
+def test_draws_leave_read_only_keys_unchanged():
+    """A draw folds its counter in place, but only into the array its first
+    fold allocated: a read-only key column, or a view of one, would raise
+    on any write, and comes back unchanged."""
+    keys = streams.child_keys(streams.run_key(12),
+                              np.arange(40, dtype=np.uint64) % np.uint64(2))
+    keys.flags.writeable = False
+    before = keys.copy()
+    for view in (keys, keys[5:25], keys[:1]):
+        outs = [streams.draw_uniform(view, streams.STREAM_LIFETIME, 0),
+                streams.draw_uniform(view, streams.STREAM_GROWTH, 3),
+                streams.draw_bit(view, streams.STREAM_CHILD_CHOICE, 0),
+                streams.child_keys(view, 1)]
+        assert np.array_equal(keys, before)
+        for out in outs:
+            assert out.shape == view.shape
+            assert not np.shares_memory(out, keys)
+    # the in-place fold gives the two folds of combine
+    assert np.array_equal(streams.draw_hash(keys, 4, 9), streams.combine(
+        streams.combine(keys, 4), 9))
