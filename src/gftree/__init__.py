@@ -28,7 +28,7 @@ from .model import (ClassParams, ClassReport, DiracGrowth, DivisionRate,
 from .studies import (ConfidenceBand, ConvergenceStudy, EmptyAfterFiltering,
                       EmptyConditioningSet, ErrorSummary, IngestReport,
                       SchemaError, analyze_experimental, confidence_band,
-                      estimate_error, ingest_lineage_csv, relative_error,
+                      ingest_lineage_csv, relative_error,
                       run_convergence_study)
 from .trees import (BatteryResult, ForestTooLarge, GenealogyTree,
                     extract_observations, many_to_one_battery,

@@ -1,8 +1,20 @@
-"""Pure-numpy implementations of the hot kernels."""
+"""Hot numerical kernels in numpy: the binned kernel sums of many rows
+(``kernel_sums_rows``, one windowed dot product per lattice point the
+centers read) or one (``kernel_sums``), lifetimes and the explicit march
+``pde_run`` of the PDE's upwind operator.  ``BACKEND`` and
+``compiled_backend()`` exist for the machine stamp of
+``perfbench/run.py``; numpy is the only implementation."""
 
 from __future__ import annotations
 
 import numpy as np
+
+BACKEND = "numpy"
+
+
+def compiled_backend():
+    """Always None: there is no compiled extension."""
+    return None
 
 
 def powerlaw_lifetimes(u: np.ndarray, x: np.ndarray, v: np.ndarray,

@@ -28,7 +28,7 @@ from .estimator import (EstimatorConfig, FixedBandwidth, FixedThreshold,
                         bandwidth, estimate_division_rate,
                         estimate_division_rate_parent_indexed,
                         estimate_division_rate_pooled, threshold,
-                        write_estimate_report, write_estimate_tsv)
+                        write_estimate_tsv)
 from .invariant import (QuadratureOverflow, flux_identity_error,
                         invariant_fixed_point, reconstruct_division_rate,
                         solve_conservative_pde, steady_state_relation_error,
@@ -291,7 +291,8 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tsv = out / "estimate.tsv"
     write_estimate_tsv(est, tsv)
-    write_estimate_report(est, config, out / "estimate.json")
+    _write_json(out / "estimate.json",
+                {"config": config.to_json_dict(), **est.report_dict()})
     if args.cross_check:
         ps, pg, cs = parent_child_arrays(tree)
         alt = estimate_division_rate_parent_indexed(obs, ps, pg, cs, config)
@@ -375,14 +376,13 @@ def cmd_verify(args) -> int:
                 "population": r.population_mean, "z": r.z,
             } for r in results],
         }
-    if args.class_check or args.drift:
+    if args.class_check or args.drift:  # --drift reads the same params
         params = reference_class_params()
         report = check_class_membership(params, spec.division_rate,
                                         spec.bounds, mode=args.scheme_check)
         verdicts["class_membership"] = {"pass": report.all_ok,
                                         **report.to_json_dict()}
     if args.drift:
-        params = reference_class_params()
         try:
             drift = verify_drift(params, spec.division_rate, spec.bounds)
             verdicts["drift"] = {"pass": drift.contracts,
@@ -410,8 +410,9 @@ def cmd_pde_check(args) -> int:
     lo, hi = args.check_lo, args.check_hi
     if lo + args.grid_dx > hi:
         raise UsageError("need --check-lo + --grid-dx <= --check-hi")
-    inv = invariant_fixed_point(rate, tau, x_max=args.grid_xmax,
-                                dx=args.grid_dx)
+    with _usage(f"--b {args.b!r}"):  # a rate not vanishing linearly at 0
+        inv = invariant_fixed_point(rate, tau, x_max=args.grid_xmax,
+                                    dx=args.grid_dx)
     recon = reconstruct_division_rate(
         inv, tau, np.arange(lo, hi + args.grid_dx / 2, args.grid_dx))
     closed_loop = float(np.max(np.abs(recon.values - rate(recon.x))
@@ -458,21 +459,14 @@ def cmd_ingest(args) -> int:
     if args.map:
         for pair in args.map.split(","):
             fld, _, col = pair.partition("=")
-            fld = fld.strip()
             if not col:
                 raise UsageError(f"bad --map entry {pair!r}; use field=column")
-            if fld not in studies.DEFAULT_COLUMN_MAP:
-                raise UsageError(
-                    f"unknown --map field {fld!r}; valid fields are "
-                    f"{', '.join(studies.DEFAULT_COLUMN_MAP)}")
-            colmap[fld] = col.strip()
-    try:
+            colmap[fld.strip()] = col.strip()
+    with _usage(f"lineage CSV {path}"):  # e.g. a --map field or a column
         obs, report = ingest_lineage_csv(path, colmap or None,
                                          lineage_column=args.lineage_column,
                                          drop_first=args.drop_first,
                                          drop_last=args.drop_last)
-    except studies.SchemaError as exc:
-        raise UsageError(f"bad lineage CSV {path}: {exc}") from exc
     check_grid(config, obs.n, "--input")
     analysis = studies.analyze_experimental(obs, config)
     out = Path(args.out)

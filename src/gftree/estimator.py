@@ -14,7 +14,6 @@ ratio defined where the data carry no mass.  Samples of one size are rows of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -136,10 +135,11 @@ class CompactPolynomialKernel:
 KernelSpec = Union[GaussianKernel, CompactPolynomialKernel]
 
 
-def kernel_moment(kernel: KernelSpec, k: int, points: int = 400) -> float:
-    """integral z^k K(z) dz by Gauss-Legendre quadrature on the support."""
+def kernel_moment(kernel: KernelSpec, k: int) -> float:
+    """integral z^k K(z) dz by 400-point Gauss-Legendre quadrature on the
+    support."""
     r = kernel.support_radius
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     z = nodes * r
     return float(np.sum(weights * r * (z ** k if k else 1.0) * kernel(z)))
 
@@ -527,12 +527,3 @@ def write_estimate_tsv(estimate: DivisionRateEstimate, path) -> None:
         "raw_denominator": estimate.raw_denominator,
         "clipped": estimate.clipped.astype(np.int64),
     })
-
-
-def write_estimate_report(estimate: DivisionRateEstimate,
-                          config: EstimatorConfig, path) -> None:
-    """JSON sidecar with the config echo and diagnostics."""
-    doc = {"config": config.to_json_dict(), **estimate.report_dict()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -139,7 +139,8 @@ def _size_kernel_factors(rate: DivisionRate, tau: float, x: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = rate(2.0 * x) / (tau * x) * np.exp(-phi)
     a = np.where(x <= 0, _origin_limit(rate, tau), a)
-    b = np.exp(phi_half)
+    with np.errstate(over="ignore"):  # checked by the caller
+        b = np.exp(phi_half)
     return a, b
 
 
@@ -190,6 +191,9 @@ def invariant_fixed_point(rate: DivisionRate, tau: float, x_max: float = 5.0,
     if not np.all(np.isfinite(a)):
         raise ValueError("size kernel diverges at the origin for this rate; "
                          "use a rate vanishing at least linearly at 0")
+    if not np.all(np.isfinite(b)):  # e^{Phi(x/2)}, large for a small tau
+        raise NoConvergence("size kernel overflows on the grid; raise tau "
+                            "or lower x_max", math.inf)
     # number of x-grid points with x_j <= 2 y_i
     half_index = np.minimum(np.floor(2.0 * x / dx + 1e-12).astype(np.int64) + 1, m)
 
@@ -487,17 +491,18 @@ class DriftReport:
 
 
 def verify_drift(params: ClassParams, rate: DivisionRate,
-                 bounds: GrowthBounds, x_max: float = 8.0,
-                 dx: float = 1e-2, quad_points: int = 2001) -> DriftReport:
+                 bounds: GrowthBounds, x_max: float = 8.0) -> DriftReport:
     """Evaluate (P V)(x, v) by quadrature over the child size and compare
     with delta V(x) beyond r (and report the bound on [0, r)).
 
     The rate-kernel part integrates out exactly since V depends on size
     only; v enters through the size transition and is scanned over the band.
-    Each x integrates on its own grid starting exactly at x/2, with the log
-    of the integrand assembled first so large weights never overflow.
+    Each x of the grid of step 1e-2 integrates on its own grid of 2001
+    points starting exactly at x/2, with the log of the integrand assembled
+    first so large weights never overflow.
     """
     lam, mcst, r = params.lam, params.m, params.r
+    dx = 1e-2
 
     def exponent_at(x):
         return mcst * np.asarray(x) ** lam / (bounds.e_min * lam)
@@ -539,7 +544,7 @@ def verify_drift(params: ClassParams, rate: DivisionRate,
     log_v_x = exponent_at(xs)
     for i, v in enumerate(v_grid):
         # per-x child grid from x/2 to y_hi (boundary is a quadrature node)
-        s = np.linspace(0.0, 1.0, quad_points)
+        s = np.linspace(0.0, 1.0, 2001)
         half = xs[:, None] / 2.0
         ygrid = half + (y_hi - half) * s[None, :]
         phi_y = _halved_rate_over_x_antiderivative(rate, ygrid, v)

@@ -245,9 +245,8 @@ def sample_lifetimes_keyed(rate: DivisionRate, node_keys: np.ndarray,
     """
     u = streams.draw_uniform(node_keys, streams.STREAM_LIFETIME, 0)
     if isinstance(rate, PowerLawRate):
-        return _hot.powerlaw_lifetimes(
-            np.ascontiguousarray(u), np.ascontiguousarray(x),
-            np.ascontiguousarray(v), rate.coefficient, rate.exponent)
+        return _hot.powerlaw_lifetimes(u, x, v, rate.coefficient,
+                                       rate.exponent)
     return np.asarray(rate.invert_hazard(x, v, -np.log(u)))
 
 
@@ -589,14 +588,14 @@ class ModelSpec:
             if not (self.bounds.e_min <= lo <= hi <= self.bounds.e_max):
                 raise ValueError("initial growth range outside [e_min, e_max]")
 
-    def to_json(self, **dump_kwargs) -> str:
+    def to_json(self) -> str:
         doc = {
             "division_rate": self.division_rate.to_json_dict(),
             "growth_kernel": self.growth_kernel.to_json_dict(),
             "bounds": {"e_min": self.bounds.e_min, "e_max": self.bounds.e_max},
             "initial": self.initial.to_json_dict(),
         }
-        return json.dumps(doc, sort_keys=True, **dump_kwargs)
+        return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
@@ -733,13 +732,13 @@ class ClassReport:
 
 
 def check_class_membership(params: ClassParams, rate: DivisionRate,
-                           bounds: GrowthBounds, mode: str = "sparse",
-                           x_max: float = 50.0) -> ClassReport:
+                           bounds: GrowthBounds,
+                           mode: str = "sparse") -> ClassReport:
     """Check the rate against the admissibility class and the contraction
     proxy (threshold 1 for the sparse scheme, 1/2 for the full scheme).
 
     The power-law floor is checked as the minimum of B(x)/x^lam over a log
-    grid on [r, x_max].  The spectral-radius side condition of the full
+    grid on [r, max(50, 2 r)].  The spectral-radius side condition of the full
     scheme has no constructive evaluation and is only flagged.
     """
     if mode not in ("sparse", "full"):
@@ -747,7 +746,7 @@ def check_class_membership(params: ClassParams, rate: DivisionRate,
     r = params.r
     i0 = _halved_rate_log_integral(rate, 0.0, r / 2.0)
     i1 = _halved_rate_log_integral(rate, r / 2.0, r)
-    xs = np.geomspace(r, max(x_max, 2 * r), 512)
+    xs = np.geomspace(r, max(50.0, 2 * r), 512)
     floor = float(np.min(rate(xs) / xs ** params.lam))
     delta = contraction_coefficient(params, bounds)
     threshold = 1.0 if mode == "sparse" else 0.5

@@ -75,14 +75,6 @@ def relative_error(estimate: CurveOnGrid, truth: DivisionRate,
     return float(np.sqrt(np.sum(diff ** 2) / np.sum(np.asarray(truth(y)) ** 2)))
 
 
-def estimate_error(est: DivisionRateEstimate, truth: DivisionRate,
-                   conditioning: Optional[float] = None) -> float:
-    """Relative error of a full estimate; the conditioning threshold
-    defaults to the estimator's own floor, ``est.threshold_value``."""
-    cond = conditioning if conditioning is not None else est.threshold_value
-    return relative_error(est.curve, truth, est.raw_denominator, cond)
-
-
 # ---------------------------------------------------------------------------
 # Convergence study
 # ---------------------------------------------------------------------------
@@ -180,8 +172,7 @@ def _run_keys(seed: int, log2_size: int, reps: range) -> np.ndarray:
 
 def _replicate_results(sizes_log2: Sequence[int], reps: range,
                        spec: ModelSpec, scheme: str, config: EstimatorConfig,
-                       seed: int, kind: str,
-                       conditioning: Optional[float] = None) -> dict:
+                       seed: int, kind: str) -> dict:
     """{k: one result per replicate in ``reps`` at target size 2^k} for the
     sizes in ``sizes_log2`` (longest first), each replicate a lane of one
     forest (full: k-1 generations, 2^k - 1 records; sparse: a lineage of
@@ -192,17 +183,17 @@ def _replicate_results(sizes_log2: Sequence[int], reps: range,
     for lanes, cols in grow_replicates(spec, scheme,
                                        np.repeat(levels, len(reps)), keys):
         out[sizes_log2[lanes.start // len(reps)]] = _scores(
-            cols, spec, config, kind, conditioning)
+            cols, spec, config, kind)
         del cols
     return out
 
 
 def _scores(cols: np.ndarray, spec: ModelSpec, config: EstimatorConfig,
-            kind: str, conditioning: Optional[float]) -> list:
+            kind: str) -> list:
     """Per row of the (column, row, cell) array ``cols``, estimated in
     passes of at most ``_FOREST_CELLS`` cells that bound the memory: its
-    curve (``kind="curve"``), its :func:`estimate_error` or nan when no
-    grid point passes the conditioning (``"error"``), or its aware and
+    curve (``kind="curve"``), its :func:`relative_error` on its own floor
+    or nan when no grid point passes it (``"error"``), or its aware and
     pooled errors for :func:`variability_ablation` (``"ablation"``)."""
     step = max(1, _FOREST_CELLS // cols.shape[2])  # rows per pass
 
@@ -225,7 +216,9 @@ def _scores(cols: np.ndarray, spec: ModelSpec, config: EstimatorConfig,
     out = []
     for est in aware:
         try:
-            out.append(estimate_error(est, spec.division_rate, conditioning))
+            out.append(relative_error(est.curve, spec.division_rate,
+                                      est.raw_denominator,
+                                      est.threshold_value))
         except EmptyConditioningSet:
             out.append(math.nan)
     return out
@@ -234,8 +227,7 @@ def _scores(cols: np.ndarray, spec: ModelSpec, config: EstimatorConfig,
 def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
                           replicates: int, scheme: str = "full",
                           config: EstimatorConfig = EstimatorConfig(),
-                          seed: int = 0, workers: int = 1,
-                          conditioning: Optional[float] = None
+                          seed: int = 0, workers: int = 1
                           ) -> ConvergenceStudy:
     """M replicate simulate+estimate runs per size; least-squares slope of
     log mean-error against log size.
@@ -252,7 +244,7 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
     if not sizes_log2:
         raise ValueError("need at least one size")
     job = partial(_replicate_results, spec=spec, scheme=scheme, config=config,
-                  seed=seed, kind="error", conditioning=conditioning)
+                  seed=seed, kind="error")
     errors = _map_batches(job, _batches(sizes_log2, replicates, scheme),
                           workers)
     rows = []

@@ -30,8 +30,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -562,31 +562,23 @@ class BatteryResult:
         return abs(self.tagged_mean - self.population_mean) <= n_se * self.combined_se
 
 
-def default_battery() -> list[tuple[str, Callable]]:
-    """Indicators and compactly x-supported polynomials in
-    (size, rate, cumulated growth)."""
-    return [
-        ("one", lambda x, v, w: np.ones_like(x)),
-        ("ind[0.5,1.5]", lambda x, v, w: ((x >= 0.5) & (x <= 1.5)).astype(float)),
-        ("x*ind[x<=2]", lambda x, v, w: x * (x <= 2.0)),
-        ("x^2*ind[x<=3]", lambda x, v, w: x * x * (x <= 3.0)),
-        ("v*ind[x<=2]", lambda x, v, w: v * (x <= 2.0)),
-        ("w*ind[x<=2]", lambda x, v, w: w * (x <= 2.0)),
-        ("(x-1)^2*ind[x<=2.5]", lambda x, v, w: (x - 1.0) ** 2 * (x <= 2.5)),
-    ]
+# Indicators and compactly x-supported polynomials phi(size, rate,
+# cumulated growth): the test functions of the many-to-one check.
+_BATTERY = (
+    ("one", lambda x, v, w: np.ones_like(x)),
+    ("ind[0.5,1.5]", lambda x, v, w: ((x >= 0.5) & (x <= 1.5)).astype(float)),
+    ("x*ind[x<=2]", lambda x, v, w: x * (x <= 2.0)),
+    ("x^2*ind[x<=3]", lambda x, v, w: x * x * (x <= 3.0)),
+    ("v*ind[x<=2]", lambda x, v, w: v * (x <= 2.0)),
+    ("w*ind[x<=2]", lambda x, v, w: w * (x <= 2.0)),
+    ("(x-1)^2*ind[x<=2.5]", lambda x, v, w: (x - 1.0) ** 2 * (x <= 2.5)),
+)
 
 
-def _point_size_spec(spec: ModelSpec, x0: float) -> ModelSpec:
-    init = spec.initial
-    return ModelSpec(spec.division_rate, spec.growth_kernel, spec.bounds,
-                     InitialDistribution(x0, x0, init.growth_low,
-                                         init.growth_high, init.growth_value))
-
-
-def _forest_moments(spec: ModelSpec, t: float, battery, replicates: int,
-                    seed: int, tagged: bool):
+def _forest_moments(spec: ModelSpec, t: float, replicates: int, seed: int,
+                    tagged: bool):
     """Monte Carlo means (and standard errors) over ``replicates`` roots of
-    phi(size, rate, cumulated growth) at time t.
+    each phi of ``_BATTERY`` at time t.
 
     ``tagged`` follows one uniformly picked branch per root and scores its
     cell alive at t; otherwise whole trees are grown exactly up to t and
@@ -596,7 +588,7 @@ def _forest_moments(spec: ModelSpec, t: float, battery, replicates: int,
     """
     run_keys = streams.combine(streams.run_key(seed, 1 if tagged else 2),
                                np.arange(replicates, dtype=np.uint64))
-    sums = np.zeros((len(battery), replicates))
+    sums = np.zeros((len(_BATTERY), replicates))
     # a root's cells stay contiguous and breadth-first in any forest, so
     # each root's sum adds in the same order whatever batch it is in
     for lo in range(0, replicates, _FOREST_ROOTS):
@@ -615,20 +607,21 @@ def _forest_moments(spec: ModelSpec, t: float, battery, replicates: int,
             else:
                 x_t = forest.size[a] * np.exp(rate * age)
                 weight = x_t * np.exp(-w_t) / forest.root_size[root]
-            for row, (_, phi) in zip(sums[:, batch], battery):
+            for row, (_, phi) in zip(sums[:, batch], _BATTERY):
                 np.add.at(row, root, weight * phi(x_t, rate, w_t))
     return [(name, float(np.mean(vals)),
              float(np.std(vals, ddof=1) / math.sqrt(replicates)))
-            for (name, _), vals in zip(battery, sums)]
+            for (name, _), vals in zip(_BATTERY, sums)]
 
 
-def many_to_one_battery(spec: ModelSpec, t: float, replicates: int, seed: int,
-                        x0: float = 1.0, battery=None) -> list[BatteryResult]:
-    """Compare tagged-path and weighted-population Monte Carlo means for a
-    battery of test functions, from a fixed root size x0."""
-    battery = battery if battery is not None else default_battery()
-    spec_x = _point_size_spec(spec, x0)
-    tagged = _forest_moments(spec_x, t, battery, replicates, seed, True)
-    pop = _forest_moments(spec_x, t, battery, replicates, seed, False)
+def many_to_one_battery(spec: ModelSpec, t: float, replicates: int,
+                        seed: int) -> list[BatteryResult]:
+    """Compare tagged-path and weighted-population Monte Carlo means for the
+    battery of test functions, from roots of size 1."""
+    init = spec.initial
+    spec_1 = replace(spec, initial=InitialDistribution(
+        1.0, 1.0, init.growth_low, init.growth_high, init.growth_value))
+    tagged = _forest_moments(spec_1, t, replicates, seed, True)
+    pop = _forest_moments(spec_1, t, replicates, seed, False)
     return [BatteryResult(name, tm, ts, pm, ps)
             for (name, tm, ts), (_, pm, ps) in zip(tagged, pop)]

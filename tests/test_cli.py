@@ -209,6 +209,22 @@ def test_study_json_is_strict(tmp_path, sizes):
         assert (doc[scheme]["slope"] is None) == (sizes == "5..5")
 
 
+def test_estimate_json_is_strict(sparse_csv, tmp_path):
+    # estimate.json goes through the same strict writer as study.json
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    written = []
+    for extra in ([], ["--pooled-tau"], ["--cross-check"]):
+        out = tmp_path / f"est{len(written)}"
+        assert run(["estimate", "--input", sparse_csv, *extra, "--out", out,
+                    "--no-timestamp"]) == 0
+        for path in sorted(out.glob("*.json")):
+            assert json.loads(path.read_text(), parse_constant=refuse)
+            written.append(path.name)
+    assert sorted(written) == ["cross_check.json"] + ["estimate.json"] * 3
+
+
 def test_study_counts_replicates_with_empty_conditioning(tmp_path):
     """Under variable growth at 2^5 some replicates keep no grid point above
     the floor: they are counted, and the summary is taken over the rest."""
@@ -537,6 +553,9 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     (["study", "--init-low", -1], "--init-low"),
     (["simulate", "--scheme", "sparse", "--length", 3, "--init-low", 3,
       "--init-high", 1], "--init-low"),
+    # the size kernel diverges at the origin for an exponent below 1
+    (["pde-check", "--b", "x^0.5"], "--b"),
+    (["pde-check", "--b", "x^0.99"], "--b"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):
@@ -673,6 +692,10 @@ def _no_convergence(tmp_path, monkeypatch):
     return ["pde-check", "--grid-dx", 1e-2]
 
 
+def _size_kernel_overflow(tmp_path, monkeypatch):
+    return ["pde-check", "--tau", 0.01]  # e^{Phi(x/2)} overflows on [0, 5]
+
+
 def _degenerate_denominator(tmp_path, monkeypatch):
     # y = 12 lies beyond twice the grid's x_max = 5, where nu carries no mass
     return ["pde-check", "--grid-dx", 1e-2, "--check-hi", 12]
@@ -701,12 +724,21 @@ def _one_usable_row(tmp_path, monkeypatch):
         "size_birth,growth_rate,lifetime\n1.0,1.0,0.5\n0.0,1.0,0.5\n")]
 
 
+def _lineage_not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "cells.csv"
+    path.write_bytes(b"size_birth,growth_rate,lifetime\n1.0,1.0,0.5\n"
+                     b"\xff,1.0,0.5\n")
+    return ["ingest", "--input", path]
+
+
 # error -> (exit code, message fragment, arguments); README "Exit codes"
 EXIT_CODES = {
     "SchemaError": (2, "missing columns", _schema_error),
     "QuadratureOverflow": (4, "drift: FAIL", _quadrature_overflow),
     "NonDivergentHazard": (3, "cumulative hazard", _non_divergent_hazard),
     "NoConvergence": (3, "last residual", _no_convergence),
+    "NoConvergence-overflow": (3, "size kernel overflows",
+                               _size_kernel_overflow),
     "DegenerateDenominator": (3, "invariant mass vanishes",
                               _degenerate_denominator),
     "EmptyConditioningSet": (3, "n = 32", _empty_conditioning_set),
@@ -715,6 +747,7 @@ EXIT_CODES = {
     # the bandwidth and threshold rules need n >= 2 cells, as in study
     "UsageError-one-cell": (2, "--input at n = 1", _one_cell_genealogy),
     "UsageError-one-row": (2, "--input at n = 1", _one_usable_row),
+    "UsageError-not-utf8": (2, "can't decode", _lineage_not_utf8),
 }
 
 

@@ -47,7 +47,7 @@ def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
     hi = np.searchsorted(s, centers + reach, side="right")
     c0, c1 = float(centers.min()), float(centers.max())
     step = (c1 - c0) / (centers.size - 1) if c1 > c0 else h
-    delta = step / np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h)
+    delta = step / np.ceil(step * _hot.BINS_PER_BANDWIDTH / h)
     span = int(reach / delta)
     origin = c0 - (span + 1) * delta
     size = int((c1 - origin) / delta) + span + 3
@@ -72,7 +72,7 @@ def correlated_rows_sums(sizes_sorted, centers, h, radius, scale):
                    for s in sizes_sorted])
     c0, c1 = float(centers.min()), float(centers.max())
     step = (c1 - c0) / (centers.size - 1) if c1 > c0 else h
-    delta = step / np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h)
+    delta = step / np.ceil(step * _hot.BINS_PER_BANDWIDTH / h)
     span = int(reach / delta)
     origin = c0 - (span + 1) * delta
     size = int((c1 - origin) / delta) + span + 3
@@ -387,7 +387,7 @@ def test_valid_correlation_matches_full_convolution(n):
 def lattice_stride(centers, h):
     """Lattice points between evenly spaced centers."""
     step = (centers[-1] - centers[0]) / (centers.size - 1)
-    return int(np.ceil(step * _hot._np.BINS_PER_BANDWIDTH / h))
+    return int(np.ceil(step * _hot.BINS_PER_BANDWIDTH / h))
 
 
 @pytest.mark.parametrize("n", [31, 255, 1023, 16_383])
@@ -408,7 +408,7 @@ def test_windowed_sums_equal_the_correlated_lattice(n):
     cases = [grid, grid[:1], np.array([1.0]),
              np.sort(rng.uniform(0.2, 2.5, 97)), rng.uniform(0.2, 2.5, 40)]
     for stride in (2, 1):
-        step = (stride - 0.5) * h / _hot._np.BINS_PER_BANDWIDTH
+        step = (stride - 0.5) * h / _hot.BINS_PER_BANDWIDTH
         centers = 0.9 + step * np.arange(50)
         assert lattice_stride(centers, h) == stride
         cases.append(centers)
@@ -430,7 +430,7 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
     per-row loop of :func:`correlated_rows_sums`.  At 2^5 every lognormal
     row takes that path, as on the study ladder; at 2^7 only the rows
     moved out of reach do, beside rows that are binned."""
-    monkeypatch.setattr(_hot._np, "PAIR_ROWS", pair_rows)
+    monkeypatch.setattr(_hot, "PAIR_ROWS", pair_rows)
     rng = np.random.default_rng(n + 1)
     xi = rng.lognormal(0.0, 0.4, (12, n))
     xi[::3, 4:] += 50.0

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gftree import _hot
+from gftree import _hot, invariant
 from gftree.curves import CurveOnGrid
 from gftree.invariant import (DegenerateDenominator, InvariantSolution,
                               NoConvergence, QuadratureOverflow,
@@ -153,6 +154,22 @@ def test_invariant_no_convergence_raises():
     with pytest.raises(NoConvergence):
         invariant_fixed_point(SQUARE, 1.0, dx=0.05, tol=1e-14,
                               max_iterations=3)
+
+
+@pytest.mark.parametrize("tau", [0.01, 1e-9])
+def test_invariant_size_kernel_overflow_raises_before_iterating(monkeypatch,
+                                                                tau):
+    # e^{Phi(x/2)} overflows on [0, 5] for a small tau: refused before the
+    # first power step, which would iterate on nan, and without a warning
+    calls = []
+    apply = invariant._apply_size_kernel
+    monkeypatch.setattr(invariant, "_apply_size_kernel",
+                        lambda *a: calls.append(1) or apply(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="overflows"):
+            invariant_fixed_point(SQUARE, tau)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,27 @@ def test_traced_layers_resolve_after_cli_import():
     assert callable(hot.compiled_backend)
 
 
+def test_benchmark_stamp_runs_against_src():
+    # perfbench/run.py stamps every run with this child's output and exits 2
+    # when it fails, so a moved or renamed _hot name would fail every run
+    import ast
+    import json
+    import os
+    import subprocess
+
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text("utf-8"))
+    code, = (node.value.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets] == ["_STAMP_CODE"])
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    stamp = json.loads(out.stdout.strip().splitlines()[-1])
+    assert stamp["backend"] == "numpy"
+    assert stamp["core_imports"] is False
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library entry points", 1)[1]
