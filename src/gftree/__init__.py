@@ -8,9 +8,8 @@ from .estimator import (CompactPolynomialKernel, DivisionRateEstimate,
                         GaussianKernel, GridSpec, InvLogThreshold,
                         InvNThreshold, InvSqrtThreshold, ObservationSet,
                         PowerBandwidth, SmoothnessBandwidth, bandwidth,
-                        coverage_denominator, estimate_division_rate,
-                        estimate_division_rate_pooled, estimate_rows,
-                        kernel_density, threshold)
+                        estimate_division_rate, estimate_division_rate_pooled,
+                        estimate_rows, kernel_density, threshold)
 from .invariant import (DegenerateDenominator, DriftReport,
                         InvariantSolution, NoConvergence, PdeState,
                         QuadratureOverflow, TransitionEvaluator,

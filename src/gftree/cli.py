@@ -116,9 +116,9 @@ def parse_growth_kernel(text: str, bounds: GrowthBounds):
             return DiracGrowth(float(rest or 1.0), bounds)
         if kind in ("uniform-increment", "uniform"):
             parts = [float(p) for p in rest.split(",")] if rest else []
-            alpha = parts[0] if parts else 2.0
-            rms = parts[1] if len(parts) > 1 else 0.5
-            return UniformIncrementGrowth(alpha, rms, bounds)
+            if len(parts) > 2:
+                raise ValueError("takes at most two numbers, ALPHA,RMS")
+            return UniformIncrementGrowth(*parts, bounds=bounds)
         if kind == "gaussian":
             return GaussianIncrementGrowth(float(rest or 0.5), bounds)
     raise UsageError(f"unknown growth kernel kind {kind!r}")
@@ -421,7 +421,8 @@ def cmd_pde_check(args) -> int:
                                  dx=args.grid_dx, t_end=args.t_end,
                                  cfl=args.cfl)
     relation = steady_state_relation_error(inv, pde, rate, 0.5, 2.5)
-    flux = flux_identity_error(pde, rate, tau, 0.5, 2.5)
+    with _usage(f"--grid-xmax {args.grid_xmax}"):  # too short a grid
+        flux = flux_identity_error(pde, rate, tau, 0.5, 2.5)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_tsv(out / "invariant_density.tsv",

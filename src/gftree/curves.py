@@ -1,10 +1,11 @@
-"""Uniform-grid curves and their TSV serialisation, plus the float text and
-row assembly of every text writer and the line count and CSV column loader
-of the genealogy and lineage readers."""
+"""Uniform-grid curves and their TSV serialisation, the JSON of every model
+and estimator part, the float text and row assembly of every text writer,
+and the line count and CSV column loader of the genealogy and lineage
+readers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,9 +39,19 @@ class CurveOnGrid:
         """Linear interpolation, clamped at the ends."""
         return np.interp(xq, self.x, self.values)
 
-    def mass(self) -> float:
-        """Trapezoid integral over the grid."""
-        return float(np.trapezoid(self.values, dx=self.dx))
+
+def part_json(part) -> dict:
+    """A model or estimator part as JSON: its ``json_tag`` (key, value)
+    pair and each constructor field but the growth band ``bounds``, which
+    the model writes once, with arrays as lists."""
+    key, tag = part.json_tag
+    doc = {key: tag}
+    for f in fields(part):
+        if f.init and f.name != "bounds":
+            value = getattr(part, f.name)
+            doc[f.name] = (value.tolist() if isinstance(value, np.ndarray)
+                           else value)
+    return doc
 
 
 # The printf-style format of every float the text writers emit: 17

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from . import _hot
-from .curves import CurveOnGrid, write_curve_tsv
+from .curves import CurveOnGrid, part_json, write_curve_tsv
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class ObservationSet:
     def n(self) -> int:
         return self.size_birth.size
 
-    def division_size(self) -> np.ndarray:
-        """Size reached at division: size_birth * e^{rate * lifetime}."""
-        return self.size_birth * np.exp(self.growth_rate * self.lifetime)
-
 
 # ---------------------------------------------------------------------------
 # Kernels
@@ -68,6 +64,7 @@ class GaussianKernel:
     to unit mass, so it has compact support.  Order 1 (vanishing first
     moment by symmetry)."""
 
+    json_tag = ("form", "gaussian")
     radius: float = 5.0
 
     def __post_init__(self):
@@ -93,9 +90,6 @@ class GaussianKernel:
                        np.exp(-0.5 * z * z) * self._scale, 0.0)
         return out if out.ndim else float(out)
 
-    def to_json_dict(self):
-        return {"form": "gaussian", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class CompactPolynomialKernel:
@@ -106,6 +100,7 @@ class CompactPolynomialKernel:
     to 1 and kills moments 1..order exactly.  Signed for order >= 2.
     """
 
+    json_tag = ("form", "compact_polynomial")
     order: int = 2
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -128,9 +123,6 @@ class CompactPolynomialKernel:
         out = np.where(np.abs(z) <= 1.0, legendre.legval(z, self.coef), 0.0)
         return out if out.ndim else float(out)
 
-    def to_json_dict(self):
-        return {"form": "compact_polynomial", "order": self.order}
-
 
 KernelSpec = Union[GaussianKernel, CompactPolynomialKernel]
 
@@ -150,40 +142,34 @@ def kernel_moment(kernel: KernelSpec, k: int) -> float:
 
 @dataclass(frozen=True)
 class FixedBandwidth:
+    json_tag = ("rule", "fixed")
     h: float
 
     def evaluate(self, n: int) -> float:
         return self.h
-
-    def to_json_dict(self):
-        return {"rule": "fixed", "h": self.h}
 
 
 @dataclass(frozen=True)
 class PowerBandwidth:
     """h = n ** exponent (reference choice: exponent = -1/3)."""
 
+    json_tag = ("rule", "power")
     exponent: float = -1.0 / 3.0
 
     def evaluate(self, n: int) -> float:
         return float(n) ** self.exponent
-
-    def to_json_dict(self):
-        return {"rule": "power", "exponent": self.exponent}
 
 
 @dataclass(frozen=True)
 class SmoothnessBandwidth:
     """h = c0 * n ** (-1/(2s+1)) for smoothness s (squared-loss optimal)."""
 
+    json_tag = ("rule", "smoothness")
     s: float
     c0: float = 1.0
 
     def evaluate(self, n: int) -> float:
         return self.c0 * float(n) ** (-1.0 / (2.0 * self.s + 1.0))
-
-    def to_json_dict(self):
-        return {"rule": "smoothness", "s": self.s, "c0": self.c0}
 
 
 BandwidthRule = Union[FixedBandwidth, PowerBandwidth, SmoothnessBandwidth]
@@ -202,40 +188,35 @@ def bandwidth(rule: BandwidthRule, n: float) -> float:
 
 @dataclass(frozen=True)
 class InvLogThreshold:
+    json_tag = ("rule", "inv_log")
+
     def evaluate(self, n: int) -> float:
         return 1.0 / math.log(n)
-
-    def to_json_dict(self):
-        return {"rule": "inv_log"}
 
 
 @dataclass(frozen=True)
 class InvSqrtThreshold:
+    json_tag = ("rule", "inv_sqrt")
+
     def evaluate(self, n: int) -> float:
         return float(n) ** -0.5
-
-    def to_json_dict(self):
-        return {"rule": "inv_sqrt"}
 
 
 @dataclass(frozen=True)
 class InvNThreshold:
+    json_tag = ("rule", "inv_n")
+
     def evaluate(self, n: int) -> float:
         return 1.0 / float(n)
-
-    def to_json_dict(self):
-        return {"rule": "inv_n"}
 
 
 @dataclass(frozen=True)
 class FixedThreshold:
+    json_tag = ("rule", "fixed")
     value: float
 
     def evaluate(self, n: int) -> float:
         return self.value
-
-    def to_json_dict(self):
-        return {"rule": "fixed", "value": self.value}
 
 
 ThresholdRule = Union[InvLogThreshold, InvSqrtThreshold, InvNThreshold,
@@ -275,12 +256,10 @@ class EstimatorConfig:
     grid: GridSpec = GridSpec()
 
     def to_json_dict(self):
-        return {
-            "kernel": self.kernel.to_json_dict(),
-            "bandwidth": self.bandwidth_rule.to_json_dict(),
-            "threshold": self.threshold_rule.to_json_dict(),
-            "grid": {"dx": self.grid.dx, "x_max": self.grid.x_max},
-        }
+        return {"kernel": part_json(self.kernel),
+                "bandwidth": part_json(self.bandwidth_rule),
+                "threshold": part_json(self.threshold_rule),
+                "grid": {"dx": self.grid.dx, "x_max": self.grid.x_max}}
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +362,6 @@ def _coverage_sums(sizes: np.ndarray, y: np.ndarray, rate: np.ndarray,
         np.add.at(off, _grid_buckets(y, upper(index, s, v), "right") + bins, w)
     on -= off
     return np.cumsum(on.reshape(-1, m), axis=1)[:, :-1]
-
-
-def coverage_denominator(obs: ObservationSet, y, floor: Optional[float] = None):
-    """D(y) = n^-1 sum_i (1/rate_i) 1{size_i <= y <= division_size_i},
-    floored at ``floor`` when given."""
-    if floor is not None and floor <= 0:
-        raise ValueError("floor must be positive")
-    scalar = np.ndim(y) == 0
-    yq = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    rank = np.argsort(np.argsort(yq))
-    raw = _coverage_sums(obs.size_birth[None], np.sort(yq),
-                         obs.growth_rate[None], lambda i, s, v: s * np.exp(
-                             v * obs.lifetime[None][i]))[0, rank] / obs.n
-    out = raw if floor is None else np.maximum(raw, floor)
-    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

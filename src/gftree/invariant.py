@@ -448,12 +448,15 @@ def steady_state_relation_error(invariant: InvariantSolution, pde: PdeState,
 
 def flux_identity_error(pde: PdeState, rate: DivisionRate, tau: float,
                         lo: float, hi: float) -> float:
-    """Max relative pointwise error of
-    integral_y^{2y} B N = tau y N(y) on [lo, hi] (scale-free in N)."""
+    """Max relative pointwise error of integral_y^{2y} B N = tau y N(y)
+    over the grid's y in [lo, hi] with 2y on the grid (scale-free in N);
+    ValueError if there is no such y."""
     x = pde.x
     bn = np.asarray(rate(x)) * pde.values
     cum = np.concatenate([[0.0], np.cumsum((bn[1:] + bn[:-1]) * 0.5 * pde.curve.dx)])
     y = x[(x >= lo) & (x <= hi) & (2 * x <= x[-1])]
+    if not y.size:
+        raise ValueError(f"no y in [{lo}, {hi}] has 2y on the grid")
     lhs = np.interp(2.0 * y, x, cum) - np.interp(y, x, cum)
     rhs = tau * y * pde.curve.interp(y)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional, Union, get_args
 
 import numpy as np
 
 from . import _hot, streams
+from .curves import part_json
 
 HAZARD_TOL = 1e-10
 DEFAULT_T_MAX = 1e4
@@ -48,6 +49,7 @@ class NonDivergentHazard(RuntimeError):
 class PowerLawRate:
     """Division rate B(x) = coefficient * x**exponent (both > 0)."""
 
+    json_tag = ("form", "power_law")
     coefficient: float
     exponent: float
 
@@ -81,10 +83,6 @@ class PowerLawRate:
         p = self.exponent
         out = np.log1p(p * v * e / (self.coefficient * np.power(x, p))) / (p * v)
         return out if out.ndim else float(out)
-
-    def to_json_dict(self):
-        return {"form": "power_law", "coefficient": self.coefficient,
-                "exponent": self.exponent}
 
 
 def _linear_mass_root(f, slope, r):
@@ -126,6 +124,7 @@ class TabulatedRate:
     hazard monotone and bounded on the sampling range.
     """
 
+    json_tag = ("form", "tabulated")
     grid: np.ndarray
     values: np.ndarray
 
@@ -221,10 +220,6 @@ class TabulatedRate:
                   > HAZARD_TOL * np.maximum(1.0, e) + slack):
             raise NonDivergentHazard("hazard inversion did not meet tolerance")
         return t if t.ndim else float(t)
-
-    def to_json_dict(self):
-        return {"form": "tabulated", "grid": self.grid.tolist(),
-                "values": self.values.tolist()}
 
 
 DivisionRate = Union[PowerLawRate, TabulatedRate]
@@ -328,6 +323,7 @@ class GrowthBounds:
 class DiracGrowth:
     """Every cell inherits the same fixed growth rate."""
 
+    json_tag = ("form", "dirac")
     value: float
     bounds: GrowthBounds
 
@@ -339,9 +335,6 @@ class DiracGrowth:
 
     def quantile(self, v_parent, u):
         return np.full(np.shape(v_parent), self.value, dtype=np.float64)
-
-    def to_json_dict(self):
-        return {"form": "dirac", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -355,6 +348,7 @@ class UniformIncrementGrowth:
     otherwise a parent near e_max has no admissible child rate.
     """
 
+    json_tag = ("form", "uniform_increment")
     alpha: float = 2.0
     rms: float = 0.5
     bounds: GrowthBounds = field(default=None)  # type: ignore[assignment]
@@ -403,14 +397,12 @@ class UniformIncrementGrowth:
         inside = GrowthBounds.contains(b, w_child)
         return np.where(inside, dens, 0.0) * (hi - lo) / mass
 
-    def to_json_dict(self):
-        return {"form": "uniform_increment", "alpha": self.alpha, "rms": self.rms}
-
 
 @dataclass(frozen=True)
 class GaussianIncrementGrowth:
     """Child rate = parent rate + Normal(0, std^2) step, conditioned to the band."""
 
+    json_tag = ("form", "gaussian_increment")
     std: float
     bounds: GrowthBounds
 
@@ -444,9 +436,6 @@ class GaussianIncrementGrowth:
         inside = GrowthBounds.contains(b, w_child)
         return np.where(inside, dens, 0.0) / mass
 
-    def to_json_dict(self):
-        return {"form": "gaussian_increment", "std": self.std}
-
 
 @_by_value
 @dataclass(frozen=True)
@@ -454,6 +443,7 @@ class IndependentResampleGrowth:
     """Child rate drawn afresh from a tabulated density on the band,
     independent of the parent."""
 
+    json_tag = ("form", "independent_resample")
     grid: np.ndarray
     density: np.ndarray
     bounds: GrowthBounds = field(default=None)  # type: ignore[assignment]
@@ -506,10 +496,6 @@ class IndependentResampleGrowth:
         inside = GrowthBounds.contains(self.bounds, w_child)
         dens = np.interp(w_child, self.grid, self.density, left=0.0, right=0.0)
         return np.where(inside, dens, 0.0) / self._band_mass
-
-    def to_json_dict(self):
-        return {"form": "independent_resample", "grid": self.grid.tolist(),
-                "density": self.density.tolist()}
 
 
 GrowthKernel = Union[DiracGrowth, UniformIncrementGrowth,
@@ -589,42 +575,19 @@ class ModelSpec:
                 raise ValueError("initial growth range outside [e_min, e_max]")
 
     def to_json(self) -> str:
-        doc = {
-            "division_rate": self.division_rate.to_json_dict(),
-            "growth_kernel": self.growth_kernel.to_json_dict(),
-            "bounds": {"e_min": self.bounds.e_min, "e_max": self.bounds.e_max},
-            "initial": self.initial.to_json_dict(),
-        }
+        doc = {"division_rate": part_json(self.division_rate),
+               "growth_kernel": part_json(self.growth_kernel),
+               "bounds": asdict(self.bounds),
+               "initial": self.initial.to_json_dict()}
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         doc = json.loads(text)
         bounds = GrowthBounds(**doc["bounds"])
-        rate_doc = dict(doc["division_rate"])
-        form = rate_doc.pop("form")
-        if form == "power_law":
-            rate: DivisionRate = PowerLawRate(**rate_doc)
-        elif form == "tabulated":
-            rate = TabulatedRate(np.asarray(rate_doc["grid"]),
-                                 np.asarray(rate_doc["values"]))
-        else:
-            raise ValueError(f"unknown division rate form {form!r}")
-        k_doc = dict(doc["growth_kernel"])
-        k_form = k_doc.pop("form")
-        if k_form == "dirac":
-            kernel: GrowthKernel = DiracGrowth(k_doc["value"], bounds)
-        elif k_form == "uniform_increment":
-            kernel = UniformIncrementGrowth(k_doc.get("alpha", 2.0),
-                                            k_doc.get("rms", 0.5), bounds)
-        elif k_form == "gaussian_increment":
-            kernel = GaussianIncrementGrowth(k_doc["std"], bounds)
-        elif k_form == "independent_resample":
-            kernel = IndependentResampleGrowth(np.asarray(k_doc["grid"]),
-                                               np.asarray(k_doc["density"]),
-                                               bounds)
-        else:
-            raise ValueError(f"unknown growth kernel form {k_form!r}")
+        rate = _part(doc["division_rate"], DivisionRate, "division rate")
+        kernel = _part(doc["growth_kernel"], GrowthKernel, "growth kernel",
+                       bounds=bounds)
         i_doc = doc["initial"]
         g = i_doc.get("growth", {"form": "uniform"})
         initial = InitialDistribution(
@@ -632,6 +595,17 @@ class ModelSpec:
             growth_low=g.get("low"), growth_high=g.get("high"),
             growth_value=g.get("value") if g.get("form") == "point" else None)
         return ModelSpec(rate, kernel, bounds, initial)
+
+
+def _part(doc: dict, kinds, what: str, **bounds):
+    """The part among the classes of the ``Union`` ``kinds`` whose tag is
+    ``doc``'s form, built from ``doc``'s other keys (and ``bounds``)."""
+    doc = dict(doc)
+    form = doc.pop("form")
+    by_form = {cls.json_tag[1]: cls for cls in get_args(kinds)}
+    if form not in by_form:
+        raise ValueError(f"unknown {what} form {form!r}")
+    return by_form[form](**doc, **bounds)
 
 
 def reference_model(growth: str = "uniform_increment") -> ModelSpec:
@@ -716,19 +690,7 @@ class ClassReport:
                 and self.power_floor_ok and self.delta_ok)
 
     def to_json_dict(self):
-        return {
-            "mode": self.mode,
-            "near_origin_integral": self.near_origin_integral,
-            "near_origin_ok": self.near_origin_ok,
-            "lower_integral": self.lower_integral,
-            "lower_ok": self.lower_ok,
-            "power_floor_min": self.power_floor_min,
-            "power_floor_ok": self.power_floor_ok,
-            "delta": self.delta,
-            "delta_ok": self.delta_ok,
-            "all_ok": self.all_ok,
-            "spectral_radius_verified": self.spectral_radius_verified,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def check_class_membership(params: ClassParams, rate: DivisionRate,

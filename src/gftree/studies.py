@@ -403,8 +403,9 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     :func:`~gftree.curves.load_csv_columns` (bit-identical to ``float()``)
     and checked, ``_INGEST_ROWS`` rows at a time, into columns sized by the
     file's line ends; a file that parser cannot read whole (a non-numeric
-    cell, a short row, a whitespace-only line) goes through the row-by-row
-    ``csv.DictReader`` loop instead, which names each unparsable cell.
+    cell, a short row, a whitespace-only line) is parsed row by row through
+    ``csv.DictReader`` instead, and the same checks name each unparsable
+    cell.
 
     Growth rates are taken as given per cell; no re-fit from size time
     series happens here.  Data sets that instead derive each rate from the
@@ -449,21 +450,22 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
                 values[:, rows] = table["values"].T
                 if has_lineage:
                     keys[rows] = table["key"]
-                ok[rows], bad = _validate_values(table["values"], colmap, n)
+                ok[rows], bad = _validate_values(table["values"], colmap, n,
+                                                 {})
                 rejected += bad
                 n += table.size
                 if table.size < _INGEST_ROWS:
                     break
         except ValueError:
             fh.seek(0)
-            keys, values, rejected = _ingest_rows(
+            keys, values, texts = _ingest_rows(
                 csv.DictReader(fh), colmap,
                 lineage_column if has_lineage else None)
-        else:
-            keep = ok[:n] if rejected else slice(n)  # copied only if a row goes
-            values = [col[:n][keep] for col in values]
-            keys = None if keys is None else keys[:n][keep]
-
+            n = values.shape[1]
+            ok, rejected = _validate_values(values.T, colmap, 0, texts)
+    keep = ok[:n] if rejected else slice(n)  # copied only if a row goes
+    values = [col[:n][keep] for col in values]
+    keys = None if keys is None else keys[:n][keep]
     usable = len(values[0])
     kept, lineages = _drop_boundary(keys, usable, drop_first, drop_last)
     data = [col[kept] for col in values]  # each a contiguous column
@@ -477,52 +479,46 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     return ObservationSet(*data), report
 
 
-def _validate_values(values: np.ndarray, colmap: dict, first: int):
-    """Accepted-row mask and (line, reason) per rejected row, where the
-    reason is the first column (in ``colmap`` order) that is not finite or
-    not positive; row 0 is on line ``first + 2``, after the header."""
+def _validate_values(values: np.ndarray, colmap: dict, first: int,
+                     texts: dict):
+    """Accepted-row mask and (line, reason) per rejected row of the (row,
+    field) ``values``, where the reason is the first field (in ``colmap``
+    order) whose cell did not parse (its text in ``texts`` by (row,
+    field)), is not finite or is not positive; row 0 is on line
+    ``first + 2``, after the header."""
     finite = np.isfinite(values)
     ok = finite & (values > 0)
     good = ok.all(axis=1)
     bad = np.flatnonzero(~good)
     col = np.argmin(ok[bad], axis=1)
-    reasons = [[f"{c}: not finite", f"{c}: must be positive"]
-               for c in colmap.values()]
-    rejected = [(line, reasons[j][positive]) for line, j, positive in zip(
-        (bad + first + 2).tolist(), col.tolist(), finite[bad, col].tolist())]
+    names = list(colmap.values())
+    rejected = [(row + first + 2, f"{names[j]}: " + (
+        f"not a number ({texts[row, j]!r})" if (row, j) in texts
+        else "must be positive" if fin else "not finite"))
+        for row, j, fin in zip(bad.tolist(), col.tolist(),
+                               finite[bad, col].tolist())]
     return good, rejected
 
 
 def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
-    """Row-by-row validation: lineage keys, a (3, accepted) value array and
-    the (line, reason) of every rejected row."""
-    rows = []
-    rejected = []
-    for line_no, row in enumerate(reader, start=2):
-        vals = {}
-        reason = None
-        for fld, col in colmap.items():
+    """Each row's cells parsed by ``float()``: the lineage keys, a (field,
+    row) value array, nan where a cell does not parse, and that cell's text
+    by (row, field)."""
+    keys, rows, texts = [], [], {}
+    for i, row in enumerate(reader):
+        if lineage_column is not None:
+            keys.append(row[lineage_column])
+        cells = []
+        for j, col in enumerate(colmap.values()):
             try:
-                v = float(row[col])
-            except (TypeError, ValueError):
-                reason = f"{col}: not a number ({row[col]!r})"
-                break
-            if not math.isfinite(v):
-                reason = f"{col}: not finite"
-                break
-            if v <= 0:
-                reason = f"{col}: must be positive"
-                break
-            vals[fld] = v
-        if reason is not None:
-            rejected.append((line_no, reason))
-            continue
-        key = row[lineage_column] if lineage_column is not None else ""
-        rows.append((key, vals["size_birth"], vals["growth_rate"],
-                     vals["lifetime"]))
-    keys = [r[0] for r in rows] if lineage_column is not None else None
-    values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 3)
-    return keys, np.ascontiguousarray(values.T), rejected
+                cells.append(float(row[col]))
+            except (TypeError, ValueError):  # a short row's cell is None
+                cells.append(math.nan)
+                texts[i, j] = row[col]
+        rows.append(cells)
+    values = np.array(rows, dtype=np.float64).reshape(-1, len(colmap))
+    return (None if lineage_column is None else np.array(keys, dtype=object),
+            np.ascontiguousarray(values.T), texts)
 
 
 def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):

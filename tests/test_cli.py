@@ -448,9 +448,26 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
     (lambda doc: doc.update(growth_kernel={
         "form": "independent_resample", "grid": [0.2, 3.0],
         "density": [1.0, math.nan]}), "density must be finite"),
+    (lambda doc: doc["growth_kernel"].update(form="laplace"),
+     "unknown growth kernel form"),
+    # every rate and growth-kernel form refuses a key it does not take
+    *[(lambda doc, part=part, fields=fields: doc.update(
+        {part: {**fields, "junk": 3}}), "junk") for part, fields in [
+        ("division_rate", {"form": "power_law", "coefficient": 1.0,
+                           "exponent": 2.0}),
+        ("division_rate", {"form": "tabulated", "grid": [0.5, 4.0],
+                           "values": [1.0, 2.0]}),
+        ("growth_kernel", {"form": "dirac", "value": 1.0}),
+        ("growth_kernel", {"form": "uniform_increment"}),
+        ("growth_kernel", {"form": "gaussian_increment", "std": 0.5}),
+        ("growth_kernel", {"form": "independent_resample",
+                           "grid": [0.2, 3.0], "density": [1.0, 1.0]})]],
 ], ids=["point-band", "unknown-rate", "missing-field",
         "resample-density-off-band", "nan-coefficient", "inf-exponent",
-        "nan-grid", "inf-values", "nan-density"])
+        "nan-grid", "inf-values", "nan-density", "unknown-kernel",
+        "junk-power_law", "junk-tabulated", "junk-dirac",
+        "junk-uniform_increment", "junk-gaussian_increment",
+        "junk-independent_resample"])
 def test_bad_model_file_is_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(reference_model().to_json())
     edit(doc)
@@ -556,6 +573,12 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     # the size kernel diverges at the origin for an exponent below 1
     (["pde-check", "--b", "x^0.5"], "--b"),
     (["pde-check", "--b", "x^0.99"], "--b"),
+    # a third number after ALPHA,RMS
+    (["simulate", "--rho", "uniform-increment:2,0.5,9", "--scheme", "full",
+      "--generations", 2], "--rho"),
+    # the flux identity needs some y in [0.5, 2.5] with 2y on the grid
+    (["pde-check", "--grid-xmax", 0.8, "--check-lo", 0.1, "--check-hi", 0.3],
+     "--grid-xmax"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               GridSpec, InvLogThreshold, InvNThreshold,
                               InvSqrtThreshold, ObservationSet,
                               PowerBandwidth, SmoothnessBandwidth, bandwidth,
-                              coverage_denominator, estimate_division_rate,
+                              estimate_division_rate,
                               estimate_division_rate_parent_indexed,
                               estimate_division_rate_pooled, estimate_rows,
                               evaluation_grid, kernel_density, kernel_moment,
@@ -165,34 +166,38 @@ def test_higher_order_kernel_is_signed():
 # Denominator
 # ---------------------------------------------------------------------------
 
+def grid_estimate(obs, dx, x_max):
+    """The estimate on the grid dx, 2 dx, ..., x_max, floored at 0.1."""
+    config = EstimatorConfig(bandwidth_rule=FixedBandwidth(0.5),
+                             threshold_rule=FixedThreshold(0.1),
+                             grid=GridSpec(dx, x_max))
+    return estimate_rows(obs.size_birth[None], obs.growth_rate[None],
+                         obs.lifetime[None], config)[0]
+
+
 def test_denominator_interval_hit():
     obs = obs_of([1.0, 1.0, math.log(2.0)])  # interval [1, 2]
-    assert coverage_denominator(obs, 1.5, floor=0.1) == 1.0
+    est = grid_estimate(obs, 0.5, 3.0)  # y = 0.5, 1.0, ..., 3.0
+    assert est.raw_denominator[2] == 1.0 and not est.clipped[2]  # y = 1.5
 
 
 def test_denominator_clipped_outside_interval():
     obs = obs_of([1.0, 1.0, math.log(2.0)])
-    assert coverage_denominator(obs, 3.0, floor=0.1) == 0.1
-    assert coverage_denominator(obs, 3.0) == 0.0
-
-
-def test_denominator_floor_when_nothing_fires():
-    obs = obs_of([1.0, 1.5, 0.2], [0.5, 2.0, 0.1])
-    assert coverage_denominator(obs, 50.0, floor=1.0) == 1.0
+    est = grid_estimate(obs, 0.5, 3.0)
+    outside = [0, 4, 5]  # y = 0.5, 2.5 and 3.0
+    assert est.raw_denominator[outside].tolist() == [0.0, 0.0, 0.0]
+    assert est.clipped[outside].all()
 
 
 def test_denominator_boundaries_inclusive():
     obs = obs_of([1.0, 1.0, math.log(2.0)])
-    assert coverage_denominator(obs, 1.0) == 1.0
-    assert coverage_denominator(obs, 2.0) == 1.0
-    assert coverage_denominator(obs, 2.0 + 1e-12) == 0.0
-
-
-def test_denominator_accepts_unsorted_points():
-    obs = obs_of([1.0, 1.0, math.log(2.0)], [1.5, 2.0, math.log(2.0)])
-    ys = np.array([2.5, 1.2, 3.5, 1.0, 2.0])
-    assert np.array_equal(coverage_denominator(obs, ys),
-                          [coverage_denominator(obs, y) for y in ys])
+    est = grid_estimate(obs, 0.5, 3.0)
+    assert est.raw_denominator[[1, 3]].tolist() == [1.0, 1.0]  # y = 1, 2
+    y = np.array([1.0 - 1e-12, 1.0, 2.0, 2.0 + 1e-12])
+    raw = estimator._coverage_sums(
+        obs.size_birth[None], y, obs.growth_rate[None],
+        lambda i, s, v: s * np.exp(v * obs.lifetime[None][i]))
+    assert raw.tolist() == [[0.0, 1.0, 1.0, 0.0]]
 
 
 @pytest.mark.parametrize("y", [
@@ -251,6 +256,41 @@ def test_grid_rule_matches_reference_protocol():
     assert dx == pytest.approx(0.03125)
     assert m == 160
     assert dx * m == pytest.approx(5.0)
+
+
+# EstimatorConfig.to_json_dict() of each part in turn, the others left at
+# their defaults, pinned as sorted-key JSON text
+_DEFAULT_PART_JSON = {
+    "kernel": '{"form": "gaussian", "radius": 5.0}',
+    "bandwidth_rule": '{"exponent": -0.3333333333333333, "rule": "power"}',
+    "threshold_rule": '{"rule": "inv_log"}'}
+_PART_JSON = [
+    ("kernel", GaussianKernel(4.0), '{"form": "gaussian", "radius": 4.0}'),
+    ("kernel", CompactPolynomialKernel(3),
+     '{"form": "compact_polynomial", "order": 3}'),
+    ("bandwidth_rule", FixedBandwidth(0.25), '{"h": 0.25, "rule": "fixed"}'),
+    ("bandwidth_rule", PowerBandwidth(-0.25),
+     '{"exponent": -0.25, "rule": "power"}'),
+    ("bandwidth_rule", SmoothnessBandwidth(2.0, 0.5),
+     '{"c0": 0.5, "rule": "smoothness", "s": 2.0}'),
+    ("threshold_rule", InvLogThreshold(), '{"rule": "inv_log"}'),
+    ("threshold_rule", InvSqrtThreshold(), '{"rule": "inv_sqrt"}'),
+    ("threshold_rule", InvNThreshold(), '{"rule": "inv_n"}'),
+    ("threshold_rule", FixedThreshold(0.125),
+     '{"rule": "fixed", "value": 0.125}'),
+]
+
+
+@pytest.mark.parametrize("slot, part, text", _PART_JSON,
+                         ids=[type(part).__name__ for _, part, _ in _PART_JSON])
+def test_estimator_config_json_text_is_pinned(slot, part, text):
+    config = EstimatorConfig(**{slot: part}, grid=GridSpec(0.05, 4.0))
+    parts = {**_DEFAULT_PART_JSON, slot: text}
+    assert json.dumps(config.to_json_dict(), sort_keys=True) == (
+        f'{{"bandwidth": {parts["bandwidth_rule"]}, '
+        '"grid": {"dx": 0.05, "x_max": 4.0}, '
+        f'"kernel": {parts["kernel"]}, '
+        f'"threshold": {parts["threshold_rule"]}}}')
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +370,8 @@ def test_binned_sums_match_exact_reference(variability_spec, generations):
     assert np.max(np.abs(est.nu_values - nu)) <= 2e-5 * nu.max()
     assert np.array_equal(est.nu_values == 0, nu == 0)
     raw = lexsort_coverage(obs.size_birth, est.y, 1.0 / obs.growth_rate,
-                           obs.division_size()) / obs.n
+                           obs.size_birth * np.exp(obs.growth_rate
+                                                   * obs.lifetime)) / obs.n
     assert np.max(np.abs(est.raw_denominator - raw)) <= 1e-12 * raw.max()
 
 

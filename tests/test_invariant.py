@@ -98,7 +98,8 @@ def test_density_mode_matches_stationarity_condition():
 # ---------------------------------------------------------------------------
 
 def test_invariant_is_a_probability_density(square_invariant):
-    assert square_invariant.curve.mass() == pytest.approx(1.0, abs=1e-12)
+    mass = np.trapezoid(square_invariant.values, dx=square_invariant.curve.dx)
+    assert mass == pytest.approx(1.0, abs=1e-12)
     assert np.all(square_invariant.values >= 0.0)
     assert square_invariant.residual < 1e-10
 

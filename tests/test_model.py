@@ -677,6 +677,48 @@ def test_model_json_roundtrip_other_forms():
     assert TabulatedRate([1, 2], [1, 2]) != TabulatedRate([1, 2], [1, 3])
 
 
+# ModelSpec.to_json() text of each rate form x growth-kernel form, pinned
+_BAND = GrowthBounds(0.25, 2.5)
+_RATE_JSON = {
+    PowerLawRate(1.5, 2.0):
+        '{"coefficient": 1.5, "exponent": 2.0, "form": "power_law"}',
+    TabulatedRate([0.5, 1.0, 2.0], [0.1, 1.0, 2.5]):
+        '{"form": "tabulated", "grid": [0.5, 1.0, 2.0], '
+        '"values": [0.1, 1.0, 2.5]}',
+}
+_KERNEL_JSON = {
+    DiracGrowth(1.0, _BAND): '{"form": "dirac", "value": 1.0}',
+    UniformIncrementGrowth(20.0, 0.5, _BAND):
+        '{"alpha": 20.0, "form": "uniform_increment", "rms": 0.5}',
+    GaussianIncrementGrowth(0.3, _BAND):
+        '{"form": "gaussian_increment", "std": 0.3}',
+    IndependentResampleGrowth([0.25, 1.0, 2.5], [0.0, 1.0, 0.5], _BAND):
+        '{"density": [0.0, 0.6666666666666666, 0.3333333333333333], '
+        '"form": "independent_resample", "grid": [0.25, 1.0, 2.5]}',
+}
+
+
+@pytest.mark.parametrize("rate", list(_RATE_JSON),
+                         ids=["power_law", "tabulated"])
+@pytest.mark.parametrize("kernel", list(_KERNEL_JSON),
+                         ids=["dirac", "uniform_increment",
+                              "gaussian_increment", "independent_resample"])
+def test_model_json_text_is_pinned(rate, kernel):
+    point = isinstance(kernel, DiracGrowth)
+    initial = (InitialDistribution(0.5, 1.5, growth_value=1.0) if point
+               else InitialDistribution(0.5, 1.5, growth_low=0.5))
+    spec = ModelSpec(rate, kernel, _BAND, initial)
+    growth = ('{"form": "point", "value": 1.0}' if point
+              else '{"form": "uniform", "low": 0.5}')
+    assert spec.to_json() == (
+        '{"bounds": {"e_max": 2.5, "e_min": 0.25}, '
+        f'"division_rate": {_RATE_JSON[rate]}, '
+        f'"growth_kernel": {_KERNEL_JSON[kernel]}, '
+        f'"initial": {{"growth": {growth}, '
+        '"size": {"high": 1.5, "low": 0.5}}}')
+    assert ModelSpec.from_json(spec.to_json()).to_json() == spec.to_json()
+
+
 def test_model_validates_initial_support():
     bounds = GrowthBounds(0.2, 3.0)
     with pytest.raises(ValueError):
