@@ -34,9 +34,9 @@ from .invariant import (QuadratureOverflow, flux_identity_error,
                         solve_conservative_pde, steady_state_relation_error,
                         verify_drift)
 from .model import (DiracGrowth, GaussianIncrementGrowth, GrowthBounds,
-                    InitialDistribution, ModelSpec, PowerLawRate,
-                    UniformIncrementGrowth, check_class_membership,
-                    reference_class_params)
+                    InitialDistribution, ModelSpec, PointStart, PowerLawRate,
+                    UniformIncrementGrowth, UniformStart,
+                    check_class_membership, reference_class_params)
 from .studies import (ingest_lineage_csv, run_convergence_study,
                       confidence_band, study_report_dict, write_band,
                       write_error_curve, write_error_table)
@@ -124,21 +124,29 @@ def parse_growth_kernel(text: str, bounds: GrowthBounds):
     raise UsageError(f"unknown growth kernel kind {kind!r}")
 
 
+def input_file(text: str, flag: str) -> Path:
+    """The path of every input file, refused (exit 2, naming ``flag``)
+    unless it is a regular file, once the command's other flags pass."""
+    path = Path(text)
+    if not path.is_file():
+        what = "not a file" if path.exists() else "not found"
+        raise UsageError(f"{flag} {what}: {path}")
+    return path
+
+
 def build_model(args) -> ModelSpec:
     if getattr(args, "model", None):
-        path = Path(args.model)
-        if not path.exists():
-            raise UsageError(f"model file not found: {path}")
+        path = input_file(args.model, "--model")
         with _usage(f"model file {path}", (ValueError, KeyError, TypeError)):
             return ModelSpec.from_json(path.read_text())
     with _usage("--e-min/--e-max"):
         bounds = GrowthBounds(args.e_min, args.e_max)
     rate = parse_rate(args.b)
     kernel = parse_growth_kernel(args.rho, bounds)
-    growth_value = kernel.value if isinstance(kernel, DiracGrowth) else None
+    start = (PointStart(kernel.value) if isinstance(kernel, DiracGrowth)
+             else UniformStart())
     with _usage("--init-low/--init-high"):
-        initial = InitialDistribution(args.init_low, args.init_high,
-                                      growth_value=growth_value)
+        initial = InitialDistribution(args.init_low, args.init_high, start)
     return ModelSpec(rate, kernel, bounds, initial)
 
 
@@ -275,12 +283,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = build_estimator_config(args)
-    path = Path(args.input)
-    if not path.exists():
-        raise UsageError(f"input file not found: {path}")
+    path = input_file(args.input, "--input")
     try:  # not a tree, or non-finite or non-positive cell values
-        tree = read_genealogy_csv(path, ("size_birth", "growth_rate",
-                                         "lifetime"))  # not birth_time
+        tree = read_genealogy_csv(path)
         obs = extract_observations(tree)
     except ValueError as exc:
         raise UsageError(f"bad genealogy {path}: {exc}") from exc
@@ -453,9 +458,7 @@ def cmd_pde_check(args) -> int:
 
 def cmd_ingest(args) -> int:
     config = build_estimator_config(args)
-    path = Path(args.input)
-    if not path.exists():
-        raise UsageError(f"input file not found: {path}")
+    path = input_file(args.input, "--input")
     colmap = {}
     if args.map:
         for pair in args.map.split(","):

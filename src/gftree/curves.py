@@ -1,10 +1,13 @@
 """Uniform-grid curves and their TSV serialisation, the JSON of every model
 and estimator part, the float text and row assembly of every text writer,
-and the line count and CSV column loader of the genealogy and lineage
-readers."""
+and the line count, opener and block loop of the genealogy and lineage
+CSV readers."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,12 +46,12 @@ class CurveOnGrid:
 def part_json(part) -> dict:
     """A model or estimator part as JSON: its ``json_tag`` (key, value)
     pair and each constructor field but the growth band ``bounds``, which
-    the model writes once, with arrays as lists."""
+    the model writes once, and those left None, with arrays as lists."""
     key, tag = part.json_tag
     doc = {key: tag}
     for f in fields(part):
-        if f.init and f.name != "bounds":
-            value = getattr(part, f.name)
+        value = getattr(part, f.name)
+        if f.init and f.name != "bounds" and value is not None:
             doc[f.name] = (value.tolist() if isinstance(value, np.ndarray)
                            else value)
     return doc
@@ -185,23 +188,34 @@ def line_ends(path, block_bytes: int = 1 << 18) -> tuple[int, bool]:
     return int(ends), nul
 
 
-def load_csv_columns(fh, dtype, usecols, max_rows=None) -> np.ndarray:
-    """Parse the rest of an open CSV file (at most ``max_rows`` rows, the
-    handle left after the last) in one pass of numpy's C reader.
+@contextlib.contextmanager
+def open_csv(path):
+    """``(handle, header)``: the CSV file open past its first row, and that
+    row's cells as the ``csv`` module reads them (None for an empty file).
+    The text is UTF-8, a leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        yield fh, next(csv.reader(fh), None)
 
+
+def csv_blocks(fh, dtype, usecols, rows: int):
+    """``(block, table)`` for each 1-d ``dtype`` array of at most ``rows``
+    rows that numpy's C reader parses from the open CSV file ``fh``,
+    ``block`` the slice of the file's rows it holds, until one falls short.
     Fields follow the ``csv`` module's default dialect: comma-separated,
     ``"``-quoted with ``""`` as an escaped quote; ``\\n``, ``\\r\\n`` and
     ``\\r`` all end a line, and empty lines are skipped.  Floats are parsed
     by ``PyOS_string_to_double``, the routine behind ``float()``.  Raises
-    ``ValueError`` on a cell that does not convert or a row too short for
-    ``usecols``.  Returns a 1-d array of ``dtype`` with one element per row.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        # an empty table is for the caller to judge; empty lines are skipped
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data"
-                                "|Input line [0-9]+ contained no data")
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, usecols=usecols, ndmin=1,
-                          max_rows=max_rows)
+    ``ValueError`` on a cell that does not convert or a short row."""
+    n = 0
+    while True:
+        with warnings.catch_warnings():
+            # the caller judges an empty table; empty lines are skipped
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data|Input line [0-9]+ contained no data")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, usecols=usecols, ndmin=1,
+                               max_rows=rows)
+        yield slice(n, n + table.size), table
+        n += table.size
+        if table.size < rows:
+            return

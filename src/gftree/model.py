@@ -517,40 +517,53 @@ def sample_growth_rates_keyed(kernel: GrowthKernel, v_parent: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class PointStart:
+    """Every root starts at growth rate ``value``; draws no uniform."""
+
+    json_tag = ("form", "point")
+    value: float
+
+    def support(self, bounds: GrowthBounds) -> tuple[float, float]:
+        return self.value, self.value
+
+    def draw(self, keys: np.ndarray, bounds: GrowthBounds) -> np.ndarray:
+        return np.full(keys.size, float(self.value))
+
+
+@dataclass(frozen=True)
+class UniformStart:
+    """Root growth rate uniform on [low, high]; an edge left None is the
+    band's."""
+
+    json_tag = ("form", "uniform")
+    low: Optional[float] = None
+    high: Optional[float] = None
+
+    def support(self, bounds: GrowthBounds) -> tuple[float, float]:
+        return (bounds.e_min if self.low is None else self.low,
+                bounds.e_max if self.high is None else self.high)
+
+    def draw(self, keys: np.ndarray, bounds: GrowthBounds) -> np.ndarray:
+        lo, hi = self.support(bounds)
+        return lo + (hi - lo) * streams.draw_uniform(
+            keys, streams.STREAM_INITIAL_GROWTH, 0)
+
+
+InitialGrowth = Union[PointStart, UniformStart]
+
+
+@dataclass(frozen=True)
 class InitialDistribution:
     """Root law: size ~ Uniform[size_low, size_high] (degenerate allowed),
-    growth rate either a fixed point or Uniform on a sub-band of the bounds."""
+    growth rate by its ``growth`` part."""
 
     size_low: float
     size_high: float
-    growth_low: Optional[float] = None
-    growth_high: Optional[float] = None
-    growth_value: Optional[float] = None
+    growth: InitialGrowth = UniformStart()
 
     def __post_init__(self):
         if not (0 < self.size_low <= self.size_high < math.inf):
             raise ValueError("initial sizes must satisfy 0 < low <= high < inf")
-        point = self.growth_value is not None
-        band = self.growth_low is not None or self.growth_high is not None
-        if point and band:
-            raise ValueError("give either growth_value or a growth range")
-
-    def growth_range(self, bounds: GrowthBounds) -> tuple[float, float]:
-        lo = self.growth_low if self.growth_low is not None else bounds.e_min
-        hi = self.growth_high if self.growth_high is not None else bounds.e_max
-        return lo, hi
-
-    def to_json_dict(self):
-        d = {"size": {"low": self.size_low, "high": self.size_high}}
-        if self.growth_value is not None:
-            d["growth"] = {"form": "point", "value": self.growth_value}
-        else:
-            d["growth"] = {"form": "uniform"}
-            if self.growth_low is not None:
-                d["growth"]["low"] = self.growth_low
-            if self.growth_high is not None:
-                d["growth"]["high"] = self.growth_high
-        return d
 
 
 @dataclass(frozen=True)
@@ -565,36 +578,41 @@ class ModelSpec:
     def __post_init__(self):
         if self.growth_kernel.bounds != self.bounds:
             raise ValueError("growth kernel bounds must match the model bounds")
-        init = self.initial
-        if init.growth_value is not None:
-            if not self.bounds.contains(init.growth_value):
-                raise ValueError("initial growth rate outside [e_min, e_max]")
-        else:
-            lo, hi = init.growth_range(self.bounds)
-            if not (self.bounds.e_min <= lo <= hi <= self.bounds.e_max):
-                raise ValueError("initial growth range outside [e_min, e_max]")
+        lo, hi = self.initial.growth.support(self.bounds)
+        if not (self.bounds.e_min <= lo <= hi <= self.bounds.e_max):
+            raise ValueError("initial growth outside [e_min, e_max]")
 
     def to_json(self) -> str:
+        init = self.initial
         doc = {"division_rate": part_json(self.division_rate),
                "growth_kernel": part_json(self.growth_kernel),
                "bounds": asdict(self.bounds),
-               "initial": self.initial.to_json_dict()}
+               "initial": {"growth": part_json(init.growth), "size": {
+                   "low": init.size_low, "high": init.size_high}}}
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
-        doc = json.loads(text)
+        doc = _known(json.loads(text), "model", (
+            "division_rate", "growth_kernel", "bounds", "initial"))
         bounds = GrowthBounds(**doc["bounds"])
         rate = _part(doc["division_rate"], DivisionRate, "division rate")
         kernel = _part(doc["growth_kernel"], GrowthKernel, "growth kernel",
                        bounds=bounds)
-        i_doc = doc["initial"]
-        g = i_doc.get("growth", {"form": "uniform"})
-        initial = InitialDistribution(
-            size_low=i_doc["size"]["low"], size_high=i_doc["size"]["high"],
-            growth_low=g.get("low"), growth_high=g.get("high"),
-            growth_value=g.get("value") if g.get("form") == "point" else None)
-        return ModelSpec(rate, kernel, bounds, initial)
+        init = _known(doc["initial"], "initial", ("size", "growth"))
+        size = _known(init["size"], "initial size", ("low", "high"))
+        growth = _part(init.get("growth", {"form": "uniform"}), InitialGrowth,
+                       "initial growth")
+        return ModelSpec(rate, kernel, bounds, InitialDistribution(
+            size["low"], size["high"], growth))
+
+
+def _known(doc: dict, what: str, keys) -> dict:
+    """``doc``, refused if it holds a key outside ``keys``."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+    return doc
 
 
 def _part(doc: dict, kinds, what: str, **bounds):
@@ -625,9 +643,8 @@ def reference_model(growth: str = "uniform_increment") -> ModelSpec:
     }
     if growth not in kernels:
         raise ValueError(f"unknown reference growth kernel {growth!r}")
-    initial = (InitialDistribution(1.0 / 3.0, 3.0, growth_value=1.0)
-               if growth == "dirac"
-               else InitialDistribution(1.0 / 3.0, 3.0))
+    start = PointStart(1.0) if growth == "dirac" else UniformStart()
+    initial = InitialDistribution(1.0 / 3.0, 3.0, start)
     return ModelSpec(PowerLawRate(1.0, 2.0), kernels[growth], bounds, initial)
 
 

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import streams
-from .curves import CurveOnGrid, write_curve_tsv
+from .curves import (CurveOnGrid, csv_blocks, line_ends, open_csv,
+                     write_curve_tsv)
 from .estimator import (DivisionRateEstimate, EstimatorConfig,
                         InvSqrtThreshold, ObservationSet,
                         estimate_division_rate, estimate_rows,
@@ -400,7 +401,7 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     keep the order of their first row, and cells their row order.
 
     The mapped columns (and the lineage column) are parsed column-wise by
-    :func:`~gftree.curves.load_csv_columns` (bit-identical to ``float()``)
+    :func:`~gftree.curves.csv_blocks` (bit-identical to ``float()``)
     and checked, ``_INGEST_ROWS`` rows at a time, into columns sized by the
     file's line ends; a file that parser cannot read whole (a non-numeric
     cell, a short row, a whitespace-only line) is parsed row by row through
@@ -412,8 +413,6 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     parent-child division relation cannot supply one for the last observed
     generation of a lineage, which is what ``drop_last`` is for.
     """
-    from .curves import line_ends, load_csv_columns
-
     unknown = [f for f in column_map or () if f not in DEFAULT_COLUMN_MAP]
     if unknown:
         raise ValueError(f"unknown fields {unknown}; valid fields are "
@@ -423,8 +422,7 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     colmap = dict(DEFAULT_COLUMN_MAP)
     if column_map:
         colmap.update(column_map)
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+    with open_csv(path) as (fh, header):
         if header is None:
             raise SchemaError("empty file")
         missing = [c for c in colmap.values() if c not in header]
@@ -442,20 +440,16 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
         bound = line_ends(path)[0]
         values, ok = np.empty((len(colmap), bound)), np.empty(bound, dtype=bool)
         keys = np.empty(bound, dtype=object) if has_lineage else None
-        n, rejected = 0, []
+        rejected = []
         try:
-            while True:
-                table = load_csv_columns(fh, dtype, usecols, _INGEST_ROWS)
-                rows = slice(n, n + table.size)
+            for rows, table in csv_blocks(fh, dtype, usecols, _INGEST_ROWS):
                 values[:, rows] = table["values"].T
                 if has_lineage:
                     keys[rows] = table["key"]
-                ok[rows], bad = _validate_values(table["values"], colmap, n,
-                                                 {})
+                ok[rows], bad = _validate_values(table["values"], colmap,
+                                                 rows.start, {})
                 rejected += bad
-                n += table.size
-                if table.size < _INGEST_ROWS:
-                    break
+            n = rows.stop
         except ValueError:
             fh.seek(0)
             keys, values, texts = _ingest_rows(

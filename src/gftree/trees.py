@@ -27,8 +27,6 @@ lanes may follow lineages of different lengths.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -36,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from . import streams
-from .curves import float_text, join_text, line_ends, load_csv_columns
+from .curves import csv_blocks, float_text, join_text, line_ends, open_csv
 from .estimator import ObservationSet
-from .model import (InitialDistribution, ModelSpec, sample_growth_rates_keyed,
+from .model import (ModelSpec, sample_growth_rates_keyed,
                     sample_lifetimes_keyed)
 
 
@@ -177,12 +175,7 @@ class _Forest:
         init = spec.initial
         u = streams.draw_uniform(key, streams.STREAM_INITIAL_SIZE, 0)
         self.root_size = init.size_low + (init.size_high - init.size_low) * u
-        if init.growth_value is not None:
-            rate = np.full(n, float(init.growth_value))
-        else:
-            lo, hi = init.growth_range(spec.bounds)
-            rate = lo + (hi - lo) * streams.draw_uniform(
-                key, streams.STREAM_INITIAL_GROWTH, 0)
+        rate = init.growth.draw(key, spec.bounds)
         self.level = 0
         self.key, self.size, self.rate = key, self.root_size, rate
         self.birth = np.zeros(n)
@@ -449,61 +442,40 @@ def _row_bound(path) -> int:
     return ends
 
 
-@contextlib.contextmanager
-def _genealogy_rows(path):
-    """The open file past its checked header, for
-    :func:`~gftree.curves.load_csv_columns`."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected genealogy header {header!r}")
-        yield fh
-
-
-def read_genealogy_csv(path, columns=tuple(_CSV_HEADER[1:])) -> GenealogyTree:
+def read_genealogy_csv(path) -> GenealogyTree:
     """Rebuild a tree from the CSV format; the scheme is inferred (complete
     binary tree -> full, single chain -> sparse).
 
     Rows may come in any order, with LF or CRLF line ends and ``csv``-style
-    quoting; blank lines are skipped.  Values are parsed column-wise by
-    :func:`~gftree.curves.load_csv_columns`, bit-identical to ``float()``,
-    ``_DECODE_ROWS`` rows at a time into float columns sized by the
-    file's line ends, and paths as bytes in the same pass, cut at
-    ``_PATH_WIDTH``, each kept only as its full-tree slot ``2^g - 1 +
-    index``.  Rows are put in breadth-first order by their slots, checked
-    to be a permutation without sorting.  Paths that are not a full tree
-    are read again as Python strings, which a chain orders by length.
-    Only the value ``columns`` named are parsed: all four, or all but
-    ``birth_time``, which the tree then derives from the lifetimes; each
-    row must still hold five cells.
+    quoting; blank lines are skipped.  :func:`~gftree.curves.csv_blocks`
+    parses ``_DECODE_ROWS`` rows at a time: ``size_birth``, ``growth_rate``
+    and ``lifetime`` into float columns sized by the file's line ends, and
+    paths as bytes cut at ``_PATH_WIDTH``, each kept only as its full-tree
+    slot ``2^g - 1 + index``, which orders the rows breadth-first.  Paths
+    that are not a full tree are read again as Python strings, which a
+    chain orders by length.  ``birth_time`` is never converted (the tree
+    derives it), but each row must hold that fifth cell.
     Raises ``ValueError`` for a wrong header, an unparsable or short row,
     no rows, a NUL byte, a path character other than 0 or 1, or paths that
     form neither a complete tree (each present once) nor a single chain.
     """
-    k = len(columns)
-    if k < 3 or list(columns) != _CSV_HEADER[1:1 + k]:
-        raise ValueError(f"columns must be {_CSV_HEADER[1:]} or its first 3")
-    # a cell not parsed is an empty bytes field: present, not converted
-    fields = [("values", np.float64, (k,))] + [("birth_time", "S0")] * (k < 4)
     bound = _row_bound(path)
-    values = np.empty((k, bound))
+    values = np.empty((3, bound))
     slot = np.empty(bound, dtype=np.int64)
     count = np.zeros(_PATH_WIDTH + 1, dtype=np.int64)  # rows per path length
-    n = 0
-    with _genealogy_rows(path) as fh:
-        while True:
-            table = load_csv_columns(
-                fh, [("path", f"S{_PATH_WIDTH}"), *fields], (0, 1, 2, 3, 4),
-                _DECODE_ROWS)
-            rows = slice(n, n + table.size)
-            n += table.size
+    # birth_time is an empty bytes field: present, not converted
+    dtype = [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (3,)),
+             ("birth_time", "S0")]
+    with open_csv(path) as (fh, header):
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected genealogy header {header!r}")
+        for rows, table in csv_blocks(fh, dtype, range(5), _DECODE_ROWS):
             values[:, rows] = table["values"].T
             gens = np.strings.str_len(table["path"]).astype(np.int64)
             count += np.bincount(gens, minlength=count.size)
             slot[rows] = (1 << gens) - 1 + _full_tree_indices(table["path"], gens)
-            if table.size < _DECODE_ROWS:
-                break
     del table, gens
+    n = rows.stop
     if n == 0:
         raise ValueError("genealogy CSV holds no cells")
     values, slot = values[:, :n], slot[:n]
@@ -515,8 +487,8 @@ def read_genealogy_csv(path, columns=tuple(_CSV_HEADER[1:])) -> GenealogyTree:
     else:
         scheme = "sparse"
         # as str objects, whole: a bytes column would be (n, longest path)
-        with _genealogy_rows(path) as fh:
-            paths = load_csv_columns(fh, object, (0,))
+        with open_csv(path) as (fh, _):  # one block: n rows fall short
+            (_, paths), = csv_blocks(fh, object, (0,), n + 1)
         # n distinct lengths 0..n-1, each a prefix of the longest path
         order = _breadth_first_order(np.fromiter(map(len, paths), np.int64, n))
         chain = paths[n - 1 if order is None else order[-1]]
@@ -530,8 +502,7 @@ def read_genealogy_csv(path, columns=tuple(_CSV_HEADER[1:])) -> GenealogyTree:
     if order is not None:
         for col in values:
             col[:] = col[order]
-    return GenealogyTree(scheme, values[0], values[1],
-                         values[3] if k == 4 else None, values[2],
+    return GenealogyTree(scheme, values[0], values[1], None, values[2],
                          chain_bits=bits)
 
 
@@ -618,9 +589,8 @@ def many_to_one_battery(spec: ModelSpec, t: float, replicates: int,
                         seed: int) -> list[BatteryResult]:
     """Compare tagged-path and weighted-population Monte Carlo means for the
     battery of test functions, from roots of size 1."""
-    init = spec.initial
-    spec_1 = replace(spec, initial=InitialDistribution(
-        1.0, 1.0, init.growth_low, init.growth_high, init.growth_value))
+    spec_1 = replace(spec, initial=replace(spec.initial, size_low=1.0,
+                                           size_high=1.0))
     tagged = _forest_moments(spec_1, t, replicates, seed, True)
     pop = _forest_moments(spec_1, t, replicates, seed, False)
     return [BatteryResult(name, tm, ts, pm, ps)

@@ -176,6 +176,22 @@ def test_estimate_missing_input_is_usage_error(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, flag", [
+    (["simulate", "--scheme", "full", "--generations", 2], "--model"),
+    (["estimate"], "--input"), (["ingest"], "--input")],
+    ids=["simulate", "estimate", "ingest"])
+def test_input_that_is_not_a_file_is_usage_error(tmp_path, capsys, command,
+                                                 flag, kind):
+    source = tmp_path / "nope.csv" if kind == "missing" else tmp_path
+    out = tmp_path / "out"
+    assert run([*command, flag, source, "--out", out]) == 2
+    err = capsys.readouterr().err
+    want = "not found" if kind == "missing" else "not a file"
+    assert f"{flag} {want}: {source}" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # study / verify / pde-check / ingest
 # ---------------------------------------------------------------------------
@@ -462,12 +478,25 @@ def test_continuous_kernel_on_point_band_fails_fast(tmp_path, capsys, rho):
         ("growth_kernel", {"form": "gaussian_increment", "std": 0.5}),
         ("growth_kernel", {"form": "independent_resample",
                            "grid": [0.2, 3.0], "density": [1.0, 1.0]})]],
+    # so does every level of the initial law and the file itself: a typo
+    # in a form or a key is never read as a default
+    (lambda doc: doc["initial"].update(growth={"form": "piont",
+                                               "value": 1.0}), "'piont'"),
+    *[(lambda doc, growth=growth: doc["initial"].update(
+        growth={**growth, "junk": 3}), "'junk'") for growth in [
+        {"form": "point", "value": 1.0}, {"form": "uniform"},
+        {"form": "uniform", "low": 0.5, "high": 2.0}]],
+    (lambda doc: doc["initial"]["size"].update(junk=3), "'junk'"),
+    (lambda doc: doc["initial"].update(junk=3), "'junk'"),
+    (lambda doc: doc.update(junk=3), "'junk'"),
 ], ids=["point-band", "unknown-rate", "missing-field",
         "resample-density-off-band", "nan-coefficient", "inf-exponent",
         "nan-grid", "inf-values", "nan-density", "unknown-kernel",
         "junk-power_law", "junk-tabulated", "junk-dirac",
         "junk-uniform_increment", "junk-gaussian_increment",
-        "junk-independent_resample"])
+        "junk-independent_resample", "unknown-initial-growth",
+        "junk-point", "junk-uniform", "junk-uniform-band",
+        "junk-initial-size", "junk-initial", "junk-top-level"])
 def test_bad_model_file_is_usage_error(tmp_path, capsys, edit, message):
     doc = json.loads(reference_model().to_json())
     edit(doc)
@@ -747,6 +776,19 @@ def _one_usable_row(tmp_path, monkeypatch):
         "size_birth,growth_rate,lifetime\n1.0,1.0,0.5\n0.0,1.0,0.5\n")]
 
 
+def _model_directory(tmp_path, monkeypatch):
+    return ["simulate", "--scheme", "full", "--generations", 2,
+            "--model", tmp_path]
+
+
+def _estimate_directory(tmp_path, monkeypatch):
+    return ["estimate", "--input", tmp_path]
+
+
+def _ingest_directory(tmp_path, monkeypatch):
+    return ["ingest", "--input", tmp_path]
+
+
 def _lineage_not_utf8(tmp_path, monkeypatch):
     path = tmp_path / "cells.csv"
     path.write_bytes(b"size_birth,growth_rate,lifetime\n1.0,1.0,0.5\n"
@@ -771,6 +813,12 @@ EXIT_CODES = {
     "UsageError-one-cell": (2, "--input at n = 1", _one_cell_genealogy),
     "UsageError-one-row": (2, "--input at n = 1", _one_usable_row),
     "UsageError-not-utf8": (2, "can't decode", _lineage_not_utf8),
+    # a directory is not an input file: refused, naming its flag
+    "UsageError-model-directory": (2, "--model not a file", _model_directory),
+    "UsageError-estimate-directory": (2, "--input not a file",
+                                      _estimate_directory),
+    "UsageError-ingest-directory": (2, "--input not a file",
+                                    _ingest_directory),
 }
 
 

@@ -374,6 +374,14 @@ def test_row_bound_counts_line_ends_across_scan_blocks(tmp_path, tree,
     assert_same_tree(assert_readers_agree(path), tree)
 
 
+def test_reader_accepts_a_byte_order_mark(tmp_path, tree):
+    # spreadsheet exports often begin with one; it is not part of the header
+    header, rows = _lines(tree, tmp_path)
+    path = _write(tmp_path / "t.csv", "\ufeff" + header, rows)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfpath,")
+    assert_same_tree(read_genealogy_csv(path), tree)
+
+
 def test_reader_quoted_fields(tmp_path, tree):
     header, rows = _lines(tree, tmp_path)
     quoted = [",".join(f'"{cell}"' for cell in row.split(","))
@@ -391,8 +399,9 @@ BAD_FILES = {
                         [",1,1,0.5,0", "0,1,1,0.5,0.5", "0,1,1,0.5,0.5"]),
     "non-binary-full": (",".join(_CSV_HEADER),
                         [",1,1,0.5,0", "0,1,1,0.5,0.5", "2,1,1,0.5,0.5"]),
+    # in a value column: the reader never converts birth_time
     "non-number": (",".join(_CSV_HEADER),
-                   [",1,1,0.5,oops"]),
+                   [",1,1,oops,0"]),
     # paths are parsed as bytes, which drop trailing NULs: "1\0" would
     # otherwise complete the tree
     "nul-ending-path": (",".join(_CSV_HEADER),
@@ -456,8 +465,9 @@ def test_breadth_first_order_checks_a_permutation():
 
 
 def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
-    """Each row costs its four float columns (32 B) and its int64
-    breadth-first slot (8 B), and the permutation check 1 B: 41 B/row.
+    """Each row costs its three float columns (24 B; birth times are
+    derived) and its int64 breadth-first slot (8 B), and the permutation
+    check 1 B: 33 B/row.
     Files of 2^16 - 1 and 2^17 - 1 rows parse in four and eight blocks of
     ``_DECODE_ROWS`` (16,384 rows), whose scratch is the same whatever the
     number of blocks, so the difference of the peaks is the rows' own cost.  Parsing the whole file as one table of
@@ -471,7 +481,7 @@ def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
 
     (small, _), (large, got) = peak(15), peak(16)
     assert len(got) == 2 ** 17 - 1
-    assert large - small < 56 * 2 ** 16  # 41 B/row and the parser's buffers
+    assert large - small < 56 * 2 ** 16  # 33 B/row and the parser's buffers
 
 
 def test_reader_memory_per_row_of_a_small_file(tmp_path, variability_spec,
@@ -488,16 +498,13 @@ def test_reader_memory_per_row_of_a_small_file(tmp_path, variability_spec,
     assert peak < 100 * len(got)
 
 
-VALUE_COLUMNS = ("size_birth", "growth_rate", "lifetime")
-
-
 def test_reader_without_birth_time_derives_it(tmp_path, tree):
-    """Rows parsed without their ``birth_time`` make the same tree: the
+    """The reader never parses ``birth_time`` and makes the same tree: the
     column is derived from the lifetimes, bit for bit."""
     header, rows = _lines(tree, tmp_path)
     random.Random(4).shuffle(rows)
     path = _write(tmp_path / "t.csv", header, rows)
-    got = read_genealogy_csv(path, VALUE_COLUMNS)
+    got = read_genealogy_csv(path)
     assert_same_tree(got, oracle_read_genealogy_csv(path))
     assert_same_tree(got, tree)
 
@@ -505,25 +512,28 @@ def test_reader_without_birth_time_derives_it(tmp_path, tree):
 def test_reader_without_birth_time_needs_the_cell_not_its_value(tmp_path):
     rows = [",1,1,0.5,0", "0,1,1,0.5,later", "1,1,1,0.5,0.5"]
     path = _write(tmp_path / "t.csv", ",".join(_CSV_HEADER), rows)
-    with pytest.raises(ValueError):
-        read_genealogy_csv(path)
-    got = read_genealogy_csv(path, VALUE_COLUMNS)
+    got = read_genealogy_csv(path)
     assert got.scheme == "full"
     assert got.birth_time.tolist() == [0.0, 0.5, 0.5]
     short = _write(tmp_path / "short.csv", ",".join(_CSV_HEADER),
                    [",1,1,0.5,0", "0,1,1,0.5", "1,1,1,0.5,0.5"])
     with pytest.raises(ValueError):
-        read_genealogy_csv(short, VALUE_COLUMNS)
+        read_genealogy_csv(short)
 
 
 @pytest.mark.parametrize("columns", [
-    ("size_birth", "growth_rate"), ("growth_rate", "size_birth", "lifetime"),
-    (*VALUE_COLUMNS, "path"), ()])
+    ("size_birth", "growth_rate"),
+    ("growth_rate", "size_birth", "lifetime", "birth_time"),
+    ("size_birth", "growth_rate", "lifetime", "birth_time", "path"), ()])
 def test_reader_refuses_columns_it_cannot_build_a_tree_from(tmp_path, tree,
                                                             columns):
-    header, rows = _lines(tree, tmp_path)
-    with pytest.raises(ValueError, match="columns must be"):
-        read_genealogy_csv(_write(tmp_path / "t.csv", header, rows), columns)
+    # the header is the reader's only column rule: one naming other columns
+    # than the writer's is refused, even when every cell would parse (the
+    # swapped size and rate columns)
+    _, rows = _lines(tree, tmp_path)
+    header = ",".join(["path", *columns])
+    with pytest.raises(ValueError, match="unexpected genealogy header"):
+        read_genealogy_csv(_write(tmp_path / "t.csv", header, rows))
 
 
 def oracle_row_bound(path, scan_bytes):
@@ -645,6 +655,21 @@ def test_ingest_matches_oracle(tmp_path, monkeypatch, case):
         # one contiguous array per column; a one-cell column has no stride
         # to compare (the oracle's is a row of its table, 24 bytes)
         assert x.flags.c_contiguous and np.array_equal(x, y), col
+
+
+@pytest.mark.parametrize("case", ["lineages", "short-row"])
+def test_ingest_accepts_a_byte_order_mark(tmp_path, case):
+    """A UTF-8 byte-order mark is not part of the first column's name, on
+    the column-wise path and in the row loop a short row falls back to."""
+    text, kwargs, _ = INGEST_FILES[case]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    (obs, report), (want_obs, want_report) = (
+        ingest_lineage_csv(path, **kwargs) for path in (marked, plain))
+    assert report.to_json_dict() == want_report.to_json_dict()
+    for col in DEFAULT_COLUMN_MAP:
+        assert np.array_equal(getattr(obs, col), getattr(want_obs, col))
 
 
 def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes):

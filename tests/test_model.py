@@ -10,7 +10,8 @@ from gftree.model import (DEFAULT_T_MAX, HAZARD_TOL, ClassParams,
                           DiracGrowth, GaussianIncrementGrowth,
                           GrowthBounds, IndependentResampleGrowth,
                           InitialDistribution, ModelSpec, NonDivergentHazard,
-                          PowerLawRate, TabulatedRate, UniformIncrementGrowth,
+                          PointStart, PowerLawRate, TabulatedRate,
+                          UniformIncrementGrowth, UniformStart,
                           check_class_membership, contraction_coefficient,
                           cumulative_hazard, reference_model,
                           sample_growth_rates_keyed, sample_lifetimes_keyed,
@@ -661,7 +662,7 @@ def test_model_json_roundtrip_other_forms():
     spec = ModelSpec(
         TabulatedRate([0.5, 1.0, 2.0], [0.1, 1.0, 2.0]),
         GaussianIncrementGrowth(0.3, bounds), bounds,
-        InitialDistribution(0.5, 1.5, growth_value=1.0))
+        InitialDistribution(0.5, 1.5, PointStart(1.0)))
     back = ModelSpec.from_json(spec.to_json())
     assert np.array_equal(back.division_rate.grid, spec.division_rate.grid)
     assert back.growth_kernel == spec.growth_kernel
@@ -705,8 +706,8 @@ _KERNEL_JSON = {
                               "gaussian_increment", "independent_resample"])
 def test_model_json_text_is_pinned(rate, kernel):
     point = isinstance(kernel, DiracGrowth)
-    initial = (InitialDistribution(0.5, 1.5, growth_value=1.0) if point
-               else InitialDistribution(0.5, 1.5, growth_low=0.5))
+    initial = InitialDistribution(
+        0.5, 1.5, PointStart(1.0) if point else UniformStart(low=0.5))
     spec = ModelSpec(rate, kernel, _BAND, initial)
     growth = ('{"form": "point", "value": 1.0}' if point
               else '{"form": "uniform", "low": 0.5}')
@@ -719,10 +720,29 @@ def test_model_json_text_is_pinned(rate, kernel):
     assert ModelSpec.from_json(spec.to_json()).to_json() == spec.to_json()
 
 
+# the "initial" text of each initial growth form, pinned
+@pytest.mark.parametrize("growth, text", [
+    (PointStart(1.0), '{"form": "point", "value": 1.0}'),
+    (UniformStart(), '{"form": "uniform"}'),
+    (UniformStart(low=0.5), '{"form": "uniform", "low": 0.5}'),
+    (UniformStart(high=2.0), '{"form": "uniform", "high": 2.0}'),
+    (UniformStart(0.5, 2.0), '{"form": "uniform", "high": 2.0, "low": 0.5}'),
+], ids=["point", "band", "low", "high", "low-high"])
+def test_initial_json_text_is_pinned(growth, text):
+    spec = ModelSpec(SQUARE, UniformIncrementGrowth(2.0, 0.5, _BAND), _BAND,
+                     InitialDistribution(0.5, 1.5, growth))
+    assert json.dumps(json.loads(spec.to_json())["initial"],
+                      sort_keys=True) == (
+        f'{{"growth": {text}, "size": {{"high": 1.5, "low": 0.5}}}}')
+    assert ModelSpec.from_json(spec.to_json()) == spec
+
+
 def test_model_validates_initial_support():
     bounds = GrowthBounds(0.2, 3.0)
-    with pytest.raises(ValueError):
-        ModelSpec(SQUARE, DiracGrowth(1.0, bounds), bounds,
-                  InitialDistribution(1.0, 2.0, growth_value=5.0))
+    for growth in (PointStart(5.0), UniformStart(low=0.1),
+                   UniformStart(high=3.5), UniformStart(2.0, 1.0)):
+        with pytest.raises(ValueError, match="initial growth"):
+            ModelSpec(SQUARE, DiracGrowth(1.0, bounds), bounds,
+                      InitialDistribution(1.0, 2.0, growth))
     with pytest.raises(ValueError):
         InitialDistribution(-1.0, 2.0)

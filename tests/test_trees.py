@@ -6,8 +6,8 @@ from scipy import stats
 
 from gftree import streams, trees
 from gftree.model import (DiracGrowth, GrowthBounds, InitialDistribution,
-                          ModelSpec, PowerLawRate, cumulative_hazard,
-                          reference_model)
+                          ModelSpec, PointStart, PowerLawRate,
+                          cumulative_hazard, reference_model)
 from gftree.streams import run_key
 from gftree.trees import (GenealogyTree, extract_observations,
                           many_to_one_battery, parent_child_arrays,
@@ -328,7 +328,7 @@ def test_simulation_with_tabulated_rate():
 def test_first_generation_lifetimes_follow_hazard_law():
     bounds = GrowthBounds(1.0, 1.0)
     spec = ModelSpec(PowerLawRate(1.0, 2.0), DiracGrowth(1.0, bounds), bounds,
-                     InitialDistribution(1.3, 1.3, growth_value=1.0))
+                     InitialDistribution(1.3, 1.3, PointStart(1.0)))
     lifetimes = np.array([
         simulate_full_tree(spec, 0, seed=s).lifetime[0]
         for s in range(4000)])
