@@ -236,19 +236,43 @@ def _add_common(p: argparse.ArgumentParser):
                    help="omit the timestamp field from manifests")
 
 
-def _manifest(args, extra: dict) -> dict:
-    doc = {"command": args.command, "seed": resolve_seed(args), **extra}
+def _out(args) -> Path:
+    """The --out directory, made once the command's input checks pass."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _manifest(args, out: Path, name: str, doc: dict, spec=None,
+              config=None) -> None:
+    """Write every JSON file a command makes, ``out/name``: the command and
+    seed, the model and estimator config when given, the timestamp unless
+    --no-timestamp, then ``doc``.  Strict JSON: a non-finite float (a
+    one-size ladder's slope) is null."""
+    head = {"command": args.command, "seed": args.seed}
+    if spec is not None:
+        head["model"] = json.loads(spec.to_json())
+    if config is not None:
+        head["config"] = config.to_json_dict()
     if not args.no_timestamp:
-        doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    return doc
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    # strict JSON: a non-finite float (a one-size ladder's slope) as null
-    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
-    with open(path, "w", encoding="utf-8") as fh:
+        head["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    doc = json.loads(json.dumps({**head, **doc}),
+                     parse_constant=lambda _: None)
+    with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _verdicts(args, out: Path, name: str, verdicts: dict, spec=None,
+              **doc) -> int:
+    """Write ``verdicts`` to ``out/name`` and print one line each, with its
+    value if it has one; exit 4 unless every one passes."""
+    ok = all(v["pass"] for v in verdicts.values())
+    _manifest(args, out, name, {"pass": ok, "verdicts": verdicts, **doc}, spec)
+    for key, v in verdicts.items():
+        value = f"{v['value']:.3e} " if "value" in v else ""
+        print(f"{key}: {value}{'pass' if v['pass'] else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +281,20 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_simulate(args) -> int:
     spec = build_model(args)
-    seed = resolve_seed(args)
     if args.scheme == "full":
         if args.generations is None:
             raise UsageError("--generations is required for the full scheme")
-        tree = simulate_full_tree(spec, args.generations, seed)
+        tree = simulate_full_tree(spec, args.generations, args.seed)
     else:
         if args.length is None:
             raise UsageError("--length is required for the sparse scheme")
-        tree = simulate_sparse_lineage(spec, args.length, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        tree = simulate_sparse_lineage(spec, args.length, args.seed)
+    out = _out(args)
     csv_path = out / "genealogy.csv"
     write_genealogy_csv(tree, csv_path)
-    _write_json(out / "manifest.json", _manifest(args, {
-        "scheme": args.scheme,
-        "records": len(tree),
-        "depth": tree.depth,
-        "model": json.loads(spec.to_json()),
-        "output": csv_path.name,
-    }))
+    _manifest(args, out, "manifest.json", {
+        "scheme": args.scheme, "records": len(tree), "depth": tree.depth,
+        "output": csv_path.name}, spec)
     print(f"wrote {csv_path} ({len(tree)} records)")
     return EXIT_OK
 
@@ -292,12 +310,10 @@ def cmd_estimate(args) -> int:
     check_grid(config, obs.n, "--input")
     est = (estimate_division_rate_pooled(obs, config) if args.pooled_tau
            else estimate_division_rate(obs, config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     tsv = out / "estimate.tsv"
     write_estimate_tsv(est, tsv)
-    _write_json(out / "estimate.json",
-                {"config": config.to_json_dict(), **est.report_dict()})
+    _manifest(args, out, "estimate.json", est.report_dict(), config=config)
     if args.cross_check:
         ps, pg, cs = parent_child_arrays(tree)
         alt = estimate_division_rate_parent_indexed(obs, ps, pg, cs, config)
@@ -307,11 +323,9 @@ def cmd_estimate(args) -> int:
                if np.any(good) else 0.0)
         scale = float(np.max(est.values[good])) if np.any(good) else 0.0
         write_estimate_tsv(alt, out / "estimate_parent_indexed.tsv")
-        _write_json(out / "cross_check.json", _manifest(args, {
-            "sup_difference": sup,
-            "curve_scale": scale,
-            "relative": sup / scale if scale > 0 else 0.0,
-        }))
+        _manifest(args, out, "cross_check.json", {
+            "sup_difference": sup, "curve_scale": scale,
+            "relative": sup / scale if scale > 0 else 0.0})
         print(f"parent-indexed cross-check: sup difference {sup:.4g} "
               f"({100 * sup / scale if scale else 0:.2f}% of scale)")
     print(f"wrote {tsv} ({est.n} observations, h={est.h:.6g}, "
@@ -321,34 +335,30 @@ def cmd_estimate(args) -> int:
 
 def cmd_study(args) -> int:
     spec = build_model(args)
-    seed = resolve_seed(args)
     config = build_estimator_config(args)
     band_cfg = dataclasses.replace(config, threshold_rule=InvNThreshold())
     # grid and rules fail first at the smallest tree and at the band's
     for flag, k, cfg in [("--sizes", min(args.sizes), config)] + [
             ("--band-size", args.band_size, band_cfg)] * (args.band_size > 0):
         check_grid(cfg, 2 ** max(k, 1) - 1, flag)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     full = run_convergence_study(spec, args.sizes, args.replicates, "full",
-                                 config, seed, args.workers)
+                                 config, args.seed, args.workers)
     write_error_table(full, out / "table1.tsv")
     write_error_curve(full, out / "fig2_full.tsv")
     sparse = None
     if not args.full_only:
         sparse = run_convergence_study(spec, args.sizes, args.replicates,
-                                       "sparse", config, seed, args.workers)
+                                       "sparse", config, args.seed,
+                                       args.workers)
         write_error_curve(sparse, out / "fig2_sparse.tsv")
     if args.band_size:
         band = confidence_band(spec, args.band_size,
                                max(args.replicates, 20), band_cfg, 95.0,
-                               seed, args.workers)
+                               args.seed, args.workers)
         write_band(band, out / "fig3_band.tsv")
-    report = study_report_dict(full, sparse, config, seed, args.replicates)
-    report["model"] = json.loads(spec.to_json())
-    if not args.no_timestamp:
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write_json(out / "study.json", report)
+    _manifest(args, out, "study.json",
+              study_report_dict(full, sparse, args.replicates), spec, config)
     print(f"wrote {out}/study.json (slope full: {full.slope:.3f}"
           + (f", sparse: {sparse.slope:.3f}" if sparse else "") + ")")
     return EXIT_OK
@@ -360,18 +370,18 @@ def parse_size_range(text: str) -> list[int]:
     with contextlib.suppress(ValueError):
         sizes = (list(range(int(lo), int(hi) + 1)) if dots
                  else [int(p) for p in text.split(",") if p])
-        if sizes and min(sizes) >= 0:
+        if sizes and min(sizes) >= 0 and len(set(sizes)) == len(sizes):
             return sizes
     raise argparse.ArgumentTypeError(
-        f"need at least one size, each >= 0 ('5..10' or '5,7,9'): {text!r}")
+        f"need one or more distinct sizes >= 0 ('5..10' or '5,7,9'): {text!r}")
 
 
 def cmd_verify(args) -> int:
     spec = build_model(args)
-    seed = resolve_seed(args)
     verdicts = {}
     if args.many_to_one:
-        results = many_to_one_battery(spec, args.t, args.replicates, seed)
+        results = many_to_one_battery(spec, args.t, args.replicates,
+                                      args.seed)
         verdicts["many_to_one"] = {
             "pass": all(r.within(3.0) for r in results),
             "t": args.t,
@@ -398,14 +408,7 @@ def cmd_verify(args) -> int:
     if not verdicts:
         raise UsageError("nothing to verify; pass --many-to-one, "
                          "--class-check, or --drift (any combination)")
-    ok = all(v["pass"] for v in verdicts.values())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", _manifest(args, {
-        "pass": ok, "verdicts": verdicts}))
-    for name, v in verdicts.items():
-        print(f"{name}: {'pass' if v['pass'] else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _verdicts(args, _out(args), "verify.json", verdicts, spec)
 
 
 def cmd_pde_check(args) -> int:
@@ -428,8 +431,7 @@ def cmd_pde_check(args) -> int:
     relation = steady_state_relation_error(inv, pde, rate, 0.5, 2.5)
     with _usage(f"--grid-xmax {args.grid_xmax}"):  # too short a grid
         flux = flux_identity_error(pde, rate, tau, 0.5, 2.5)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_curve_tsv(out / "invariant_density.tsv",
                     {"x": inv.x, "nu": inv.values})
     write_curve_tsv(out / "pde_steady_state.tsv",
@@ -448,12 +450,8 @@ def cmd_pde_check(args) -> int:
                                              "pass": flux < 0.02},
         "pde_converged": {"value": pde.l1_rate, "pass": pde.converged},
     }
-    ok = all(v["pass"] for v in verdicts.values())
-    _write_json(out / "pde_check.json", _manifest(args, {
-        "pass": ok, "tau": tau, "b": args.b, "verdicts": verdicts}))
-    for name, v in verdicts.items():
-        print(f"{name}: {v['value']:.3e} {'pass' if v['pass'] else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return _verdicts(args, out, "pde_check.json", verdicts, tau=tau,
+                     b=args.b)
 
 
 def cmd_ingest(args) -> int:
@@ -473,17 +471,15 @@ def cmd_ingest(args) -> int:
                                          drop_last=args.drop_last)
     check_grid(config, obs.n, "--input")
     analysis = studies.analyze_experimental(obs, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_estimate_tsv(analysis.rate_estimate, out / "estimate.tsv")
     write_curve_tsv(out / "density.tsv", {
         "y": analysis.density_curve.x,
         "nu_hat": analysis.density_curve.values,
     })
-    _write_json(out / "ingest.json", _manifest(args, {
-        "ingest": report.to_json_dict(),
-        "analysis": analysis.report,
-    }))
+    _manifest(args, out, "ingest.json", {"ingest": report.to_json_dict(),
+                                         "analysis": analysis.report},
+              config=config)
     print(f"ingested {report.accepted} cells "
           f"({len(report.rejected)} rejected); wrote {out}/estimate.tsv")
     return EXIT_OK
@@ -606,6 +602,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
+        args.seed = resolve_seed(args)
         return args.func(args)
     except SystemExit as exc:  # a flag refused (2) or --help (0)
         return exc.code

@@ -72,10 +72,6 @@ class GaussianKernel:
             raise ValueError("radius must be positive")
 
     @property
-    def order(self) -> int:
-        return 1
-
-    @property
     def support_radius(self) -> float:
         return self.radius
 

@@ -17,6 +17,7 @@ rows, ``_FOREST_CELLS`` cells per pass, and its storage is then freed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -244,6 +245,8 @@ def run_convergence_study(spec: ModelSpec, sizes_log2: Sequence[int],
     sizes_log2 = sorted(sizes_log2)
     if not sizes_log2:
         raise ValueError("need at least one size")
+    if len(set(sizes_log2)) < len(sizes_log2):
+        raise ValueError(f"repeated size in {sizes_log2}")
     job = partial(_replicate_results, spec=spec, scheme=scheme, config=config,
                   seed=seed, kind="error")
     errors = _map_batches(job, _batches(sizes_log2, replicates, scheme),
@@ -394,11 +397,12 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     ``column_map`` maps observation fields (the keys of
     ``DEFAULT_COLUMN_MAP``; any other raises ``ValueError``) to CSV column
     names.  Rows with non-finite or non-positive entries are rejected with
-    line-numbered diagnostics naming the first failing column.  When a
-    lineage column is present, the first ``drop_first`` and last
-    ``drop_last`` cells of every lineage are discarded (defence against
-    non-stationary boundary generations in experimental data); lineages
-    keep the order of their first row, and cells their row order.
+    diagnostics naming the first failing column and the file line the row
+    ends on, blank lines counted.  When a lineage column is present, the
+    first ``drop_first`` and last ``drop_last`` cells of every lineage are
+    discarded (defence against non-stationary boundary generations in
+    experimental data); lineages keep the order of their first row, and
+    cells their row order.
 
     The mapped columns (and the lineage column) are parsed column-wise by
     :func:`~gftree.curves.csv_blocks` (bit-identical to ``float()``)
@@ -450,13 +454,15 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
                                                  rows.start, {})
                 rejected += bad
             n = rows.stop
+            lines = _row_lines(fh, [row for row, _ in rejected])
         except ValueError:
             fh.seek(0)
-            keys, values, texts = _ingest_rows(
+            keys, values, texts, lines = _ingest_rows(
                 csv.DictReader(fh), colmap,
                 lineage_column if has_lineage else None)
             n = values.shape[1]
             ok, rejected = _validate_values(values.T, colmap, 0, texts)
+    rejected = [(lines[row], why) for row, why in rejected]
     keep = ok[:n] if rejected else slice(n)  # copied only if a row goes
     values = [col[:n][keep] for col in values]
     keys = None if keys is None else keys[:n][keep]
@@ -475,18 +481,18 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
 
 def _validate_values(values: np.ndarray, colmap: dict, first: int,
                      texts: dict):
-    """Accepted-row mask and (line, reason) per rejected row of the (row,
+    """Accepted-row mask and (row, reason) per rejected row of the (row,
     field) ``values``, where the reason is the first field (in ``colmap``
     order) whose cell did not parse (its text in ``texts`` by (row,
-    field)), is not finite or is not positive; row 0 is on line
-    ``first + 2``, after the header."""
+    field)), is not finite or is not positive; row 0 is the file's data
+    row ``first``."""
     finite = np.isfinite(values)
     ok = finite & (values > 0)
     good = ok.all(axis=1)
     bad = np.flatnonzero(~good)
     col = np.argmin(ok[bad], axis=1)
     names = list(colmap.values())
-    rejected = [(row + first + 2, f"{names[j]}: " + (
+    rejected = [(row + first, f"{names[j]}: " + (
         f"not a number ({texts[row, j]!r})" if (row, j) in texts
         else "must be positive" if fin else "not finite"))
         for row, j, fin in zip(bad.tolist(), col.tolist(),
@@ -494,12 +500,27 @@ def _validate_values(values: np.ndarray, colmap: dict, first: int,
     return good, rejected
 
 
+def _row_lines(fh, rows: list) -> dict:
+    """{row: the file line it ends on} for the ascending data rows ``rows``
+    of the open CSV file ``fh``, counted as :func:`csv_blocks` counts them,
+    blank lines skipped.  The file is read again up to the last of
+    ``rows``: not at all if there is none."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    data, at, lines = filter(None, itertools.islice(reader, 1, None)), 0, {}
+    for row in rows:  # past the header, blank lines and the rows between
+        next(itertools.islice(data, row - at, None))
+        lines[row], at = reader.line_num, row + 1
+    return lines
+
+
 def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
     """Each row's cells parsed by ``float()``: the lineage keys, a (field,
-    row) value array, nan where a cell does not parse, and that cell's text
-    by (row, field)."""
-    keys, rows, texts = [], [], {}
+    row) value array, nan where a cell does not parse, that cell's text by
+    (row, field), and the file line each row ends on."""
+    keys, rows, texts, lines = [], [], {}, []
     for i, row in enumerate(reader):
+        lines.append(reader.line_num)
         if lineage_column is not None:
             keys.append(row[lineage_column])
         cells = []
@@ -512,7 +533,7 @@ def _ingest_rows(reader, colmap: dict, lineage_column: Optional[str]):
         rows.append(cells)
     values = np.array(rows, dtype=np.float64).reshape(-1, len(colmap))
     return (None if lineage_column is None else np.array(keys, dtype=object),
-            np.ascontiguousarray(values.T), texts)
+            np.ascontiguousarray(values.T), texts, lines)
 
 
 def _drop_boundary(keys, n: int, drop_first: int, drop_last: int):
@@ -548,20 +569,15 @@ def analyze_experimental(obs: ObservationSet,
                          config: EstimatorConfig = EstimatorConfig()
                          ) -> ExperimentalAnalysis:
     """Estimate the division rate and the size-at-birth density on a shared
-    grid, with run metadata; warns (softly) below 100 cells."""
+    grid; the report is the estimate's plus the density's mass.  Warns
+    (softly) below 100 cells."""
     if obs.n < 100:
         warnings.warn(f"only {obs.n} cells; estimates will be noisy",
                       stacklevel=2)
     est = estimate_division_rate(obs, config)
-    h = est.h
-    dens = kernel_density(obs, est.y, h, config.kernel)
-    report = {
-        "n": obs.n,
-        "h": h,
-        "threshold": est.threshold_value,
-        "conditioned_fraction": float(np.mean(~est.clipped)),
-        "density_mass": float(np.trapezoid(dens, dx=est.curve.dx)),
-    }
+    dens = kernel_density(obs, est.y, est.h, config.kernel)
+    report = {**est.report_dict(),
+              "density_mass": float(np.trapezoid(dens, dx=est.curve.dx))}
     return ExperimentalAnalysis(est, CurveOnGrid(float(est.y[0]),
                                                  est.curve.dx, dens), report)
 
@@ -599,7 +615,6 @@ def write_band(band: ConfidenceBand, path) -> None:
 
 def study_report_dict(full: ConvergenceStudy,
                       sparse: Optional[ConvergenceStudy],
-                      config: EstimatorConfig, seed: int,
                       replicates: int) -> dict:
     def rows(study):
         return [{"log2_n": int(round(math.log2(r.n))),
@@ -610,9 +625,7 @@ def study_report_dict(full: ConvergenceStudy,
                 for r in study.rows]
 
     doc = {
-        "seed": seed,
         "replicates": replicates,
-        "config": config.to_json_dict(),
         "full": {"rows": rows(full), "slope": full.slope,
                  "slope_stderr": full.slope_stderr},
     }

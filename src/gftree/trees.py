@@ -64,24 +64,22 @@ class GenealogyTree:
     2^{N+1} - 1 records) or ``"sparse"`` (a single followed lineage of n
     records, with the child bit of each of its n - 1 divisions in
     ``chain_bits``).  The float columns are read-only views aligned to the
-    record order, a ``birth_time`` of None derived when first read; a
-    record's place in the tree is its row (:meth:`positions`).
+    record order, ``birth_time`` derived when first read; a record's place
+    in the tree is its row (:meth:`positions`).
     """
 
     def __init__(self, scheme: str, size_birth: np.ndarray,
-                 growth_rate: np.ndarray, birth_time: Optional[np.ndarray],
-                 lifetime: np.ndarray, chain_bits: Optional[np.ndarray] = None):
+                 growth_rate: np.ndarray, lifetime: np.ndarray,
+                 chain_bits: Optional[np.ndarray] = None):
         self.scheme = scheme
         self.size_birth = _read_only(size_birth)
         self.growth_rate = _read_only(growth_rate)
-        self._birth_time = (None if birth_time is None
-                            else _read_only(birth_time))
+        self._birth_time = None
         self.lifetime = _read_only(lifetime)
         self.chain_bits = (None if chain_bits is None
                            else np.asarray(chain_bits, dtype=np.int64))
         n = len(self)
-        if any(c is not None and c.size != n for c in (
-                self.growth_rate, self._birth_time, self.lifetime)):
+        if any(c.size != n for c in (self.growth_rate, self.lifetime)):
             raise ValueError("the columns must have equal length")
         if scheme == "full":
             if n == 0 or (n + 1) & n:
@@ -112,10 +110,9 @@ class GenealogyTree:
 
     @property
     def birth_time(self) -> np.ndarray:
-        """Unless given, a cell's parent's birth time plus the parent's
-        lifetime, 0 at the root: the forest's additions, so equal bit for
-        bit to the column it carried.  Derived on the first read, then
-        kept."""
+        """A cell's parent's birth time plus the parent's lifetime, 0 at the
+        root: the forest's additions, so equal bit for bit to the column it
+        carried.  Derived on the first read, then kept."""
         if self._birth_time is None:
             life, birth = self.lifetime, np.zeros(len(self))
             if self.scheme == "sparse":  # sequential sums, as the forest adds
@@ -127,14 +124,6 @@ class GenealogyTree:
                         birth[cells] + life[cells], 2)
             self._birth_time = _read_only(birth)
         return self._birth_time
-
-    @property
-    def generation(self) -> np.ndarray:
-        return self.positions()[0]
-
-    @property
-    def index(self) -> np.ndarray:
-        return self.positions()[1]
 
     @property
     def depth(self) -> int:
@@ -304,7 +293,7 @@ def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
     (_, cols), = grow_replicates(
         spec, scheme, np.full(len(seeds), size + 1 if full else size),
         np.concatenate([streams.run_key(s) for s in seeds]), columns)
-    return [GenealogyTree(scheme, cols[0, r], cols[1, r], None, cols[2, r],
+    return [GenealogyTree(scheme, cols[0, r], cols[1, r], cols[2, r],
                           chain_bits=None if full else cols[3, r, 1:])
             for r in range(len(seeds))]
 
@@ -502,7 +491,7 @@ def read_genealogy_csv(path) -> GenealogyTree:
     if order is not None:
         for col in values:
             col[:] = col[order]
-    return GenealogyTree(scheme, values[0], values[1], None, values[2],
+    return GenealogyTree(scheme, values[0], values[1], values[2],
                          chain_bits=bits)
 
 

@@ -54,6 +54,33 @@ def tagged_branch():
     return grow
 
 
+SMALL_RUNS = {  # each command's flags for a run of a few milliseconds
+    "simulate": ["--scheme", "full", "--generations", "7"],
+    "estimate": ["--input", "{csv}", "--cross-check"],
+    "study": ["--sizes", "5..6", "--replicates", "3", "--band-size", "0"],
+    "verify": ["--class-check"],
+    "pde-check": [],
+    "ingest": ["--input", "{csv}"],
+}
+
+
+@pytest.fixture(scope="session")
+def small_run(tmp_path_factory):
+    """``small_run(command, out, *flags)``: the exit code of a small run of
+    ``command`` at seed 3 into ``out``, with ``flags`` added.  estimate and
+    ingest read a 255-cell genealogy that simulate wrote."""
+    from gftree.cli import main
+
+    def run(command, out, *flags):
+        argv = [a.format(csv=csv) for a in SMALL_RUNS[command]]
+        return main([command, *argv, "--seed", "3", "--out", str(out),
+                     *map(str, flags)])
+
+    csv = tmp_path_factory.mktemp("small") / "genealogy.csv"
+    assert run("simulate", csv.parent, "--no-timestamp") == 0
+    return run
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

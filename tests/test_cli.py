@@ -114,6 +114,41 @@ def test_seed_env_override(tmp_path, monkeypatch):
             == (tmp_path / "env" / "genealogy.csv").read_bytes())
 
 
+# JSON file: the optional manifest keys it carries, by command
+JSON_FILES = {
+    "simulate": {"manifest.json": {"model"}},
+    "estimate": {"estimate.json": {"config"}, "cross_check.json": set()},
+    "study": {"study.json": {"model", "config"}},
+    "verify": {"verify.json": {"model"}},
+    "pde-check": {"pde_check.json": set()},
+    "ingest": {"ingest.json": {"config"}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_FILES))
+def test_every_json_opens_with_the_manifest(small_run, tmp_path, command):
+    """Each JSON file names its command and seed; model and config appear
+    where the command has them, and no timestamp under --no-timestamp."""
+    assert small_run(command, tmp_path, "--no-timestamp") == 0
+    written = {path.name: json.loads(path.read_text())
+               for path in tmp_path.glob("*.json")}
+    assert written.keys() == JSON_FILES[command].keys()
+    for name, doc in written.items():
+        assert doc["command"] == command and doc["seed"] == 3, name
+        assert "timestamp" not in doc, name
+        assert doc.keys() & {"model", "config"} == JSON_FILES[command][name]
+
+
+@pytest.mark.parametrize("command", sorted(JSON_FILES))
+def test_bad_seed_is_refused_before_out(small_run, tmp_path, monkeypatch,
+                                        capsys, command):
+    monkeypatch.setenv("GFTREE_SEED", "abc")
+    out = tmp_path / "out"
+    assert small_run(command, out) == 2
+    assert "GFTREE_SEED 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -608,6 +643,9 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     # the flux identity needs some y in [0.5, 2.5] with 2y on the grid
     (["pde-check", "--grid-xmax", 0.8, "--check-lo", 0.1, "--check-hi", 0.3],
      "--grid-xmax"),
+    # a repeated size would be counted twice
+    (["study", "--sizes", "5,5"], "--sizes"),
+    (["study", "--sizes", "5,6,6"], "--sizes"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):

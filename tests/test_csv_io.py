@@ -51,15 +51,20 @@ def oracle_read_genealogy_csv(path) -> GenealogyTree:
     # sorted by (generation, path) the rows are breadth-first, which is
     # where a tree takes its positions from
     if n == 2 ** (depth + 1) - 1 and set(paths) == _complete_paths(depth):
-        return GenealogyTree("full", data[:, 0], data[:, 1], data[:, 3],
-                             data[:, 2])
-    if np.array_equal(gens, np.arange(n)) and all(
+        tree = GenealogyTree("full", data[:, 0], data[:, 1], data[:, 2])
+    elif np.array_equal(gens, np.arange(n)) and all(
             paths[i + 1][:len(paths[i])] == paths[i] for i in range(n - 1)):
         bits = np.array([int(paths[i + 1][-1]) for i in range(n - 1)],
                         dtype=np.int64)
-        return GenealogyTree("sparse", data[:, 0], data[:, 1], data[:, 3],
-                             data[:, 2], chain_bits=bits)
-    raise ValueError("genealogy is neither a complete tree nor a single lineage")
+        tree = GenealogyTree("sparse", data[:, 0], data[:, 1], data[:, 2],
+                             chain_bits=bits)
+    else:
+        raise ValueError("genealogy is neither a complete tree nor a single "
+                         "lineage")
+    # the tree derives birth_time: it must be the file's column, bit for bit
+    if not np.array_equal(tree.birth_time, data[:, 3]):
+        raise AssertionError("derived birth_time differs from the file's")
+    return tree
 
 
 def _complete_paths(depth: int) -> set[str]:
@@ -88,7 +93,8 @@ def oracle_ingest_lineage_csv(path, column_map=None,
                        and lineage_column in reader.fieldnames)
         rows = []
         rejected = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # the file line the row ends on
             vals = {}
             reason = None
             for fld, col in colmap.items():
@@ -217,15 +223,17 @@ def test_writer_fallback_values_match_oracle(tmp_path, scheme):
     # [1e-4, 1e16) that take the per-value % fallback.
     rng = np.random.default_rng(31)
     n = 255
-    size, rate, birth_time, lifetime = rng.lognormal(0.0, 1.0, (4, n))
+    size, rate, lifetime = rng.lognormal(0.0, 1.0, (3, n))
     lifetime[[3, 50, 200]] = [1e-7, 9.999999999999999e-05, 5e-324]
-    birth_time[[0, 7, 100, 254]] = [0.0, 1e16, 1.2345678901234567e17, 1e300]
+    # the root is born at 0, and these lifetimes move the derived birth
+    # times of the cells after them to 1e16 and beyond
+    lifetime[[7, 30, 100]] = [1e16, 1e300, 1.2345678901234567e17]
     size[[1, 2]] = [1e-4, 9999999999999998.0]
     rate[[5, 6]] = [1e20, 0.0001]
     if scheme == "full":
-        tree = GenealogyTree("full", size, rate, birth_time, lifetime)
+        tree = GenealogyTree("full", size, rate, lifetime)
     else:
-        tree = GenealogyTree("sparse", size, rate, birth_time, lifetime,
+        tree = GenealogyTree("sparse", size, rate, lifetime,
                              chain_bits=rng.integers(0, 2, n - 1))
     path, expected = tmp_path / "tree.csv", tmp_path / "expected.csv"
     write_genealogy_csv(tree, path)
@@ -306,9 +314,9 @@ def test_float_text_matches_percent_17g():
 # ---------------------------------------------------------------------------
 
 def assert_same_tree(a: GenealogyTree, b: GenealogyTree):
+    # a record's position is its row, so the scheme and the length fix them
     assert a.scheme == b.scheme
-    for col in ("generation", "index", "size_birth", "growth_rate",
-                "birth_time", "lifetime"):
+    for col in ("size_birth", "growth_rate", "birth_time", "lifetime"):
         x, y = getattr(a, col), getattr(b, col)
         assert x.dtype == y.dtype and np.array_equal(x, y), col
     if a.chain_bits is None:
@@ -583,7 +591,7 @@ def test_reader_rejects_non_binary_sparse_path(tmp_path):
 def test_tree_rejects_non_binary_chain_bits():
     one = np.ones(2)
     with pytest.raises(ValueError, match="0 or 1"):
-        GenealogyTree("sparse", one, one, one, one, chain_bits=np.array([7]))
+        GenealogyTree("sparse", one, one, one, chain_bits=np.array([7]))
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +678,22 @@ def test_ingest_accepts_a_byte_order_mark(tmp_path, case):
     assert report.to_json_dict() == want_report.to_json_dict()
     for col in DEFAULT_COLUMN_MAP:
         assert np.array_equal(getattr(obs, col), getattr(want_obs, col))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 1 << 14])
+@pytest.mark.parametrize("tail, lines", [
+    ("", [5]), ('\n"3\n",-1,1\n', [5, 8]), ("\n\nx,1,1\n", [5, 8])],
+    ids=["column-wise", "quoted-line-end", "row-loop"])
+def test_ingest_reports_the_file_line_of_a_rejected_row(
+        tmp_path, monkeypatch, block_rows, tail, lines):
+    """Blank lines count, and a row whose quoted cell holds a line end is
+    on the line it ends on, as ``csv.reader.line_num`` has it; the
+    non-number ``x`` sends the last file through the row loop."""
+    monkeypatch.setattr(studies, "_INGEST_ROWS", block_rows)
+    path = tmp_path / "cells.csv"
+    path.write_bytes((HEADER + "\n\n1,1,1\n\n2,-1,1\n" + tail).encode())
+    _, report = ingest_lineage_csv(path)
+    assert [line for line, _ in report.rejected] == lines
 
 
 def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes):

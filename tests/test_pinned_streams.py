@@ -67,8 +67,9 @@ CHAIN_SEED28 = {
 
 def test_full_tree_columns_are_pinned(variability_spec):
     tree = simulate_full_tree(variability_spec, 2, seed=27)
-    assert tree.generation.tolist() == [0, 1, 1, 2, 2, 2, 2]
-    assert tree.index.tolist() == [0, 0, 1, 0, 1, 2, 3]
+    gen, index = tree.positions()
+    assert gen.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert index.tolist() == [0, 0, 1, 0, 1, 2, 3]
     for col, values in FULL_SEED27.items():
         np.testing.assert_allclose(getattr(tree, col), values, rtol=RTOL,
                                    atol=0, err_msg=col)
@@ -131,8 +132,8 @@ def test_tagged_path_is_pinned(variability_spec, tagged_branch):
 # Batched forests against one root at a time
 # ---------------------------------------------------------------------------
 
-TREE_COLUMNS = ("generation", "index", "size_birth", "growth_rate",
-                "birth_time", "lifetime")
+# a record's position is its row: the scheme and the columns' length fix it
+TREE_COLUMNS = ("size_birth", "growth_rate", "birth_time", "lifetime")
 
 
 @pytest.mark.parametrize("scheme, size, single", [

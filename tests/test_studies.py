@@ -130,6 +130,13 @@ def test_study_rejects_bad_scheme(dirac_spec):
         run_convergence_study(dirac_spec, [5], 2, "funky")
 
 
+@pytest.mark.parametrize("sizes", [[5, 5], [5, 6, 6]])
+def test_study_rejects_a_repeated_size(dirac_spec, sizes):
+    # its replicates would be counted twice, in one row per copy
+    with pytest.raises(ValueError, match="repeated size"):
+        run_convergence_study(dirac_spec, sizes, 2)
+
+
 def batch_lengths(batches, k):
     return [len(reps) for sizes, reps in batches if k in sizes]
 

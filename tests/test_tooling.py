@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps ``(module, function)`` pairs of the package
 by name; a renamed or deleted function would silently drop its layer from
 a traced run.  This reads the table without changing it.  The README's
-library example is run as written, so it cannot name a deleted function.
+library example is run as written, so it cannot name a deleted function,
+and its table of manifest keys is checked against the JSON writer.
 """
 
 import importlib.util
@@ -66,6 +67,38 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), scope)
     assert len(scope["tree"]) == 2 ** 14 - 1
     assert scope["est"].n == 2 ** 14 - 1
+
+
+def test_readme_manifest_keys_match_the_writer(small_run, tmp_path):
+    """The README's table of manifest keys names every key ``_manifest``
+    writes, and for each key the JSON files that carry it in a real run of
+    every command."""
+    import argparse
+    import json
+
+    from gftree import cli
+    from gftree.estimator import EstimatorConfig
+    from gftree.model import reference_model
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | in |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.fullmatch(r"\s*\| `(\w+)` \| (.*) \|", line).groups()
+                for line in table.strip().splitlines()[1:])
+    args = argparse.Namespace(command="simulate", seed=3, no_timestamp=False)
+    cli._manifest(args, tmp_path, "all.json", {}, reference_model("dirac"),
+                  EstimatorConfig())
+    written = json.loads((tmp_path / "all.json").read_text())
+    assert rows.keys() == written.keys()
+    docs = {}
+    for command in ("simulate", "estimate", "study", "verify", "pde-check",
+                    "ingest"):
+        assert small_run(command, tmp_path / command) == 0
+        docs.update((path.name, json.loads(path.read_text()))
+                    for path in (tmp_path / command).glob("*.json"))
+    for key, files in rows.items():
+        named = (set(docs) if files.startswith("every file")
+                 else set(re.findall(r"`([\w.]+\.json)`", files)))
+        assert named == {name for name, doc in docs.items() if key in doc}, key
 
 
 def test_pde_run_counter_reads_a_real_march():

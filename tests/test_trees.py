@@ -20,7 +20,7 @@ from gftree.trees import (GenealogyTree, extract_observations,
 # ---------------------------------------------------------------------------
 
 def tree_of(scheme, n, chain_bits=None):
-    return GenealogyTree(scheme, *np.ones((4, n)), chain_bits=chain_bits)
+    return GenealogyTree(scheme, *np.ones((3, n)), chain_bits=chain_bits)
 
 
 @pytest.mark.parametrize("depth", range(21))
@@ -32,8 +32,6 @@ def test_full_tree_positions_equal_breadth_first_layout(depth):
     got_gen, got_index = tree.positions()
     assert got_gen.dtype == got_index.dtype == np.int64
     assert np.array_equal(got_gen, gen) and np.array_equal(got_index, index)
-    assert np.array_equal(tree.generation, gen)
-    assert np.array_equal(tree.index, index)
     assert tree.depth == depth
     for rows in (slice(0, 1), slice(3, None), slice(gen.size // 3,
                                                     gen.size // 2)):
@@ -70,10 +68,10 @@ def test_tree_constructor_refusals(args, message):
 
 def test_tree_refuses_columns_of_unequal_length():
     with pytest.raises(ValueError, match="equal length"):
-        GenealogyTree("full", np.ones(3), np.ones(3), np.ones(3), np.ones(2))
+        GenealogyTree("full", np.ones(3), np.ones(3), np.ones(2))
     with pytest.raises(ValueError, match="equal length"):
         GenealogyTree("sparse", np.ones(2), np.ones(3), np.ones(2),
-                      np.ones(2), chain_bits=[0])
+                      chain_bits=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +88,9 @@ def test_zero_generations_gives_root_only(variability_spec):
 def test_two_generations_give_seven_records(variability_spec):
     tree = simulate_full_tree(variability_spec, 2, seed=2)
     assert len(tree) == 7
-    assert tree.generation.tolist() == [0, 1, 1, 2, 2, 2, 2]
-    assert tree.index.tolist() == [0, 0, 1, 0, 1, 2, 3]
+    gen, index = tree.positions()
+    assert gen.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert index.tolist() == [0, 0, 1, 0, 1, 2, 3]
     # siblings (rows 2k + 1 and 2k + 2) are born equal: binary fission
     # into exact halves
     for left in (1, 3, 5):
@@ -139,13 +138,13 @@ def test_sparse_single_record(variability_spec):
     chain = simulate_sparse_lineage(variability_spec, 1, seed=4)
     assert len(chain) == 1
     assert chain.chain_bits.size == 0  # the root: the empty path
-    assert chain.generation.tolist() == [0] and chain.depth == 0
+    assert chain.positions()[0].tolist() == [0] and chain.depth == 0
 
 
 def test_sparse_chain_structure(variability_spec):
     chain = simulate_sparse_lineage(variability_spec, 3, seed=4)
     # row k is generation k, the child of row k - 1 by bit chain_bits[k - 1]
-    assert chain.generation.tolist() == [0, 1, 2]
+    assert chain.positions()[0].tolist() == [0, 1, 2]
     assert chain.chain_bits.size == 2
     assert set(chain.chain_bits.tolist()) <= {0, 1}
 
@@ -259,8 +258,7 @@ def test_genealogy_csv_roundtrip_full(tmp_path, variability_spec):
     write_genealogy_csv(tree, path)
     back = read_genealogy_csv(path)
     assert back.scheme == "full"
-    for col in ("generation", "index", "size_birth", "growth_rate",
-                "birth_time", "lifetime"):
+    for col in ("size_birth", "growth_rate", "birth_time", "lifetime"):
         assert np.array_equal(getattr(tree, col), getattr(back, col))
     path2 = tmp_path / "tree2.csv"
     write_genealogy_csv(back, path2)
@@ -294,7 +292,7 @@ def test_parent_child_arrays(variability_spec):
     for row in (1, 5, len(tree) - 1):
         # the parent of generation g, index i is generation g - 1, index
         # i // 2, at row 2^(g-1) - 1 + i // 2 = (row - 1) // 2
-        g, i = tree.generation[row], tree.index[row]
+        (g,), (i,) = tree.positions(slice(row, row + 1))
         parent = 2 ** (g - 1) - 1 + i // 2
         assert parent == (row - 1) // 2
         assert ps[row - 1] == tree.size_birth[parent]
