@@ -85,6 +85,8 @@ FINITE = _ranged(float, math.isfinite, "finite")
 POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
 NON_NEGATIVE = _ranged(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 UNIT = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
+# one run key per seed: seeds that agree mod 2^64 would share one
+SEED = _ranged(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2^64)")
 
 
 def at_least(k: int):
@@ -153,8 +155,9 @@ def build_model(args) -> ModelSpec:
 def resolve_seed(args) -> int:
     env = os.environ.get("GFTREE_SEED")
     if env is not None:
-        with _usage(f"GFTREE_SEED {env!r}, not an integer"):
-            return int(env)
+        with _usage(f"GFTREE_SEED {env!r}",
+                    (ValueError, argparse.ArgumentTypeError)):
+            return SEED(env)
     return args.seed
 
 
@@ -224,7 +227,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=SEED, default=0,
                    help="run seed; GFTREE_SEED overrides (default: %(default)s)")
     p.add_argument("--workers", type=at_least(1), default=1,
                    help="worker processes; only study uses them (say, one "

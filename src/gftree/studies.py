@@ -34,9 +34,8 @@ from .estimator import (DivisionRateEstimate, EstimatorConfig,
                         estimate_division_rate, estimate_rows,
                         evaluation_grid, kernel_density)
 from .model import DivisionRate, ModelSpec
-from .trees import grow_replicates
+from .trees import _FOREST_CELLS, grow_replicates
 
-_FOREST_CELLS = 1 << 14  # cells stored per batch of full-tree replicates
 _SPARSE_CELLS = 1 << 22  # cells stored per batch of sparse lineages
 _INGEST_ROWS = 1 << 14  # lineage CSV rows parsed and checked per block
 

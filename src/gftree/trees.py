@@ -22,11 +22,14 @@ children of every cell, the sparse lineage and the tagged branch one child
 drawn from the cell's choice stream, and the many-to-one check grows
 tagged branches and whole trees up to a fixed time.  Study replicates are
 grown together as one forest per batch (:func:`grow_replicates`), whose
-lanes may follow lineages of different lengths.
+lanes may follow lineages of different lengths; full trees whose
+generations outgrow ``_FOREST_CELLS`` live cells grow the rest a block of
+subtrees at a time.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -42,7 +45,8 @@ from .model import (ModelSpec, sample_growth_rates_keyed,
 
 _MAX_FOREST_LEVELS = 4096  # runaway guard for time-capped growth
 _MAX_FOREST_CELLS = 1 << 25  # live cells per forest; ~85 B each, ~2.9 GB
-_FOREST_ROOTS = 1 << 10  # many-to-one roots per forest, to bound its memory
+_FOREST_CELLS = 1 << 14  # live cells per forest of whole generations
+_FOREST_ROOTS = 1 << 10  # many-to-one population roots per forest
 
 
 class ForestTooLarge(RuntimeError):
@@ -110,20 +114,45 @@ class GenealogyTree:
 
     @property
     def birth_time(self) -> np.ndarray:
-        """A cell's parent's birth time plus the parent's lifetime, 0 at the
-        root: the forest's additions, so equal bit for bit to the column it
-        carried.  Derived on the first read, then kept."""
+        """Every record's birth time (:meth:`birth_blocks`), derived on the
+        first read, then kept."""
         if self._birth_time is None:
-            life, birth = self.lifetime, np.zeros(len(self))
-            if self.scheme == "sparse":  # sequential sums, as the forest adds
-                np.cumsum(life[:-1], out=birth[1:])
-            else:
-                for g in range(self.depth):
-                    cells = slice((1 << g) - 1, (2 << g) - 1)  # generation g
-                    birth[cells.stop:2 * cells.stop + 1] = np.repeat(
-                        birth[cells] + life[cells], 2)
+            birth = np.empty(len(self))
+            for rows, values in self.birth_blocks(len(self)):
+                birth[rows] = values
             self._birth_time = _read_only(birth)
         return self._birth_time
+
+    def birth_blocks(self, step: int):
+        """Yield ``(rows, birth times)`` for consecutive slices of at most
+        ``step`` rows, none across generations, from the first row to the
+        last.  A cell is born at its parent's birth time plus the parent's
+        lifetime, the root at 0: the forest's additions, so equal bit for
+        bit to the column it carried.  A lineage adds its lifetimes in
+        sequence; a slice of a full tree's generation adds them down the
+        runs of its ancestors, from the root, so no generation is kept."""
+        life, n = self.lifetime, len(self)
+        if self.scheme == "sparse":  # sequential sums, as the forest adds
+            born = 0.0
+            for a in range(0, n, step):
+                rows = slice(a, min(a + step, n))
+                births = np.empty(rows.stop - a)
+                births[0], births[1:] = born, life[a:rows.stop - 1]
+                np.cumsum(births, out=births)
+                born = births[-1] + life[rows.stop - 1]
+                yield rows, births
+            return
+        for g in range(self.depth + 1):
+            for i in range(0, 1 << g, step):
+                j = min(i + step, 1 << g)
+                births = np.zeros(1)  # the root's
+                for s in range(g - 1, -1, -1):  # generation g - s, of cells
+                    lo, hi = i >> s, ((j - 1) >> s) + 1  # from those parents
+                    parents = slice((1 << (g - s - 1)) - 1 + (lo >> 1),
+                                    (1 << (g - s - 1)) + ((hi - 1) >> 1))
+                    births = np.repeat(births + life[parents], 2)[
+                        lo & 1:(lo & 1) + hi - lo]
+                yield slice((1 << g) - 1 + i, (1 << g) - 1 + j), births
 
     @property
     def depth(self) -> int:
@@ -239,6 +268,50 @@ def _grow_until(forest: _Forest, t: float, pick: bool):
                        f"{_MAX_FOREST_LEVELS} generations")
 
 
+def _store(forest: _Forest, groups, columns, lanes: range, start: int,
+           width: int) -> None:
+    """Copy the forest's first cells, a run of ``width`` cells per lane of
+    ``lanes``, to rows ``start:start + width`` of those lanes in the
+    storage of the groups of :func:`grow_replicates` they fall in."""
+    for group, _, out in groups:
+        a, b = max(group.start, lanes.start), min(group.stop, lanes.stop)
+        for stored, c in zip(out if a < b else (), columns):
+            stored[start:start + width, a - group.start:b - group.start] = (
+                getattr(forest, c)[(a - lanes.start) * width:
+                                   (b - lanes.start) * width]
+                .reshape(b - a, width).T)
+
+
+def _grow_blocks(forest: _Forest, levels: np.ndarray, groups, columns,
+                 g: int, lanes: range, offset: int, width: int) -> None:
+    """Store every later generation of the full trees below the forest's
+    first cells: generation g of ``lanes``, which all divide again, each
+    lane's run of ``width`` cells ``offset`` cells into the generation.
+    Each block of those cells grows as a forest of its own, few enough that
+    its last generation keeps to ``_FOREST_CELLS`` cells, or one cell, whose
+    subtree is split again when it gets there.  A block takes the lanes or
+    the run of one lane that it covers, so each of its generations is one
+    run per lane; keyed draws make every cell what it is in one forest."""
+    below = int(levels[lanes.start]) - 1 - g  # divisions left, deepest lane
+    cells = max(1, _FOREST_CELLS >> below)  # per block, in generation g
+    step, run = max(1, cells // width), min(cells, width)  # lanes, cells
+    for lane in range(lanes.start, lanes.stop, step):
+        for i in range(0, width, run):
+            block, h = copy.copy(forest), g
+            o, w = offset + i, min(run, width - i)
+            live = range(lane, min(lane + step, lanes.stop))
+            first = (lane - lanes.start) * width + i
+            while live:
+                block.divide(False, slice(first, first + len(live) * w))
+                h, o, w, first = h + 1, 2 * o, 2 * w, 0
+                _store(block, groups, columns, live, (1 << h) - 1 + o, w)
+                live = range(lane, lane + int(np.count_nonzero(
+                    levels[live.start:live.stop] > h + 1)))
+                if 2 * len(live) * w > _FOREST_CELLS:
+                    _grow_blocks(block, levels, groups, columns, h, live, o, w)
+                    break
+
+
 def grow_replicates(spec: ModelSpec, scheme: str, levels,
                     run_keys: np.ndarray,
                     columns: tuple[str, ...] = ("size", "rate", "life")):
@@ -250,7 +323,9 @@ def grow_replicates(spec: ModelSpec, scheme: str, levels,
     L levels); ``"sparse"`` a lineage of L cells that follows, at each
     division, the child drawn from the cell's choice stream.  ``levels``
     must not increase, so finished lanes are the forest's tail and leave
-    it: the forest divides ``max(levels) - 1`` times."""
+    it: the forest divides ``max(levels) - 1`` times, or, once a full
+    generation would pass ``_FOREST_CELLS`` cells, grows the rest in blocks
+    of subtrees (:func:`_grow_blocks`) and yields every lane left."""
     if scheme not in ("full", "sparse"):
         raise ValueError(f"unknown scheme {scheme!r}")
     pick = scheme == "sparse"
@@ -268,19 +343,22 @@ def grow_replicates(spec: ModelSpec, scheme: str, levels,
     forest = _Forest(spec, run_keys, carry=columns)
     for g in range(int(levels[0])):
         width = 1 if pick else 1 << g  # cells per lane in generation g
-        start = g if pick else width - 1
-        for lanes, _, out in groups:
-            for stored, c in zip(out, columns):
-                stored[start:start + width] = getattr(forest, c)[
-                    lanes.start * width:lanes.stop * width].reshape(
-                        len(lanes), width).T
-        done = groups.pop() if groups[-1][1] == g + 1 else None
-        if groups:
-            forest.divide(pick, slice(0, groups[-1][0].stop * width))
+        _store(forest, groups, columns, range(groups[-1][0].stop),
+               g if pick else width - 1, width)
+        done = [groups.pop()] if groups[-1][1] == g + 1 else []
+        live = groups[-1][0].stop if groups else 0  # lanes that divide
+        if live and (pick or 2 * live * width <= _FOREST_CELLS):
+            forest.divide(pick, slice(0, live * width))
         else:
+            if live:
+                _grow_blocks(forest, levels, groups, columns, g, range(live),
+                             0, width)
             del forest  # before the last lanes are read
+            for lanes, _, out in done + groups[::-1]:
+                yield lanes, out.transpose(0, 2, 1)
+            return
         if done:
-            yield done[0], done[2].transpose(0, 2, 1)
+            yield done[0][0], done[0][2].transpose(0, 2, 1)
 
 
 def simulate_replicates(spec: ModelSpec, scheme: str, size: int,
@@ -371,18 +449,18 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     The bytes are those of ``csv.writer`` (``\\r\\n`` line ends) with
     every value as :data:`~gftree.curves.FLOAT_FORMAT` (17 significant
     digits), so a read-back is bit-exact.  Paths come from each row's
-    :meth:`~GenealogyTree.positions`.  Blocks of
+    :meth:`~GenealogyTree.positions`, birth times from
+    :meth:`~GenealogyTree.birth_blocks`, whose slices of at most
     ``_CSV_BLOCK`` rows (fewer for long sparse paths) are formatted a
     column at a time by :func:`~gftree.curves.float_text`.
     """
-    columns = (tree.size_birth, tree.growth_rate, tree.lifetime,
-               tree.birth_time)  # a derived birth time is built once, here
     step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 512 // (tree.depth + 1)))
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
-        for start in range(0, len(tree), step):
-            rows = slice(start, start + step)
-            cells = [float_text(c[rows]) for c in columns]
+        for rows, births in tree.birth_blocks(step):
+            cells = [float_text(c) for c in (
+                tree.size_birth[rows], tree.growth_rate[rows],
+                tree.lifetime[rows], births)]
             fh.write(join_text([_path_text(tree, rows), *cells], b",", b"\r\n"))
 
 
@@ -551,8 +629,10 @@ def _forest_moments(spec: ModelSpec, t: float, replicates: int, seed: int,
     sums = np.zeros((len(_BATTERY), replicates))
     # a root's cells stay contiguous and breadth-first in any forest, so
     # each root's sum adds in the same order whatever batch it is in
-    for lo in range(0, replicates, _FOREST_ROOTS):
-        batch = slice(lo, lo + _FOREST_ROOTS)
+    # a tagged root keeps one live cell, so its batches are wider
+    step = _FOREST_CELLS if tagged else _FOREST_ROOTS
+    for lo in range(0, replicates, step):
+        batch = slice(lo, lo + step)
         forest = _Forest(spec, run_keys[batch], sizes_from_growth=tagged)
         for alive in _grow_until(forest, t, pick=tagged):
             a = np.flatnonzero(alive)

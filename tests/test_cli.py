@@ -114,6 +114,14 @@ def test_seed_env_override(tmp_path, monkeypatch):
             == (tmp_path / "env" / "genealogy.csv").read_bytes())
 
 
+def test_largest_seed_is_accepted(tmp_path, monkeypatch):
+    assert run(["simulate", "--scheme", "sparse", "--length", 4,
+                "--seed", 2 ** 64 - 1, "--out", tmp_path / "flag"]) == 0
+    monkeypatch.setenv("GFTREE_SEED", str(2 ** 64 - 1))
+    assert run(["simulate", "--scheme", "sparse", "--length", 4,
+                "--out", tmp_path / "env"]) == 0
+
+
 # JSON file: the optional manifest keys it carries, by command
 JSON_FILES = {
     "simulate": {"manifest.json": {"model"}},
@@ -142,11 +150,13 @@ def test_every_json_opens_with_the_manifest(small_run, tmp_path, command):
 @pytest.mark.parametrize("command", sorted(JSON_FILES))
 def test_bad_seed_is_refused_before_out(small_run, tmp_path, monkeypatch,
                                         capsys, command):
-    monkeypatch.setenv("GFTREE_SEED", "abc")
-    out = tmp_path / "out"
-    assert small_run(command, out) == 2
-    assert "GFTREE_SEED 'abc'" in capsys.readouterr().err
-    assert not out.exists()
+    # not an integer, or outside [0, 2^64), where seeds would alias mod 2^64
+    for value in ["abc", "-1", str(2 ** 64), str(2 ** 64 + 1)]:
+        monkeypatch.setenv("GFTREE_SEED", value)
+        out = tmp_path / "out"
+        assert small_run(command, out) == 2, value
+        assert f"GFTREE_SEED {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +656,12 @@ def test_pde_check_march_reaches_the_direct_steady_state(tmp_path):
     # a repeated size would be counted twice
     (["study", "--sizes", "5,5"], "--sizes"),
     (["study", "--sizes", "5,6,6"], "--sizes"),
+    # seeds outside [0, 2^64) would alias those inside it
+    (["simulate", "--scheme", "full", "--generations", 2, "--seed", -1],
+     "--seed"),
+    (["simulate", "--scheme", "full", "--generations", 2, "--seed", 2 ** 64],
+     "--seed"),
+    (["verify", "--class-check", "--seed", 2 ** 64 + 1], "--seed"),
 ])
 def test_bad_pde_check_and_rate_flags_are_usage_errors(tmp_path, capsys,
                                                        argv, flag):

@@ -192,6 +192,61 @@ def test_derived_birth_times_equal_the_forest_s(kernel, scheme, size):
         assert not tree.birth_time.flags.writeable
 
 
+@pytest.fixture(scope="module")
+def one_forest_trees(variability_spec, tmp_path_factory):
+    """Full trees of depth 0..12 at the default live-cell budget, which
+    grows each as one forest, and the bytes of their genealogy CSVs."""
+    path = tmp_path_factory.mktemp("one_forest") / "tree.csv"
+    out = []
+    for depth in range(13):
+        tree = simulate_full_tree(variability_spec, depth, seed=depth)
+        write_genealogy_csv(tree, path)
+        out.append((tree, path.read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("budget", [4, 8, 16])
+def test_block_growth_equals_one_forest(variability_spec, one_forest_trees,
+                                        tmp_path, monkeypatch, budget):
+    """Past a live-cell budget of 4, 8 or 16 cells a full tree grows a
+    block of subtrees at a time, each block cut again when its subtree
+    passes the budget; keyed draws make every column equal to the one
+    forest's, and the CSV, also written 5 rows at a time, equal byte for
+    byte."""
+    path, csv_blocks = tmp_path / "tree.csv", (trees._CSV_BLOCK, 5)
+    monkeypatch.setattr(trees, "_FOREST_CELLS", budget)
+    for depth, (wide, text) in enumerate(one_forest_trees):
+        tree = simulate_full_tree(variability_spec, depth, seed=depth)
+        for col in ("size_birth", "growth_rate", "lifetime", "birth_time"):
+            assert np.array_equal(getattr(tree, col), getattr(wide, col)), (
+                depth, col)
+        for block in csv_blocks:
+            monkeypatch.setattr(trees, "_CSV_BLOCK", block)
+            write_genealogy_csv(tree, path)
+            assert path.read_bytes() == text, (depth, block)
+
+
+@pytest.mark.parametrize("budget", [4, 16])
+def test_block_growth_of_unequal_lanes(variability_spec, monkeypatch, budget):
+    """Lanes of several depths, some of them ending inside a block, come
+    out of block growth equal to one forest's, each lane range once."""
+    levels = [7, 7, 6, 4, 4, 2, 1]
+    keys = streams.combine(run_key(3), np.arange(7, dtype=np.uint64))
+
+    def grown():
+        return {(lanes.start, lanes.stop): cols.copy() for lanes, cols in
+                trees.grow_replicates(variability_spec, "full", levels, keys,
+                                      ("size", "rate", "life", "birth"))}
+
+    wide = grown()
+    monkeypatch.setattr(trees, "_FOREST_CELLS", budget)
+    blocks = grown()
+    assert list(blocks) == list(wide)  # shortest lanes first
+    assert sorted(wide) == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    for lanes, cols in wide.items():
+        assert np.array_equal(blocks[lanes], cols), lanes
+
+
 # ---------------------------------------------------------------------------
 # Tagged branch: the many-to-one check's forest, one child per division
 # ---------------------------------------------------------------------------
@@ -356,10 +411,13 @@ def test_many_to_one_unit_weight_is_exact(variability_spec):
 
 
 def test_batched_many_to_one_equals_one_forest(variability_spec, monkeypatch):
-    # 100 roots in uneven batches of 7 add up bit for bit as in one forest
+    # 100 roots in uneven batches of 7 (population) and 9 (tagged) add up
+    # bit for bit as in one forest
     monkeypatch.setattr(trees, "_FOREST_ROOTS", 7)
+    monkeypatch.setattr(trees, "_FOREST_CELLS", 9)
     batched = many_to_one_battery(variability_spec, 1.5, 100, seed=41)
     monkeypatch.setattr(trees, "_FOREST_ROOTS", 100)
+    monkeypatch.setattr(trees, "_FOREST_CELLS", 100)
     single = many_to_one_battery(variability_spec, 1.5, 100, seed=41)
     for b, s in zip(batched, single, strict=True):
         assert b.tagged_mean == s.tagged_mean
@@ -369,31 +427,48 @@ def test_batched_many_to_one_equals_one_forest(variability_spec, monkeypatch):
 
 
 def test_full_tree_memory_per_cell(variability_spec, peak_bytes):
-    """A full tree keeps four float columns, 32 B per cell.  Its last
-    generation, half the cells, is in the forest as node keys, sizes, birth
-    times and parent rates while the children's rates are drawn, beside
-    the uniforms and the quantile's two bounds and result: eight arrays of
-    8 B there, another 32 B per cell.  Forests that also carried every
-    cell's root, cumulated growth and child bit took 82 B/cell."""
-    peak, tree = peak_bytes(
-        lambda: simulate_full_tree(variability_spec, 15, seed=5))
-    assert len(tree) == 2 ** 16 - 1
-    assert peak < 70 * len(tree)
+    """A full tree stores three float columns, 24 B per cell.  Past
+    ``_FOREST_CELLS`` live cells its generations grow a block of subtrees
+    at a time, so the forests' keys, sizes, rates and draws are a fixed
+    scratch beside the columns: from 2^16 to 2^17 cells the peak rises by
+    24 B per added cell.  A last generation grown as one forest put 28 B
+    per cell of scratch beside it, 52 B in all."""
+    def peak(generations):
+        peak, tree = peak_bytes(
+            lambda: simulate_full_tree(variability_spec, generations, seed=5))
+        return peak, len(tree)
+
+    (small, n_small), (large, n_large) = peak(15), peak(16)
+    assert (large - small) / (n_large - n_small) <= 26
 
 
 def test_full_tree_memory_per_cell_without_birth_times(variability_spec,
                                                        peak_bytes):
     """A full tree stores three float columns, 24 B per cell, and derives
-    its birth times when they are read.  Its last generation, half the
-    cells, is in the forest as node keys, sizes and parent rates while the
-    children's rates are drawn, beside the uniforms and the quantile's two
-    bounds and result: seven arrays of 8 B there, another 28 B per cell,
-    52.1 B/cell in all.  Storing and carrying the birth times took
-    64 B/cell."""
+    its birth times when they are read.  At 2^16 cells the forest of
+    ``_FOREST_CELLS`` cells and the block grown from it add about 1.6 MB
+    of scratch, 24 B per cell; storing and carrying the birth times took
+    64 B/cell, and growing the last generation as one forest 52 B/cell."""
     peak, tree = peak_bytes(
         lambda: simulate_full_tree(variability_spec, 15, seed=5))
     assert len(tree) == 2 ** 16 - 1
-    assert peak < 53 * len(tree)
+    assert tree._birth_time is None
+    assert peak < 50 * len(tree)
+
+
+def test_genealogy_csv_writer_memory_per_cell(variability_spec, tmp_path,
+                                             peak_bytes):
+    """The writer formats blocks of rows and derives each block's birth
+    times from its ancestors' lifetimes, so beside the tree it holds a
+    fixed scratch: from 2^16 to 2^17 cells its peak rises by less than
+    4 B per added cell.  A whole derived birth column was 8 B per cell."""
+    def peak(generations):
+        tree = simulate_full_tree(variability_spec, generations, seed=5)
+        return peak_bytes(lambda: write_genealogy_csv(
+            tree, tmp_path / "tree.csv"))[0], len(tree)
+
+    (small, n_small), (large, n_large) = peak(15), peak(16)
+    assert (large - small) / (n_large - n_small) < 4
 
 
 def test_many_to_one_memory_is_free_of_replicate_count(variability_spec,
