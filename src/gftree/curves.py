@@ -136,19 +136,29 @@ def _percent_text(fmt: str, values: list) -> np.ndarray:
                     .split(), dtype="S")
 
 
-def join_text(columns, delimiter: bytes, end: bytes) -> np.ndarray:
-    """Rows of delimited text, as one uint8 array ready to write: row ``i``
-    holds cell ``i`` of each of the equally long ``S`` arrays ``columns``
-    (ASCII, NUL only as padding), less its padding, with ``delimiter``
-    between cells and ``end`` after the last."""
+def join_text(columns, delimiter: bytes, end: bytes,
+              scratch: bytearray) -> bytearray:
+    """Rows of delimited text, ready to write: row ``i`` holds cell ``i``
+    of each of the equally long ``S`` arrays ``columns`` (ASCII, NUL only as
+    padding), less its padding, with ``delimiter`` between cells and
+    ``end`` after the last.  The padded rows are laid out in ``scratch``,
+    grown as needed, so that a loop of calls reuses one buffer.  The list
+    ``columns`` is emptied, so that each column is freed once it is laid
+    out."""
+    n = len(columns[0])
     parts = [part for c in columns for part in (c, np.bytes_(delimiter))]
     parts[-1] = np.bytes_(end)
-    rows = np.empty(len(columns[0]),
-                    [(f"f{k}", part.dtype) for k, part in enumerate(parts)])
-    for k, part in enumerate(parts):
-        rows[f"f{k}"] = part
-    text = rows.view(np.uint8)
-    return text[text != 0]
+    columns.clear()
+    dtype = np.dtype([(f"f{k}", part.dtype) for k, part in enumerate(parts)])
+    size = dtype.itemsize * n
+    if len(scratch) < size:
+        scratch += bytes(size - len(scratch))
+    rows = np.frombuffer(scratch, dtype, count=n)
+    for k in range(len(parts)):
+        rows[f"f{k}"], parts[k] = parts[k], None
+    del rows
+    np.frombuffer(scratch, np.uint8)[size:] = 0  # a longer block's rows
+    return scratch.translate(None, b"\0")
 
 
 def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
@@ -170,7 +180,7 @@ def write_curve_tsv(path, columns: dict[str, np.ndarray]) -> None:
              else next(texts) for c in cols]
     with open(path, "wb") as fh:
         fh.write(("\t".join(names) + "\n").encode())
-        fh.write(join_text(cells, b"\t", b"\n"))
+        fh.write(join_text(cells, b"\t", b"\n", bytearray()))
 
 
 def line_ends(path, block_bytes: int = 1 << 18) -> tuple[int, bool]:

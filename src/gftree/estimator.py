@@ -14,6 +14,8 @@ ratio defined where the data carry no mass.  Samples of one size are rows of
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -262,45 +264,6 @@ class EstimatorConfig:
 # Core estimator pieces
 # ---------------------------------------------------------------------------
 
-def _kernel_sums(sizes: np.ndarray, centers: np.ndarray, h: float,
-                 kernel: KernelSpec) -> np.ndarray:
-    """sum_i K((xi_ri - c)/h) per row r of ``sizes`` and center c
-    (unnormalised): binned for the Gaussian, exact per center for the
-    polynomial kernel, whose jump at the support edge linear binning would
-    smear."""
-    s = np.sort(sizes, axis=1)
-    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    if isinstance(kernel, GaussianKernel):
-        if len(s) == 1:  # the one-row case, under its traced name
-            return _hot.kernel_sums(s[0], centers, h, kernel.radius,
-                                    kernel._scale)[None]
-        return _hot.kernel_sums_rows(s, centers, h, kernel.radius,
-                                     kernel._scale)
-    r = kernel.support_radius
-    out = np.zeros((len(s), centers.size))
-    for row, srow in zip(out, s):
-        lo = np.searchsorted(srow, centers - r * h, side="left")
-        hi = np.searchsorted(srow, centers + r * h, side="right")
-        for j in np.flatnonzero(hi > lo):
-            row[j] = float(np.sum(kernel((srow[lo[j]:hi[j]] - centers[j]) / h)))
-    return out
-
-
-def kernel_density(obs: ObservationSet, y, h: float,
-                   kernel: KernelSpec = GaussianKernel()):
-    """n^-1 sum_i K_h(size_i - y) with K_h(z) = K(z/h)/h, clipped at 0.
-
-    A signed higher-order kernel can produce small negative values; those are
-    clipped (the full estimator records how often).
-    """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    scalar = np.ndim(y) == 0
-    vals = _kernel_sums(obs.size_birth[None], np.atleast_1d(y), h, kernel)[0]
-    out = np.maximum(vals / (obs.n * h), 0.0)
-    return float(out[0]) if scalar else out
-
-
 def _grid_buckets(y: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
     """``np.searchsorted(y, x, side)`` for an ascending grid ``y``.
 
@@ -331,7 +294,167 @@ def _grid_buckets(y: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
     return g
 
 
-_COVER_BLOCK = 1 << 14  # cells per block of weights and bucket edges
+_COVER_BLOCK = 1 << 14  # cells per block of comparisons, weights and edges
+_BAND_CELLS = 1 << 16  # cells of a row sorted at once
+
+
+def _inside(c: np.ndarray, a: float, b: float, closed: bool) -> np.ndarray:
+    return (c >= a) & ((c <= b) if closed else (c < b))
+
+
+def _value_bands(values: np.ndarray, lo: float, hi: float,
+                 closed: bool = True) -> list:
+    """Value intervals ``(a, b, closed, count, ties)``, ascending, that hold
+    each of the 1-d ``values`` in [lo, hi] ([lo, hi) unless ``closed``)
+    once: the ``count`` values in [a, b] or [a, b), at most ``_BAND_CELLS``
+    of them or all equal (``ties``).  A histogram of the values in range
+    cuts them at its bin edges, next bins joined while they fit, and a bin
+    over the cap is cut again by a histogram of its own values, so each
+    step narrows.  The bins count by ``searchsorted`` in sorted runs of the
+    values, so by the same comparisons that later find each band's cells."""
+    first, last, count = math.inf, -math.inf, 0
+    for k in range(0, values.size, _COVER_BLOCK):
+        c = values[k:k + _COVER_BLOCK]
+        c = c[_inside(c, lo, hi, closed)]
+        if c.size:
+            first, last = min(first, c.min()), max(last, c.max())
+            count += c.size
+    if count <= _BAND_CELLS or first == last:
+        return [(lo, hi, closed, count, first == last)] if count else []
+    # an even spread fills each band to within a 64th of the cap
+    edges = np.linspace(first, last, 64 * -(-count // _BAND_CELLS) + 1)
+    # the values below each edge, and not above the last: the last bin is
+    # closed
+    below = np.zeros(edges.size, dtype=np.intp)
+    for k in range(0, values.size, _BAND_CELLS):
+        c = np.sort(values[k:k + _BAND_CELLS])
+        below[:-1] += np.searchsorted(c, edges[:-1], side="left")
+        below[-1] += np.searchsorted(c, last, side="right")
+    counts = np.diff(below).tolist()
+    bands, a, held = [], 0, 0
+    for k, c in enumerate(counts + [_BAND_CELLS + 1]):
+        if held and held + c > _BAND_CELLS:  # bins a..k-1 fit one band
+            bands.append((edges[a], edges[k], k == len(counts), held, False))
+            a, held = k, 0
+        if c > _BAND_CELLS and k < len(counts):
+            bands += _value_bands(values, edges[k], edges[k + 1],
+                                  k + 1 == len(counts))
+            a, c = k + 1, 0
+        held += c
+    return bands
+
+
+def _bands(values: np.ndarray, lo: float = -math.inf, hi: float = math.inf,
+           descending: bool = False):
+    """Yield the cells of the 1-d ``values`` in [lo, hi] a band at a time,
+    in ascending (``descending``) value order from band to band, each band
+    the ascending indices of at most ``_BAND_CELLS`` cells: all of one value
+    interval of :func:`_value_bands`, found by one comparison pass
+    ``_COVER_BLOCK`` cells at a time, or a piece of one of equal values.
+    Only the caller holds a band once it is yielded."""
+    bands = _value_bands(values, lo, hi)
+    for a, b, closed, count, ties in reversed(bands) if descending else bands:
+        cells, at = [np.empty(0 if ties else count, dtype=np.intp)], 0
+        for k in range(0, values.size, _COVER_BLOCK):
+            found = np.flatnonzero(_inside(values[k:k + _COVER_BLOCK],
+                                           a, b, closed))
+            found += k
+            if ties:
+                for j in range(0, found.size, _BAND_CELLS):
+                    yield found[j:j + _BAND_CELLS]
+            else:
+                cells[0][at:at + found.size] = found
+                at += found.size
+        del found
+        if not ties:
+            yield cells.pop()
+
+
+def _sorted_rows(sizes: np.ndarray) -> list:
+    """Each row of ``sizes`` as the callable ``row(lo, hi, ordered=True)``
+    that yields its values in [lo, hi], and maybe others, as ascending
+    arrays: the row sorted whole when it fits one band; else its
+    :func:`_bands` each sorted on its own, in ascending order, or, unless
+    ``ordered``, its runs of ``_BAND_CELLS`` cells each sorted."""
+    if sizes.shape[1] <= _BAND_CELLS:
+        return [lambda lo, hi, ordered=True, s=s: (s,)
+                for s in np.sort(sizes, axis=1)]
+
+    def pieces(x, lo, hi, ordered=True):
+        for values in ((x[cells] for cells in _bands(x, lo, hi)) if ordered
+                       else (x[k:k + _BAND_CELLS].copy()
+                             for k in range(0, x.size, _BAND_CELLS))):
+            values.sort()
+            yield values
+
+    return [functools.partial(pieces, x) for x in sizes]
+
+
+def _kernel_sums(sizes: np.ndarray, centers: np.ndarray, h: float,
+                 kernel: KernelSpec) -> np.ndarray:
+    """sum_i K((xi_ri - c)/h) per row r of ``sizes`` and center c
+    (unnormalised), each row's sizes visited in ascending order
+    (:func:`_sorted_rows`): binned for the Gaussian, exact per center for
+    the polynomial kernel, whose jump at the support edge linear binning
+    would smear.  A polynomial center's sum takes its whole window at
+    once, so the sizes kept from one band to the next are those still in
+    reach of a center whose window is open."""
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
+    if isinstance(kernel, GaussianKernel):
+        if len(sizes) == 1 and sizes.shape[1] <= _BAND_CELLS:
+            # the one-row case, under its traced name
+            return _hot.kernel_sums(np.sort(sizes[0]), centers, h,
+                                    kernel.radius, kernel._scale)[None]
+        return _hot.kernel_sums_pieces(_sorted_rows(sizes), centers, h,
+                                       kernel.radius, kernel._scale)
+    reach = kernel.support_radius * h
+    lo, hi = centers - reach, centers + reach
+    by_end = np.argsort(hi, kind="stable")
+    out = np.zeros((len(sizes), centers.size))
+    for sums, row in zip(out, _sorted_rows(sizes)):
+        held, done = np.empty(0), 0  # centers by_end[:done] are summed
+        for s in itertools.chain(row(lo.min(), hi.max()), [None]):
+            if s is not None:
+                held = np.concatenate((held, s))
+            # the windows that end below every size still to come
+            end = (by_end.size if s is None
+                   else np.searchsorted(hi[by_end], s[-1], side="left"))
+            for j in by_end[done:end]:
+                a, b = (np.searchsorted(held, lo[j], side="left"),
+                        np.searchsorted(held, hi[j], side="right"))
+                if b > a:
+                    sums[j] = float(np.sum(kernel((held[a:b] - centers[j])
+                                                  / h)))
+            done = end
+            if done < by_end.size:
+                held = held[np.searchsorted(held, lo[by_end[done:]].min(),
+                                            side="left"):]
+    return out
+
+
+def kernel_density(obs: ObservationSet, y, h: float,
+                   kernel: KernelSpec = GaussianKernel()):
+    """n^-1 sum_i K_h(size_i - y) with K_h(z) = K(z/h)/h, clipped at 0.
+
+    A signed higher-order kernel can produce small negative values; those are
+    clipped (the full estimator records how often).
+    """
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
+    scalar = np.ndim(y) == 0
+    vals = _kernel_sums(obs.size_birth[None], np.atleast_1d(y), h, kernel)[0]
+    out = np.maximum(vals / (obs.n * h), 0.0)
+    return float(out[0]) if scalar else out
+
+
+def _cover(on: np.ndarray, off: np.ndarray, y: np.ndarray, s: np.ndarray,
+           v: np.ndarray, u: np.ndarray, bins) -> None:
+    """Add each cell's weight 1/v to ``on`` in the bucket of the first
+    y >= s and to ``off`` in that of the first y > u, offset by ``bins``,
+    in the cells' order."""
+    w = 1.0 / v
+    np.add.at(on, _grid_buckets(y, s, "left") + bins, w)
+    np.add.at(off, _grid_buckets(y, u, "right") + bins, w)
 
 
 def _coverage_sums(sizes: np.ndarray, y: np.ndarray, rate: np.ndarray,
@@ -342,20 +465,37 @@ def _coverage_sums(sizes: np.ndarray, y: np.ndarray, rate: np.ndarray,
     Cell i adds its weight in the bucket of the first y >= sizes_ri and
     takes it off in that of the first y > upper_ri; the rows' cumulative
     sums follow.  Cells go in their row's weight order (``rate`` descending;
-    equal weights are interchangeable), ``_COVER_BLOCK`` at a time, each
-    block's weights, upper edges and buckets added by ``np.add.at`` in
-    ``bincount``'s order, so only the order is as long as the rows."""
-    order = np.argsort(rate, axis=1)
-    rows, n = order.shape
+    equal weights are interchangeable), ``_COVER_BLOCK`` at a time, by
+    ``np.add.at`` in ``bincount``'s order.  Rows that fit one band are
+    argsorted whole, blocks running across rows; a longer row goes a
+    :func:`_bands` band at a time, highest rates first, each band's sizes,
+    rates and upper edges gathered in memory order and then argsorted on
+    their own, so only the bands' scratch is held beside the rows."""
+    rows, n = sizes.shape
     m = y.size + 1
     on, off = np.zeros((2, rows * m))
-    for a in range(0, rows * n, _COVER_BLOCK):
-        row, k = np.divmod(np.arange(a, min(a + _COVER_BLOCK, rows * n)), n)
-        index = row, order[row, n - 1 - k]
-        s, v = sizes[index], rate[index]
-        w, bins = 1.0 / v, m * row
-        np.add.at(on, _grid_buckets(y, s, "left") + bins, w)
-        np.add.at(off, _grid_buckets(y, upper(index, s, v), "right") + bins, w)
+    if n <= _BAND_CELLS:
+        order = np.argsort(rate, axis=1)
+        for a in range(0, rows * n, _COVER_BLOCK):
+            row, k = np.divmod(np.arange(a, min(a + _COVER_BLOCK, rows * n)),
+                               n)
+            index = row, order[row, n - 1 - k]
+            s, v = sizes[index], rate[index]
+            _cover(on, off, y, s, v, upper(index, s, v), m * row)
+    else:
+        for r in range(rows):
+            for cells in _bands(rate[r], descending=True):
+                s, v = sizes[r][cells], rate[r][cells]
+                u = np.empty(cells.size)
+                for a in range(0, cells.size, _COVER_BLOCK):
+                    b = slice(a, a + _COVER_BLOCK)
+                    u[b] = upper((r, cells[b]), s[b], v[b])
+                del cells
+                by = np.argsort(v)[::-1]
+                for a in range(0, by.size, _COVER_BLOCK):
+                    b = by[a:a + _COVER_BLOCK]
+                    _cover(on, off, y, s[b], v[b], u[b], m * r)
+                del s, v, u, by, b  # before the next band is found
     on -= off
     return np.cumsum(on.reshape(-1, m), axis=1)[:, :-1]
 

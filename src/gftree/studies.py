@@ -409,7 +409,8 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     file's line ends; a file that parser cannot read whole (a non-numeric
     cell, a short row, a whitespace-only line) is parsed row by row through
     ``csv.DictReader`` instead, and the same checks name each unparsable
-    cell.
+    cell.  Rejected rows are dropped by moving the accepted ones up in
+    those columns, a block at a time, so no column is copied.
 
     Growth rates are taken as given per cell; no re-fit from size time
     series happens here.  Data sets that instead derive each rate from the
@@ -462,10 +463,17 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
             n = values.shape[1]
             ok, rejected = _validate_values(values.T, colmap, 0, texts)
     rejected = [(lines[row], why) for row, why in rejected]
-    keep = ok[:n] if rejected else slice(n)  # copied only if a row goes
-    values = [col[:n][keep] for col in values]
-    keys = None if keys is None else keys[:n][keep]
-    usable = len(values[0])
+    usable = n
+    if rejected:  # accepted rows move up in place; none passes its source
+        usable = 0
+        for a in range(0, n, _INGEST_ROWS):
+            accepted = a + np.flatnonzero(ok[a:min(a + _INGEST_ROWS, n)])
+            values[:, usable:usable + accepted.size] = values[:, accepted]
+            if keys is not None:
+                keys[usable:usable + accepted.size] = keys[accepted]
+            usable += accepted.size
+    values = values[:, :usable]
+    keys = None if keys is None else keys[:usable]
     kept, lineages = _drop_boundary(keys, usable, drop_first, drop_last)
     data = [col[kept] for col in values]  # each a contiguous column
     if not data[0].size:

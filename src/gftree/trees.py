@@ -417,7 +417,7 @@ def parent_child_arrays(tree: GenealogyTree):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["path", "size_birth", "growth_rate", "lifetime", "birth_time"]
-_CSV_BLOCK = 1 << 13  # rows formatted per write
+_CSV_BLOCK = 3 << 10  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 _PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
@@ -452,16 +452,18 @@ def write_genealogy_csv(tree: GenealogyTree, path) -> None:
     :meth:`~GenealogyTree.positions`, birth times from
     :meth:`~GenealogyTree.birth_blocks`, whose slices of at most
     ``_CSV_BLOCK`` rows (fewer for long sparse paths) are formatted a
-    column at a time by :func:`~gftree.curves.float_text`.
+    column at a time by :func:`~gftree.curves.float_text` and joined in one
+    buffer reused from block to block, so the scratch beside the tree is
+    fixed and the heap is not grown and trimmed again for every block.
     """
     step = max(1, min(_CSV_BLOCK, _CSV_BLOCK * 512 // (tree.depth + 1)))
+    scratch = bytearray()
     with open(path, "wb") as fh:
         fh.write((",".join(_CSV_HEADER) + "\r\n").encode())
         for rows, births in tree.birth_blocks(step):
-            cells = [float_text(c) for c in (
+            fh.write(join_text([_path_text(tree, rows), *map(float_text, (
                 tree.size_birth[rows], tree.growth_rate[rows],
-                tree.lifetime[rows], births)]
-            fh.write(join_text([_path_text(tree, rows), *cells], b",", b"\r\n"))
+                tree.lifetime[rows], births))], b",", b"\r\n", scratch))
 
 
 def _full_tree_indices(paths: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -528,7 +530,7 @@ def read_genealogy_csv(path) -> GenealogyTree:
     """
     bound = _row_bound(path)
     values = np.empty((3, bound))
-    slot = np.empty(bound, dtype=np.int64)
+    slot = None  # until a row is out of breadth-first order
     count = np.zeros(_PATH_WIDTH + 1, dtype=np.int64)  # rows per path length
     # birth_time is an empty bytes field: present, not converted
     dtype = [("path", f"S{_PATH_WIDTH}"), ("values", np.float64, (3,)),
@@ -540,17 +542,24 @@ def read_genealogy_csv(path) -> GenealogyTree:
             values[:, rows] = table["values"].T
             gens = np.strings.str_len(table["path"]).astype(np.int64)
             count += np.bincount(gens, minlength=count.size)
-            slot[rows] = (1 << gens) - 1 + _full_tree_indices(table["path"], gens)
-    del table, gens
+            at = (1 << gens) - 1 + _full_tree_indices(table["path"], gens)
+            if slot is None and not np.array_equal(
+                    at, np.arange(rows.start, rows.stop)):
+                slot = np.empty(bound, dtype=np.int64)
+                slot[:rows.start] = np.arange(rows.start)
+            if slot is not None:
+                slot[rows] = at
+    del table, gens, at
     n = rows.stop
     if n == 0:
         raise ValueError("genealogy CSV holds no cells")
-    values, slot = values[:, :n], slot[:n]
+    values = values[:, :n]
     depth = np.flatnonzero(count)[-1]
     if depth < _PATH_WIDTH and np.array_equal(count[:depth + 1],
                                               1 << np.arange(depth + 1)):
         scheme, bits = "full", None
-        order = _breadth_first_order(slot)
+        # rows whose slots are 0..n-1 in turn need no permutation check
+        order = None if slot is None else _breadth_first_order(slot[:n])
     else:
         scheme = "sparse"
         # as str objects, whole: a bytes column would be (n, longest path)

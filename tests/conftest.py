@@ -100,3 +100,18 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture(scope="session")
+def bytes_per_added_cell(peak_bytes):
+    """``bytes_per_added_cell(setup, small, large)``: by how many bytes per
+    added cell the peak of a call rises from size ``small`` to ``large``,
+    and the call's result at ``large``.  ``setup(size)`` returns the call,
+    made ready outside the count, and the number of cells it handles at
+    that size."""
+    def per_cell(setup, small, large):
+        (low, n_low), (high, n_high) = setup(small), setup(large)
+        peak, result = peak_bytes(high)
+        return (peak - peak_bytes(low)[0]) / (n_high - n_low), result
+
+    return per_cell

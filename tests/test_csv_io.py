@@ -243,14 +243,18 @@ def test_writer_fallback_values_match_oracle(tmp_path, scheme):
 
 def test_writer_memory_is_bounded_by_block(tmp_path, variability_spec,
                                           peak_bytes):
-    # 2^16 - 1 rows fill eight blocks and 2^17 - 1 rows sixteen, so the
-    # peak holds if no block builds the whole file
+    """Blocks of ``_CSV_BLOCK`` rows are formatted a column at a time and
+    joined in one reused buffer, so beside a tree of 2^17 - 1 cells the
+    writer holds at most 1.5 MB, no more than beside one of 2^16 - 1.
+    Joining blocks of 8,192 rows into new arrays took about 4 MB."""
     def peak(generations):
         tree = simulate_full_tree(variability_spec, generations, seed=28)
         return peak_bytes(lambda: write_genealogy_csv(tree,
                                                       tmp_path / "tree.csv"))[0]
 
-    assert peak(16) < 1.5 * peak(15)
+    large = peak(16)
+    assert large <= 1.5 * 2 ** 20
+    assert large < 1.5 * peak(15)
 
 
 def test_writer_spans_blocks(tmp_path, variability_spec, monkeypatch):
@@ -462,6 +466,32 @@ def test_reader_shuffled_full_tree_across_decode_blocks(
     assert_same_tree(got, full)
 
 
+@pytest.mark.parametrize("case", [
+    "row 0", "block boundary", "last rows", "last row duplicated",
+    "reversed", "path duplicated"])
+def test_reader_slots_from_the_first_block_out_of_order(
+        tmp_path, variability_spec, monkeypatch, case):
+    """Slots are kept only from the first block out of breadth-first
+    order, the earlier rows' slots being their rows: wherever that block
+    falls, the file reads as the oracle reads it, or fails as it does."""
+    monkeypatch.setattr(trees, "_DECODE_ROWS", 5)
+    full = simulate_full_tree(variability_spec, 4, seed=35)  # 31 rows
+    header, rows = _lines(full, tmp_path)
+    swap = {"row 0": 0, "block boundary": 5, "last rows": 29}.get(case)
+    if swap is not None:
+        rows[swap], rows[swap + 1] = rows[swap + 1], rows[swap]
+    elif case == "reversed":
+        rows.reverse()
+    else:  # a path given twice, the last row's or the 13th's
+        at = -1 if case == "last row duplicated" else 12
+        rows[at] = rows[3].split(",")[0] + "," + rows[at].split(",", 1)[1]
+    got = assert_readers_agree(_write(tmp_path / "t.csv", header, rows))
+    if "duplicated" in case:
+        assert got is ValueError
+    else:
+        assert_same_tree(got, full)
+
+
 def test_breadth_first_order_checks_a_permutation():
     assert trees._breadth_first_order(np.arange(5)) is None
     slot = np.array([3, 0, 4, 1, 2])
@@ -472,32 +502,30 @@ def test_breadth_first_order_checks_a_permutation():
             trees._breadth_first_order(np.array(bad))
 
 
-def test_reader_memory_per_row(tmp_path, variability_spec, peak_bytes):
-    """Each row costs its three float columns (24 B; birth times are
-    derived) and its int64 breadth-first slot (8 B), and the permutation
-    check 1 B: 33 B/row.
-    Files of 2^16 - 1 and 2^17 - 1 rows parse in four and eight blocks of
-    ``_DECODE_ROWS`` (16,384 rows), whose scratch is the same whatever the
-    number of blocks, so the difference of the peaks is the rows' own cost.  Parsing the whole file as one table of
-    a 32-byte path and four floats, then copying the columns out, cost
+def test_reader_memory_per_row(tmp_path, variability_spec,
+                               bytes_per_added_cell):
+    """A row costs its three float columns, 24 B, as a file in the
+    writer's order keeps no slot column and ``_DECODE_ROWS`` blocks are
+    fixed scratch: under 27 B per added row from 2^16 - 1 to 2^17 - 1
+    rows.  An int64 slot per row took 33 B/row, and one whole-file table
     91-103 B/row."""
-    def peak(generations):
+    def setup(generations):
         path = tmp_path / f"tree{generations}.csv"
         write_genealogy_csv(
             simulate_full_tree(variability_spec, generations, seed=31), path)
-        return peak_bytes(lambda: read_genealogy_csv(path))
+        return lambda: read_genealogy_csv(path), 2 ** (generations + 1) - 1
 
-    (small, _), (large, got) = peak(15), peak(16)
+    per_row, got = bytes_per_added_cell(setup, 15, 16)
+    assert per_row < 27
     assert len(got) == 2 ** 17 - 1
-    assert large - small < 56 * 2 ** 16  # 33 B/row and the parser's buffers
 
 
 def test_reader_memory_per_row_of_a_small_file(tmp_path, variability_spec,
                                                peak_bytes):
-    """A file of 2^16 - 1 rows peaks at its columns, slots and the scratch
-    of one ``_DECODE_ROWS`` block: under 100 B/row with blocks of 16,384
-    rows.  Blocks of 65,536 rows took the whole file in one and peaked at
-    195 B/row, above the 163 B/row of the reader before blocks."""
+    """A file of 2^16 - 1 rows peaks at its columns and the scratch of one
+    ``_DECODE_ROWS`` block: under 100 B/row with blocks of 16,384 rows.
+    Blocks of 65,536 rows took the whole file in one and peaked at 195
+    B/row, above the 163 B/row of the reader before blocks."""
     path = tmp_path / "tree.csv"
     write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=31),
                         path)
@@ -696,37 +724,52 @@ def test_ingest_reports_the_file_line_of_a_rejected_row(
     assert [line for line, _ in report.rejected] == lines
 
 
-def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes):
+@pytest.mark.parametrize("rejected", [False, True])
+def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes,
+                               rejected):
     """Ingest parses blocks of ``_INGEST_ROWS`` rows into three float
     columns sized by the file's line ends (24 B/row) and an accepted-row
     mask (1 B/row), beside the fixed scratch of the line scan and one
-    block: 37.5 B/row at 2^16 - 1 rows.  Parsing the whole file as one
-    (row, 3) table and copying the three columns out took 50 B/row, and
-    copying the accepted rows and then the kept rows whole as well, when
-    every row was both, 90 B/row."""
+    block: 37.5 B/row at 2^16 - 1 rows.  A rejected row moves the accepted
+    ones up in place, a block at a time; copying the accepted columns out
+    took 55 B/row.  Parsing the whole file as one (row, 3) table and
+    copying the three columns out took 50 B/row, and copying the accepted
+    rows and then the kept rows whole as well, when every row was both,
+    90 B/row."""
+    tree = simulate_full_tree(variability_spec, 15, seed=32)
     path = tmp_path / "tree.csv"
-    write_genealogy_csv(simulate_full_tree(variability_spec, 15, seed=32),
-                        path)
+    write_genealogy_csv(tree, path)
+    if rejected:  # row 100, on file line 102, gets a negative growth rate
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[101].split(b",")
+        lines[101] = b",".join([*cells[:2], b"-" + cells[2], *cells[3:]])
+        path.write_bytes(b"\r\n".join(lines))
     peak, (obs, report) = peak_bytes(lambda: ingest_lineage_csv(path))
-    assert obs.n == report.accepted == 2 ** 16 - 1
-    assert all(getattr(obs, c).flags.c_contiguous for c in DEFAULT_COLUMN_MAP)
-    assert peak < 40 * obs.n
+    assert report.rejected == ([(102, "growth_rate: must be positive")]
+                               if rejected else [])
+    assert obs.n == report.accepted == 2 ** 16 - 1 - rejected
+    keep = np.arange(len(tree)) != (100 if rejected else -1)
+    for c in DEFAULT_COLUMN_MAP:
+        assert np.array_equal(getattr(obs, c), getattr(tree, c)[keep])
+        assert getattr(obs, c).flags.c_contiguous
+    assert peak < 40 * len(tree)
 
 
-def test_ingest_memory_per_cell(tmp_path, variability_spec, peak_bytes):
+def test_ingest_memory_per_cell(tmp_path, variability_spec,
+                                bytes_per_added_cell):
     """Each cell costs its three float columns and its accepted-row flag,
     25 B; files of 2^16 - 1 and 2^17 - 1 rows share the same fixed scratch,
     so the difference of their peaks is the cells' own cost.  The parent
     layout, a whole-file table copied into columns, cost 50 B/cell."""
-    def peak(generations):
+    def setup(generations):
         path = tmp_path / f"tree{generations}.csv"
         write_genealogy_csv(
             simulate_full_tree(variability_spec, generations, seed=33), path)
-        return peak_bytes(lambda: ingest_lineage_csv(path))
+        return lambda: ingest_lineage_csv(path), 2 ** (generations + 1) - 1
 
-    (small, _), (large, (obs, _)) = peak(15), peak(16)
+    per_cell, (obs, _) = bytes_per_added_cell(setup, 15, 16)
+    assert per_cell < 26
     assert obs.n == 2 ** 17 - 1
-    assert large - small < 26 * 2 ** 16
 
 
 def test_ingest_lineage_column_memory_per_row(tmp_path, variability_spec,

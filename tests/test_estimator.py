@@ -490,18 +490,20 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
                                                     kern.radius, kern._scale))
 
 
-def test_one_row_kernel_sums_memory_per_cell(peak_bytes):
-    """One row is binned ``BIN_BLOCK`` sizes at a time, so only the sorted
-    sizes grow with the cells, 8 B per cell, beside a fixed 1 MB of block
-    scratch: 12 B/cell at 2^18.  Binning the whole slice in reach at once
-    took its lattice fractions and indices as well, 26 B/cell; a copy of
-    the slice, zero offsets and a ``1 - t`` temporary took 33 B/cell."""
-    n = 2 ** 18
-    sizes = np.random.default_rng(3).lognormal(0.0, 0.4, (1, n))
-    centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
-    peak, _ = peak_bytes(lambda: estimator._kernel_sums(
-        sizes, centers, bandwidth(PowerBandwidth(), n), GaussianKernel()))
-    assert peak < 14 * n
+def test_one_row_kernel_sums_memory_per_cell(peak_bytes,
+                                             bytes_per_added_cell):
+    """A row longer than ``_BAND_CELLS`` is binned a band at a time, so
+    from 2^18 to 2^19 cells the scratch rises by under 1 B per added cell
+    (its sorted copy took 8 B), and it stays under 14 B/cell at 2^18."""
+    def setup(n):
+        sizes = np.random.default_rng(3).lognormal(0.0, 0.4, (1, n))
+        centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
+        h = bandwidth(PowerBandwidth(), n)
+        return (lambda: estimator._kernel_sums(sizes, centers, h,
+                                               GaussianKernel()), n)
+
+    assert bytes_per_added_cell(setup, 2 ** 18, 2 ** 19)[0] < 1
+    assert peak_bytes(setup(2 ** 18)[0])[0] < 14 * 2 ** 18
 
 
 def sample_rows(r, n, seed):
@@ -557,21 +559,105 @@ def test_coverage_sums_equal_whole_row_bincounts(monkeypatch, block):
             whole_row_coverage_sums(xi, y, 1.0 / rate, upper))
 
 
-def test_estimator_scratch_per_row(peak_bytes):
-    """On a fixed grid and bandwidth the estimate's scratch grows by 8 B
-    per cell: the coverage sums hold the rate order and build weights,
-    upper edges and buckets ``_COVER_BLOCK`` cells at a time, and the
-    kernel sums hold the sorted sizes and bin them in blocks.  Whole-row
-    weights, upper edges and bucket edges took 32 B/cell, and holding the
-    weights and upper edges through both sums 58 B/cell."""
+def test_estimator_scratch_per_row(monkeypatch, bytes_per_added_cell):
+    """On a fixed grid and bandwidth, rows longer than a band go through
+    both sums a band at a time, so from 2^16 to 2^17 cells the scratch
+    rises by under 2 B per added cell.  Sorting the rates and the sizes
+    whole took 8 B/cell, and whole-row weights and edges 32 B/cell."""
+    monkeypatch.setattr(estimator, "_BAND_CELLS", 2 ** 14)
     config = EstimatorConfig(bandwidth_rule=FixedBandwidth(0.05),
                              grid=GridSpec(dx=0.01))
 
-    def peak(n):
+    def setup(n):
         obs = ObservationSet(*(row[0] for row in sample_rows(1, n, seed=12)))
-        return peak_bytes(lambda: estimate_division_rate(obs, config))[0]
+        return lambda: estimate_division_rate(obs, config), n
 
-    assert peak(2 ** 17) - peak(2 ** 16) < 10 * 2 ** 16
+    assert bytes_per_added_cell(setup, 2 ** 16, 2 ** 17)[0] < 2
+
+
+def band_rows(case, n=160):
+    """(size_birth, growth_rate, lifetime) rows of two samples of n cells
+    that stress the bands of :func:`estimator._bands`."""
+    rng = np.random.default_rng(31)
+    xi = rng.lognormal(0.0, 0.4, (2, n))
+    tau = rng.uniform(0.5, 2.0, (2, n))
+    zeta = rng.uniform(0.2, 1.5, (2, n))
+    if case == "dirac rates":
+        tau = np.ones_like(tau)
+    elif case == "two rates":
+        tau = np.where(rng.random((2, n)) < 0.5, 0.7, 1.3)
+    elif case == "duplicated sizes":
+        xi, tau = np.round(xi, 1), np.round(tau, 1)
+    elif case == "pooled rates":
+        tau = np.broadcast_to(tau.mean(axis=1, keepdims=True), tau.shape)
+    elif case == "no size in reach":
+        xi[1] += 100.0
+    elif case == "cluster and outlier":  # one bin holds all but one cell
+        xi = tau = 1.0 + 1e-12 * np.arange(2 * n).reshape(2, n)
+        xi[:, -1] = tau[:, -1] = 1.9
+    return xi, tau, zeta
+
+
+def whole_row_polynomial_sums(sizes, centers, h, kernel):
+    """Reference for the polynomial kernel sums: each center's window of
+    the row sorted whole, summed at once."""
+    r = kernel.support_radius
+    out = np.zeros((len(sizes), centers.size))
+    for row, s in zip(out, np.sort(sizes, axis=1)):
+        lo = np.searchsorted(s, centers - r * h, side="left")
+        hi = np.searchsorted(s, centers + r * h, side="right")
+        for j in np.flatnonzero(hi > lo):
+            row[j] = float(np.sum(kernel((s[lo[j]:hi[j]] - centers[j]) / h)))
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+@pytest.mark.parametrize("case", [
+    "random", "dirac rates", "two rates", "duplicated sizes", "pooled rates",
+    "no size in reach", "cluster and outlier"])
+def test_bands_equal_whole_row_sums(monkeypatch, cap, case):
+    """With rows longer than a band, the coverage sums, the Gaussian
+    kernel sums (pairs summed at h = 1e-3, binned at h = 0.1), the
+    polynomial ones and ``kernel_density`` equal the whole-row
+    ``argsort``/``np.sort`` references bit for bit."""
+    xi, tau, zeta = band_rows(case)
+    y = evaluation_grid(0.01, 400)
+    upper = xi * np.exp(tau * zeta)
+    gauss, poly = GaussianKernel(), CompactPolynomialKernel(order=2)
+    want = {"cover": whole_row_coverage_sums(xi, y, 1.0 / tau, upper),
+            "poly": whole_row_polynomial_sums(xi, y / 2, 0.1, poly),
+            "density": [kernel_density(ObservationSet(x, v, z), y, 0.1)
+                        for x, v, z in zip(xi, tau, zeta)]}
+    for h in (1e-3, 0.1):
+        want[h] = _hot.kernel_sums_rows(np.sort(xi, axis=1), y / 2, h,
+                                        gauss.radius, gauss._scale)
+    monkeypatch.setattr(estimator, "_BAND_CELLS", cap)
+    assert np.array_equal(estimator._coverage_sums(
+        xi, y, tau, lambda i, s, v: upper[i]), want["cover"])
+    for h in (1e-3, 0.1):
+        assert np.array_equal(estimator._kernel_sums(xi, y / 2, h, gauss),
+                              want[h])
+    assert np.array_equal(estimator._kernel_sums(xi, y / 2, 0.1, poly),
+                          want["poly"])
+    for (x, v, z), density in zip(zip(xi, tau, zeta), want["density"]):
+        assert np.array_equal(
+            kernel_density(ObservationSet(x, v, z), y, 0.1), density)
+
+
+def test_value_bands_split_a_crowded_bin(monkeypatch):
+    """A bin of the first histogram that holds nearly every cell is cut
+    again within its own values, so every band fits the cap unless its
+    values are all equal, and the bands hold each cell once, in value
+    order."""
+    monkeypatch.setattr(estimator, "_BAND_CELLS", 5)
+    values = np.append(1.0 + 1e-12 * np.arange(40), [1.9, 1.9, 1.9] * 3)
+    bands = list(estimator._bands(values))
+    assert all(b.size <= 5 for b in bands)
+    assert np.array_equal(np.sort(np.concatenate(bands)),
+                          np.arange(values.size))
+    ordered = [values[b] for b in bands]
+    assert all(a.max() < b.min() or a.max() == b.min() == b.max() == a.min()
+               for a, b in zip(ordered, ordered[1:]))
 
 
 @pytest.mark.parametrize("r, n", [(1, 255), (4, 31), (5, 255), (3, 1023)])

@@ -426,20 +426,16 @@ def test_batched_many_to_one_equals_one_forest(variability_spec, monkeypatch):
         assert b.population_se == s.population_se
 
 
-def test_full_tree_memory_per_cell(variability_spec, peak_bytes):
+def test_full_tree_memory_per_cell(variability_spec, bytes_per_added_cell):
     """A full tree stores three float columns, 24 B per cell.  Past
     ``_FOREST_CELLS`` live cells its generations grow a block of subtrees
     at a time, so the forests' keys, sizes, rates and draws are a fixed
     scratch beside the columns: from 2^16 to 2^17 cells the peak rises by
     24 B per added cell.  A last generation grown as one forest put 28 B
     per cell of scratch beside it, 52 B in all."""
-    def peak(generations):
-        peak, tree = peak_bytes(
-            lambda: simulate_full_tree(variability_spec, generations, seed=5))
-        return peak, len(tree)
-
-    (small, n_small), (large, n_large) = peak(15), peak(16)
-    assert (large - small) / (n_large - n_small) <= 26
+    assert bytes_per_added_cell(lambda g: (
+        lambda: simulate_full_tree(variability_spec, g, seed=5),
+        2 ** (g + 1) - 1), 15, 16)[0] <= 26
 
 
 def test_full_tree_memory_per_cell_without_birth_times(variability_spec,
@@ -457,18 +453,17 @@ def test_full_tree_memory_per_cell_without_birth_times(variability_spec,
 
 
 def test_genealogy_csv_writer_memory_per_cell(variability_spec, tmp_path,
-                                             peak_bytes):
+                                             bytes_per_added_cell):
     """The writer formats blocks of rows and derives each block's birth
     times from its ancestors' lifetimes, so beside the tree it holds a
     fixed scratch: from 2^16 to 2^17 cells its peak rises by less than
     4 B per added cell.  A whole derived birth column was 8 B per cell."""
-    def peak(generations):
+    def setup(generations):
         tree = simulate_full_tree(variability_spec, generations, seed=5)
-        return peak_bytes(lambda: write_genealogy_csv(
-            tree, tmp_path / "tree.csv"))[0], len(tree)
+        return (lambda: write_genealogy_csv(tree, tmp_path / "tree.csv"),
+                len(tree))
 
-    (small, n_small), (large, n_large) = peak(15), peak(16)
-    assert (large - small) / (n_large - n_small) < 4
+    assert bytes_per_added_cell(setup, 15, 16)[0] < 4
 
 
 def test_many_to_one_memory_is_free_of_replicate_count(variability_spec,
