@@ -12,6 +12,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+# Rows or cells per block of every blocked pass: CSV rows parsed and
+# checked, estimator cells summed.  Read as ``curves.BLOCK``, so that one
+# setting reaches every pass.
+BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CurveOnGrid:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import streams
+from . import curves, streams
 from .curves import (CurveOnGrid, csv_blocks, line_ends, open_csv,
                      write_curve_tsv)
 from .estimator import (DivisionRateEstimate, EstimatorConfig,
@@ -37,7 +37,6 @@ from .model import DivisionRate, ModelSpec
 from .trees import _FOREST_CELLS, grow_replicates
 
 _SPARSE_CELLS = 1 << 22  # cells stored per batch of sparse lineages
-_INGEST_ROWS = 1 << 14  # lineage CSV rows parsed and checked per block
 
 
 class EmptyConditioningSet(RuntimeError):
@@ -405,7 +404,7 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
 
     The mapped columns (and the lineage column) are parsed column-wise by
     :func:`~gftree.curves.csv_blocks` (bit-identical to ``float()``)
-    and checked, ``_INGEST_ROWS`` rows at a time, into columns sized by the
+    and checked, ``curves.BLOCK`` rows at a time, into columns sized by the
     file's line ends; a file that parser cannot read whole (a non-numeric
     cell, a short row, a whitespace-only line) is parsed row by row through
     ``csv.DictReader`` instead, and the same checks name each unparsable
@@ -446,7 +445,7 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
         keys = np.empty(bound, dtype=object) if has_lineage else None
         rejected = []
         try:
-            for rows, table in csv_blocks(fh, dtype, usecols, _INGEST_ROWS):
+            for rows, table in csv_blocks(fh, dtype, usecols, curves.BLOCK):
                 values[:, rows] = table["values"].T
                 if has_lineage:
                     keys[rows] = table["key"]
@@ -466,8 +465,8 @@ def ingest_lineage_csv(path, column_map: Optional[dict] = None,
     usable = n
     if rejected:  # accepted rows move up in place; none passes its source
         usable = 0
-        for a in range(0, n, _INGEST_ROWS):
-            accepted = a + np.flatnonzero(ok[a:min(a + _INGEST_ROWS, n)])
+        for a in range(0, n, curves.BLOCK):
+            accepted = a + np.flatnonzero(ok[a:min(a + curves.BLOCK, n)])
             values[:, usable:usable + accepted.size] = values[:, accepted]
             if keys is not None:
                 keys[usable:usable + accepted.size] = keys[accepted]

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import streams
+from . import curves, streams
 from .curves import csv_blocks, float_text, join_text, line_ends, open_csv
 from .estimator import ObservationSet
 from .model import (ModelSpec, sample_growth_rates_keyed,
@@ -398,9 +398,10 @@ def simulate_sparse_lineage(spec: ModelSpec, length: int,
 # ---------------------------------------------------------------------------
 
 def extract_observations(tree: GenealogyTree) -> ObservationSet:
-    """Flat (size, rate, lifetime) rows in breadth-first order; the
-    estimator is permutation-invariant so the order is cosmetic.  The
-    columns are the tree's own read-only arrays, not copies."""
+    """Flat (size, rate, lifetime) rows in breadth-first order; the order
+    is cosmetic, as each of the estimator's sums is exact before its one
+    rounding, so no order of the rows changes a bit.  The columns are the
+    tree's own read-only arrays, not copies."""
     return ObservationSet(tree.size_birth, tree.growth_rate, tree.lifetime)
 
 
@@ -421,7 +422,6 @@ _CSV_BLOCK = 3 << 10  # rows formatted per write
 _NOT_A_TREE = "genealogy is neither a complete tree nor a single lineage"
 _NOT_BINARY = "genealogy paths may only hold the characters 0 and 1"
 _PATH_WIDTH = 32  # path bytes parsed with the values; longer ones re-read
-_DECODE_ROWS = 1 << 14  # rows parsed and paths decoded per block
 _NUL_SCAN_BYTES = 1 << 18  # the blocks of curves.line_ends
 
 
@@ -517,7 +517,7 @@ def read_genealogy_csv(path) -> GenealogyTree:
 
     Rows may come in any order, with LF or CRLF line ends and ``csv``-style
     quoting; blank lines are skipped.  :func:`~gftree.curves.csv_blocks`
-    parses ``_DECODE_ROWS`` rows at a time: ``size_birth``, ``growth_rate``
+    parses ``curves.BLOCK`` rows at a time: ``size_birth``, ``growth_rate``
     and ``lifetime`` into float columns sized by the file's line ends, and
     paths as bytes cut at ``_PATH_WIDTH``, each kept only as its full-tree
     slot ``2^g - 1 + index``, which orders the rows breadth-first.  Paths
@@ -538,7 +538,7 @@ def read_genealogy_csv(path) -> GenealogyTree:
     with open_csv(path) as (fh, header):
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected genealogy header {header!r}")
-        for rows, table in csv_blocks(fh, dtype, range(5), _DECODE_ROWS):
+        for rows, table in csv_blocks(fh, dtype, range(5), curves.BLOCK):
             values[:, rows] = table["values"].T
             gens = np.strings.str_len(table["path"]).astype(np.int64)
             count += np.bincount(gens, minlength=count.size)

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from gftree import studies, trees
+from gftree import curves, studies, trees
 from gftree.curves import FLOAT_FORMAT, float_text, write_curve_tsv
 from gftree.estimator import ObservationSet
 from gftree.studies import (DEFAULT_COLUMN_MAP, EmptyAfterFiltering,
@@ -458,7 +458,7 @@ def test_reader_chains_around_the_path_width(tmp_path, variability_spec,
 
 def test_reader_shuffled_full_tree_across_decode_blocks(
         tmp_path, variability_spec, monkeypatch):
-    monkeypatch.setattr(trees, "_DECODE_ROWS", 7)
+    monkeypatch.setattr(curves, "BLOCK", 7)
     full = simulate_full_tree(variability_spec, 6, seed=30)
     header, rows = _lines(full, tmp_path)
     random.Random(3).shuffle(rows)
@@ -474,7 +474,7 @@ def test_reader_slots_from_the_first_block_out_of_order(
     """Slots are kept only from the first block out of breadth-first
     order, the earlier rows' slots being their rows: wherever that block
     falls, the file reads as the oracle reads it, or fails as it does."""
-    monkeypatch.setattr(trees, "_DECODE_ROWS", 5)
+    monkeypatch.setattr(curves, "BLOCK", 5)
     full = simulate_full_tree(variability_spec, 4, seed=35)  # 31 rows
     header, rows = _lines(full, tmp_path)
     swap = {"row 0": 0, "block boundary": 5, "last rows": 29}.get(case)
@@ -505,7 +505,7 @@ def test_breadth_first_order_checks_a_permutation():
 def test_reader_memory_per_row(tmp_path, variability_spec,
                                bytes_per_added_cell):
     """A row costs its three float columns, 24 B, as a file in the
-    writer's order keeps no slot column and ``_DECODE_ROWS`` blocks are
+    writer's order keeps no slot column and ``curves.BLOCK`` blocks are
     fixed scratch: under 27 B per added row from 2^16 - 1 to 2^17 - 1
     rows.  An int64 slot per row took 33 B/row, and one whole-file table
     91-103 B/row."""
@@ -523,7 +523,7 @@ def test_reader_memory_per_row(tmp_path, variability_spec,
 def test_reader_memory_per_row_of_a_small_file(tmp_path, variability_spec,
                                                peak_bytes):
     """A file of 2^16 - 1 rows peaks at its columns and the scratch of one
-    ``_DECODE_ROWS`` block: under 100 B/row with blocks of 16,384 rows.
+    ``curves.BLOCK`` block: under 100 B/row with blocks of 16,384 rows.
     Blocks of 65,536 rows took the whole file in one and peaked at 195
     B/row, above the 163 B/row of the reader before blocks."""
     path = tmp_path / "tree.csv"
@@ -717,7 +717,7 @@ def test_ingest_reports_the_file_line_of_a_rejected_row(
     """Blank lines count, and a row whose quoted cell holds a line end is
     on the line it ends on, as ``csv.reader.line_num`` has it; the
     non-number ``x`` sends the last file through the row loop."""
-    monkeypatch.setattr(studies, "_INGEST_ROWS", block_rows)
+    monkeypatch.setattr(curves, "BLOCK", block_rows)
     path = tmp_path / "cells.csv"
     path.write_bytes((HEADER + "\n\n1,1,1\n\n2,-1,1\n" + tail).encode())
     _, report = ingest_lineage_csv(path)
@@ -727,7 +727,7 @@ def test_ingest_reports_the_file_line_of_a_rejected_row(
 @pytest.mark.parametrize("rejected", [False, True])
 def test_ingest_memory_per_row(tmp_path, variability_spec, peak_bytes,
                                rejected):
-    """Ingest parses blocks of ``_INGEST_ROWS`` rows into three float
+    """Ingest parses blocks of ``curves.BLOCK`` rows into three float
     columns sized by the file's line ends (24 B/row) and an accepted-row
     mask (1 B/row), beside the fixed scratch of the line scan and one
     block: 37.5 B/row at 2^16 - 1 rows.  A rejected row moves the accepted

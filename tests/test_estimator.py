@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gftree import _hot, estimator
+from gftree import _hot, curves, estimator
 from gftree.estimator import (CompactPolynomialKernel, EstimatorConfig,
                               FixedBandwidth, FixedThreshold, GaussianKernel,
                               GridSpec, InvLogThreshold, InvNThreshold,
@@ -41,10 +41,29 @@ def exact_gaussian_sums(sizes, centers, h, kernel=GaussianKernel()):
     return out * kernel._scale
 
 
+def fsum_lattice(sizes, origin, delta, size):
+    """Reference lattice of the binned kernel sums: bin j holds
+    ``math.fsum`` of its shares, 1 - t (as 1 and -t) of each size a fraction
+    t past bin j and t of each size a fraction t past bin j - 1."""
+    t = (sizes - origin) / delta
+    i = t.astype(np.intp)
+    t -= i
+    bins = np.concatenate([i, i, i + 1])
+    order = np.argsort(bins, kind="stable")
+    bins = bins[order]
+    shares = np.concatenate([np.ones(t.size), -t, t])[order]
+    edges = np.flatnonzero(np.diff(bins)) + 1
+    w = np.zeros(size)
+    for b, group in zip(bins[np.r_[0, edges]] if bins.size else [],
+                        np.split(shares, edges)):
+        w[b] = math.fsum(group.tolist())
+    return w
+
+
 def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
     """Reference for the valid-mode correlation: the binned sums with the
-    whole lattice from one full ``np.convolve``, as computed before only
-    the lattice points the centers read were kept."""
+    whole :func:`fsum_lattice` from one full ``np.convolve``, as computed
+    before only the lattice points the centers read were kept."""
     s = np.sort(sizes)
     reach = kernel.radius * h
     lo = np.searchsorted(s, centers - reach, side="left")
@@ -56,9 +75,7 @@ def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
     origin = c0 - (span + 1) * delta
     size = int((c1 - origin) / delta) + span + 3
     assert (hi - lo).sum() > size, "the pairs would be summed, not binned"
-    t = (s[lo.min():hi.max()] - origin) / delta
-    i = t.astype(np.intp)
-    w = np.bincount(i, 1.0 - (t - i), size) + np.bincount(i + 1, t - i, size)
+    w = fsum_lattice(s[lo.min():hi.max()], origin, delta, size)
     taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
     lattice = np.convolve(w, taps)[span:span + size]
     out = np.interp((centers - origin) / delta, np.arange(size), lattice)
@@ -67,8 +84,10 @@ def convolved_lattice_sums(sizes, centers, h, kernel=GaussianKernel()):
 
 def correlated_rows_sums(sizes_sorted, centers, h, radius, scale):
     """Reference for the windowed lattice sums: the binned sums as computed
-    before, each binned row correlated over its whole lattice in
-    ``np.correlate``'s valid mode and read by ``np.interp``."""
+    before, each binned row's :func:`fsum_lattice` correlated over its
+    whole length in ``np.correlate``'s valid mode and read by
+    ``np.interp``; rows with no more pairs in reach than bins sum them per
+    center in ascending order."""
     reach = radius * h
     lo = np.array([np.searchsorted(s, centers - reach, side="left")
                    for s in sizes_sorted])
@@ -90,13 +109,9 @@ def correlated_rows_sums(sizes_sorted, centers, h, radius, scale):
         z = (sizes_sorted[r, k] - centers[j]) / h
         out[r] = np.bincount(j, np.exp(-0.5 * z * z), centers.size)
     binned = np.flatnonzero(~summed)
-    parts = [sizes_sorted[r, lo[r].min():hi[r].max()] for r in binned]
-    t = (np.concatenate(parts or [np.empty(0)]) - origin) / delta
-    i = t.astype(np.intp)
-    t -= i
-    i += np.repeat(size * np.arange(binned.size), [p.size for p in parts])
-    bins = binned.size * size
-    w = np.bincount(i, 1.0 - t, bins) + np.bincount(i + 1, t, bins)
+    w = np.concatenate([np.zeros(0)] + [
+        fsum_lattice(sizes_sorted[r, lo[r].min():hi[r].max()], origin, delta,
+                     size) for r in binned])
     taps = np.exp(-0.5 * (np.arange(-span, span + 1) * (delta / h)) ** 2)
     x = (centers - origin) / delta
     for r, row in zip(binned, w.reshape(-1, size)):
@@ -437,14 +452,16 @@ def lattice_stride(centers, h):
 @pytest.mark.parametrize("n", [31, 255, 1023, 16_383])
 def test_windowed_sums_equal_the_correlated_lattice(n):
     """The vecdot over lattice windows, at the three points around each
-    center or at every point, is bit-identical to the per-row valid-mode
-    ``np.correlate`` loop: on the estimator's grid (centers 3 or more
-    lattice points apart), at strides 2 and 1, at a single center, at
-    uneven and unsorted centers, and beside rows that sum their pairs."""
+    center or at every point, of rows given in any order is bit-identical
+    to the per-row valid-mode ``np.correlate`` loop over sorted rows: on
+    the estimator's grid (centers 3 or more lattice points apart), at
+    strides 2 and 1, at a single center, at uneven and unsorted centers,
+    and beside rows that sum their pairs."""
     rng = np.random.default_rng(n)
     xi = rng.lognormal(0.0, 0.4, (4, n))
     xi[2, 3:] += 50.0  # a handful of pairs: summed, not binned
     s = np.sort(xi, axis=1)
+    shuffled = rng.permuted(xi, axis=1)
     h = bandwidth(PowerBandwidth(), n)
     kern = GaussianKernel()
     grid = evaluation_grid(*GridSpec().resolve(n)) / 2.0
@@ -457,7 +474,8 @@ def test_windowed_sums_equal_the_correlated_lattice(n):
         assert lattice_stride(centers, h) == stride
         cases.append(centers)
     for centers in cases:
-        got = _hot.kernel_sums_rows(s, centers, h, kern.radius, kern._scale)
+        got = _hot.row_kernel_sums(shuffled, centers, h, kern.radius,
+                                   kern._scale)
         want = correlated_rows_sums(s, centers, h, kern.radius, kern._scale)
         assert np.array_equal(got, want), centers.size
         assert np.array_equal(got[2], _hot.kernel_sums(
@@ -470,10 +488,11 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
                                                      monkeypatch):
     """Rows whose pairs within reach are no more than the lattice's bins
     are summed ``PAIR_ROWS`` at a time by a (row, center)-offset
-    ``bincount``, each bin adding the same terms in the same order as the
-    per-row loop of :func:`correlated_rows_sums`.  At 2^5 every lognormal
-    row takes that path, as on the study ladder; at 2^7 only the rows
-    moved out of reach do, beside rows that are binned."""
+    ``np.add.at``, each cell adding the same terms in the same order as
+    the per-row loop of :func:`correlated_rows_sums`, whatever the order of
+    the rows' sizes.  At 2^5 every lognormal row takes that path, as on the
+    study ladder; at 2^7 only the rows moved out of reach do, beside rows
+    that are binned."""
     monkeypatch.setattr(_hot, "PAIR_ROWS", pair_rows)
     rng = np.random.default_rng(n + 1)
     xi = rng.lognormal(0.0, 0.4, (12, n))
@@ -482,7 +501,8 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
     h = bandwidth(PowerBandwidth(), n)
     kern = GaussianKernel()
     centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
-    got = _hot.kernel_sums_rows(s, centers, h, kern.radius, kern._scale)
+    got = _hot.row_kernel_sums(rng.permuted(xi, axis=1), centers, h,
+                               kern.radius, kern._scale)
     want = correlated_rows_sums(s, centers, h, kern.radius, kern._scale)
     assert np.array_equal(got, want)
     for row, one in zip(s, got):
@@ -492,9 +512,10 @@ def test_pair_sums_of_row_blocks_equal_the_row_loop(n, pair_rows,
 
 def test_one_row_kernel_sums_memory_per_cell(peak_bytes,
                                              bytes_per_added_cell):
-    """A row longer than ``_BAND_CELLS`` is binned a band at a time, so
-    from 2^18 to 2^19 cells the scratch rises by under 1 B per added cell
-    (its sorted copy took 8 B), and it stays under 14 B/cell at 2^18."""
+    """A row is counted, sorted ``curves.BLOCK`` sizes at a time, and then
+    binned in blocks of as many, so from 2^18 to 2^19 cells the scratch
+    rises by under 1 B per added cell (a sorted copy would take 8 B), and
+    it stays under 14 B/cell at 2^18."""
     def setup(n):
         sizes = np.random.default_rng(3).lognormal(0.0, 0.4, (1, n))
         centers = evaluation_grid(*GridSpec().resolve(n)) / 2.0
@@ -521,50 +542,52 @@ def test_coverage_blocks_across_rows_give_the_same_sums(monkeypatch):
     upper = xi * np.exp(tau * zeta)
     args = (xi, evaluation_grid(0.01, 400), tau, lambda i, s, v: upper[i])
     whole = estimator._coverage_sums(*args)
-    monkeypatch.setattr(estimator, "_COVER_BLOCK", 7)  # blocks straddle rows
+    monkeypatch.setattr(curves, "BLOCK", 7)  # blocks straddle rows
     assert np.array_equal(estimator._coverage_sums(*args), whole)
 
 
-def whole_row_coverage_sums(sizes, y, weight, upper):
-    """Coverage sums as one ``bincount`` per edge over whole rows, each
-    row's cells in ascending weight order."""
-    order = np.argsort(weight, axis=1)
-    r, n = order.shape
-    m = y.size + 1
-    offset = m * np.repeat(np.arange(r), n)
-    w = np.take_along_axis(weight, order, axis=1).ravel()
+def fsum_coverage(sizes, y, weight, upper):
+    """Reference for the coverage sums: at each y, ``math.fsum`` of the
+    weights of the cells whose [size, upper] holds y."""
+    return np.array([[math.fsum(w[(s <= p) & (p <= u)].tolist()) for p in y]
+                     for s, w, u in zip(sizes, weight, upper)])
 
-    def edge(x, side):
-        x = np.take_along_axis(x, order, axis=1).ravel()
-        return np.bincount(np.searchsorted(y, x, side) + offset, w, r * m)
 
-    sums = edge(sizes, "left") - edge(upper, "right")
-    return np.cumsum(sums.reshape(r, m), axis=1)[:, :-1]
+def shuffled_columns(seed, *rows):
+    """The (R, n) arrays ``rows`` with each row's cells in one new order,
+    the same for every array."""
+    order = np.random.default_rng(seed).permuted(
+        np.broadcast_to(np.arange(rows[0].shape[1]), rows[0].shape), axis=1)
+    return [np.take_along_axis(np.broadcast_to(r, order.shape), order, axis=1)
+            for r in rows]
 
 
 @pytest.mark.parametrize("block", [7, 1 << 14])
 def test_coverage_sums_equal_whole_row_bincounts(monkeypatch, block):
-    """Blocks of the rate order added by ``np.add.at`` equal whole-row
-    ``bincount``s of the weights 1/rate bit for bit: with tied rates, and
-    with the rows' pooled rates broadcast along them."""
-    monkeypatch.setattr(estimator, "_COVER_BLOCK", block)
+    """Blocks of cells in memory order give each coverage sum correctly
+    rounded, ``math.fsum`` of its covering weights 1/rate bit for bit, in
+    any order of the cells: with tied rates, and with the rows' pooled
+    rates broadcast along them."""
+    monkeypatch.setattr(curves, "BLOCK", block)
     xi, tau, zeta = sample_rows(3, 1023, seed=13)
     tau[:, ::2] = np.round(tau[:, ::2], 1)
     y = evaluation_grid(0.01, 400)
     pooled = np.broadcast_to(tau.mean(axis=1, keepdims=True), xi.shape)
     for rate in (tau, pooled):
         upper = xi * np.exp(rate * zeta)
+        got = estimator._coverage_sums(xi, y, rate, lambda i, s, v: upper[i])
+        assert np.array_equal(got, fsum_coverage(xi, y, 1.0 / rate, upper))
+        x, v, u = shuffled_columns(block, xi, rate, upper)
         assert np.array_equal(
-            estimator._coverage_sums(xi, y, rate, lambda i, s, v: upper[i]),
-            whole_row_coverage_sums(xi, y, 1.0 / rate, upper))
+            estimator._coverage_sums(x, y, v, lambda i, s, r: u[i]), got)
 
 
 def test_estimator_scratch_per_row(monkeypatch, bytes_per_added_cell):
-    """On a fixed grid and bandwidth, rows longer than a band go through
-    both sums a band at a time, so from 2^16 to 2^17 cells the scratch
-    rises by under 2 B per added cell.  Sorting the rates and the sizes
-    whole took 8 B/cell, and whole-row weights and edges 32 B/cell."""
-    monkeypatch.setattr(estimator, "_BAND_CELLS", 2 ** 14)
+    """On a fixed grid and bandwidth, both sums take a row in fixed blocks,
+    so from 2^16 to 2^17 cells, and from 2^13 to 2^14 with blocks of 2^11,
+    the scratch rises by under 2 B per added cell.  Sorting the rates and
+    the sizes whole took 16 B/cell, and whole-row weights and edges
+    32 B/cell."""
     config = EstimatorConfig(bandwidth_rule=FixedBandwidth(0.05),
                              grid=GridSpec(dx=0.01))
 
@@ -573,11 +596,13 @@ def test_estimator_scratch_per_row(monkeypatch, bytes_per_added_cell):
         return lambda: estimate_division_rate(obs, config), n
 
     assert bytes_per_added_cell(setup, 2 ** 16, 2 ** 17)[0] < 2
+    monkeypatch.setattr(curves, "BLOCK", 2 ** 11)
+    assert bytes_per_added_cell(setup, 2 ** 13, 2 ** 14)[0] < 2
 
 
 def band_rows(case, n=160):
-    """(size_birth, growth_rate, lifetime) rows of two samples of n cells
-    that stress the bands of :func:`estimator._bands`."""
+    """(size_birth, growth_rate, lifetime) rows of two samples of n cells,
+    longer than the blocks of the sums, in cases that stress them."""
     rng = np.random.default_rng(31)
     xi = rng.lognormal(0.0, 0.4, (2, n))
     tau = rng.uniform(0.5, 2.0, (2, n))
@@ -595,6 +620,9 @@ def band_rows(case, n=160):
     elif case == "cluster and outlier":  # one bin holds all but one cell
         xi = tau = 1.0 + 1e-12 * np.arange(2 * n).reshape(2, n)
         xi[:, -1] = tau[:, -1] = 1.9
+    elif case == "rates over 12 decades":  # weights need three limbs
+        tau = 10.0 ** rng.uniform(-6.0, 6.0, (2, n))
+        zeta /= tau  # upper ends stay within e^1.5 of the sizes
     return xi, tau, zeta
 
 
@@ -614,50 +642,121 @@ def whole_row_polynomial_sums(sizes, centers, h, kernel):
 @pytest.mark.parametrize("cap", [1, 5, 64])
 @pytest.mark.parametrize("case", [
     "random", "dirac rates", "two rates", "duplicated sizes", "pooled rates",
-    "no size in reach", "cluster and outlier"])
+    "no size in reach", "cluster and outlier", "rates over 12 decades"])
 def test_bands_equal_whole_row_sums(monkeypatch, cap, case):
-    """With rows longer than a band, the coverage sums, the Gaussian
-    kernel sums (pairs summed at h = 1e-3, binned at h = 0.1), the
-    polynomial ones and ``kernel_density`` equal the whole-row
-    ``argsort``/``np.sort`` references bit for bit."""
+    """With rows longer than a block of ``cap`` cells, the coverage sums
+    equal ``math.fsum`` of the covering weights, the Gaussian kernel sums
+    (pairs summed at h = 1e-3, binned at h = 0.1) those of the
+    :func:`fsum_lattice` reference, the polynomial ones the whole-row
+    ``np.sort`` reference, all bit for bit and in any order of the cells,
+    and ``kernel_density`` does not depend on the block."""
     xi, tau, zeta = band_rows(case)
     y = evaluation_grid(0.01, 400)
     upper = xi * np.exp(tau * zeta)
     gauss, poly = GaussianKernel(), CompactPolynomialKernel(order=2)
-    want = {"cover": whole_row_coverage_sums(xi, y, 1.0 / tau, upper),
+    want = {"cover": fsum_coverage(xi, y, 1.0 / tau, upper),
             "poly": whole_row_polynomial_sums(xi, y / 2, 0.1, poly),
             "density": [kernel_density(ObservationSet(x, v, z), y, 0.1)
                         for x, v, z in zip(xi, tau, zeta)]}
     for h in (1e-3, 0.1):
-        want[h] = _hot.kernel_sums_rows(np.sort(xi, axis=1), y / 2, h,
-                                        gauss.radius, gauss._scale)
-    monkeypatch.setattr(estimator, "_BAND_CELLS", cap)
-    assert np.array_equal(estimator._coverage_sums(
-        xi, y, tau, lambda i, s, v: upper[i]), want["cover"])
-    for h in (1e-3, 0.1):
-        assert np.array_equal(estimator._kernel_sums(xi, y / 2, h, gauss),
-                              want[h])
-    assert np.array_equal(estimator._kernel_sums(xi, y / 2, 0.1, poly),
-                          want["poly"])
+        want[h] = correlated_rows_sums(np.sort(xi, axis=1), y / 2, h,
+                                       gauss.radius, gauss._scale)
+    if case == "rates over 12 decades":
+        assert len(_hot.ExactSums(1, 1 / tau.max(), 1 / tau.min(),
+                                  xi.shape[1]).limbs) > 2
+    monkeypatch.setattr(curves, "BLOCK", cap)
+    for x, v, u in ((xi, tau, upper), shuffled_columns(cap, xi, tau, upper)):
+        assert np.array_equal(estimator._coverage_sums(
+            x, y, v, lambda i, s, r: u[i]), want["cover"])
+        for h in (1e-3, 0.1):
+            assert np.array_equal(estimator._kernel_sums(x, y / 2, h, gauss),
+                                  want[h])
+        assert np.array_equal(estimator._kernel_sums(x, y / 2, 0.1, poly),
+                              want["poly"])
     for (x, v, z), density in zip(zip(xi, tau, zeta), want["density"]):
         assert np.array_equal(
             kernel_density(ObservationSet(x, v, z), y, 0.1), density)
 
 
-def test_value_bands_split_a_crowded_bin(monkeypatch):
-    """A bin of the first histogram that holds nearly every cell is cut
-    again within its own values, so every band fits the cap unless its
-    values are all equal, and the bands hold each cell once, in value
-    order."""
-    monkeypatch.setattr(estimator, "_BAND_CELLS", 5)
-    values = np.append(1.0 + 1e-12 * np.arange(40), [1.9, 1.9, 1.9] * 3)
-    bands = list(estimator._bands(values))
-    assert all(b.size <= 5 for b in bands)
-    assert np.array_equal(np.sort(np.concatenate(bands)),
-                          np.arange(values.size))
-    ordered = [values[b] for b in bands]
-    assert all(a.max() < b.min() or a.max() == b.min() == b.max() == a.min()
-               for a, b in zip(ordered, ordered[1:]))
+def test_exact_sums_equal_fsum_per_bucket():
+    """Each bucket of ``ExactSums`` is ``math.fsum`` of the weights added
+    to it less those taken off it, bit for bit, in any order and in any
+    blocks: weights over 60 binades (four limbs, or 28 with no lower bound
+    on the weights), sums of either sign, a tie rounded to even, and ties
+    that weights far below break, one of them where the float sum of the
+    lower limbs would lose that weight."""
+    rng = np.random.default_rng(17)
+    w = np.ldexp(rng.uniform(1.0, 2.0, 3000), rng.integers(-40, 20, 3000))
+    up, down = rng.integers(0, 40, (2, w.size))
+    ties = {40: [1.0, 2.0 ** -53], 41: [1.0 + 2.0 ** -52, 2.0 ** -53],
+            42: [1.0, 2.0 ** -53, 2.0 ** -70],
+            43: [1.0, 2.0 ** -43, 2.0 ** -53, 2.0 ** -100]}
+    for bucket, weights in ties.items():
+        w = np.append(w, weights)
+        up = np.append(up, [bucket] * len(weights))
+        down = np.append(down, [44] * len(weights))
+    want = [math.fsum(w[up == j].tolist() + (-w[down == j]).tolist())
+            for j in range(45)]
+    assert want[40:44] == [1.0, 1.0 + 2.0 ** -51, 1.0 + 2.0 ** -52,
+                           1.0 + 2.0 ** -43 + 2.0 ** -52]
+    for seed, low, limbs in ((0, 2.0 ** -70, 4), (1, 2.0 ** -70, 4),
+                             (2, 0.0, 28)):
+        order = np.random.default_rng(seed).permutation(w.size)
+        sums = _hot.ExactSums(45, low, 2.0 ** 20, w.size)
+        assert len(sums.limbs) == limbs
+        for part in np.array_split(order, 5):
+            sums.add(w[part], up[part], down[part])
+        assert sums.rounded().tolist() == want
+
+
+def test_rows_of_2e17_cells_are_exact_and_order_free():
+    """Rows of 2^17 cells, past the old band cap, in blocks of the default
+    size: the coverage sums equal ``math.fsum`` of the covering weights,
+    the kernel sums those of the :func:`fsum_lattice` reference, and no
+    order of the cells changes a bit of either."""
+    n = 2 ** 17
+    xi, tau, zeta = sample_rows(1, n, seed=17)
+    upper = xi * np.exp(tau * zeta)
+    y = evaluation_grid(0.05, 60)
+    h = bandwidth(PowerBandwidth(), n)
+    kern = GaussianKernel()
+    cover = estimator._coverage_sums(xi, y, tau, lambda i, s, v: upper[i])
+    assert np.array_equal(cover, fsum_coverage(xi, y, 1.0 / tau, upper))
+    sums = estimator._kernel_sums(xi, y / 2, h, kern)
+    assert np.array_equal(sums, correlated_rows_sums(
+        np.sort(xi, axis=1), y / 2, h, kern.radius, kern._scale))
+    x, v, u = shuffled_columns(7, xi, tau, upper)
+    assert np.array_equal(
+        estimator._coverage_sums(x, y, v, lambda i, s, r: u[i]), cover)
+    assert np.array_equal(estimator._kernel_sums(x, y / 2, h, kern), sums)
+
+
+def test_lattice_bins_are_exact_at_the_window_edge():
+    """With reach/delta just below 500, a size at the window's low edge
+    lies about 1e-12 of a bin past the lattice's origin, so its share t
+    has bits far below 2^-52 and 1 - t is rounded as a float.  Twelve such
+    sizes make the float sum of their shares 1 - t miss the exact one; the
+    binned sums still equal the :func:`fsum_lattice` reference bit for
+    bit, in any order."""
+    centers = 1.0 + 0.01 * np.arange(50)
+    h = 80 * 0.01 / (4 + 1e-14)
+    reach = GaussianKernel().radius * h
+    delta = 0.01 / np.ceil(0.01 * _hot.BINS_PER_BANDWIDTH / h)
+    origin = 1.0 - (int(reach / delta) + 1) * delta
+    t = ((1.0 - reach) - origin) / delta
+    assert 0 < t < 2.0 ** -30
+    floats = 0.0
+    for _ in range(12):
+        floats += 1.0 - t
+    assert floats != math.fsum([1.0] * 12 + [-t] * 12)
+    xi = np.append(np.random.default_rng(4).lognormal(0.2, 0.2, 500),
+                   [1.0 - reach] * 12)[None]
+    kern = GaussianKernel()
+    want = correlated_rows_sums(np.sort(xi, axis=1), centers, h, kern.radius,
+                                kern._scale)
+    for x in (xi, shuffled_columns(3, xi)[0]):
+        assert np.array_equal(_hot.row_kernel_sums(x, centers, h, kern.radius,
+                                                   kern._scale), want)
 
 
 @pytest.mark.parametrize("r, n", [(1, 255), (4, 31), (5, 255), (3, 1023)])
